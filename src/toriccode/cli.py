@@ -70,8 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget", type=int, default=None, help="enumeration budget for X")
         p.add_argument("--class-budget", type=int, default=None, help="codeword class budget")
         p.add_argument("--time-budget", type=float, default=None, help="search seconds budget")
-        p.add_argument("--threads", type=int, default=1,
-                       help="reserved; kernels are vectorized single-process")
         if with_d:
             p.add_argument("--d", type=int, help="form degree")
         if with_range:
@@ -120,12 +118,12 @@ def _resolve_inputs(args):
     if args.torus is not None:
         if args.torus < 2:
             raise _InputError("--torus needs S >= 2")
-        return None, F, projective_torus(args.torus, F), budget
+        return None, F, projective_torus(args.torus, F)
     try:
         C = load_clutter(args.clutter)
     except OSError as exc:
         raise _InputError(f"cannot read clutter file: {exc}")
-    return C, F, enumerate_X(C, F, budget=budget), budget
+    return C, F, enumerate_X(C, F, budget=budget)
 
 
 def _class_budget(args) -> int:
@@ -181,7 +179,7 @@ def _delta_for(args, C, F, X, d, reg):
 
 
 def _cmd_params(args) -> int:
-    C, F, X, _ = _resolve_inputs(args)
+    C, F, X = _resolve_inputs(args)
     reg = regularity(X)
     if args.d is not None:
         dmin = dmax = args.d
@@ -242,7 +240,7 @@ def _cmd_params(args) -> int:
 
 
 def _cmd_mindist(args) -> int:
-    C, F, X, _ = _resolve_inputs(args)
+    C, F, X = _resolve_inputs(args)
     if args.d is None:
         raise _InputError("mindist needs --d")
     reg = regularity(X)
@@ -275,7 +273,7 @@ def _cmd_mindist(args) -> int:
 
 
 def _cmd_ci(args) -> int:
-    C, F, X, _ = _resolve_inputs(args)
+    C, F, X = _resolve_inputs(args)
     if C is None:
         raise _InputError("ci needs --clutter (the torus is trivially a CI)")
     rep = ci_classify(C, F.q)
@@ -298,7 +296,7 @@ def _cmd_ci(args) -> int:
 
 
 def _cmd_groebner(args) -> int:
-    _, F, X, _ = _resolve_inputs(args)
+    _, F, X = _resolve_inputs(args)
     G = interpolate_gb(X)
     checks = verify_gb_structure(G, F.q)
     if args.fmt == "json":
@@ -328,10 +326,10 @@ def _cmd_groebner(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    C, F, X, budget = _resolve_inputs(args)
+    C, _, X = _resolve_inputs(args)
     if C is None:
         raise _InputError("profile needs --clutter")
-    body = profile(C, F, budget=budget)
+    body = profile(C, X)
     if args.dump_points:
         with open(args.dump_points, "w") as fh:
             fh.write(points_csv(X))

@@ -2,15 +2,23 @@
 
 Degree-d forms are evaluated at the canonical representatives of X; since
 those have first coordinate 1, plain evaluation already agrees with the
-normalization by t1^d.  The generator matrix is the reduced row echelon
-form of the evaluation matrix, so dim C_X(d) equals the Hilbert function
-H_X(d) by construction.
+normalization by t1^d.
+
+On X the monomial t^e is the character with key e @ X.gens mod q-1, and
+distinct characters of a finite group are linearly independent (Artin).
+So the degree-d monomials span a space whose dimension H_X(d) is the
+number of distinct keys of degree d, and one monomial per key is a basis.
+Both come from one integer walk over keys (`_sumset_walk`): H_X, the
+regularity and the h-vector need no field arithmetic.  Only the generator
+matrix of C_X(d) is computed over GF(q), as the reduced row echelon form of
+the evaluations of one monomial per key; RREF is unique for a row space,
+so the choice of monomials does not show in it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 import numpy as np
@@ -64,31 +72,25 @@ def monomials(s: int, d: int) -> list[Monomial]:
     return [Monomial(tuple(int(x) for x in row)) for row in exponent_matrix(s, d)]
 
 
-_RESIDUE_GRID_LIMIT = 1 << 20
-_residue_grids: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+def _sumset_walk(gens: np.ndarray, m: int):
+    """Yield K_0, K_1, K_2, ... where K_d = {e @ gens mod m : e >= 0, |e| = d}.
 
-
-def reduced_exponents(s: int, d: int, q: int) -> np.ndarray:
-    """Distinct values of e mod (q-1) over degree-d exponent vectors e.
-
-    On points with unit coordinates a monomial depends on its exponents
-    only mod q-1, so these rows index the distinct evaluation rows of
-    degree d.  The set equals {r in [0, q-2]^s : |r| <= d, |r| = d mod q-1}
-    because the slack d - |r| is a multiple of q-1 and can be absorbed on
-    any single coordinate.  Rows come out lex-sorted.
+    K_0 = {0} and K_d = K_{d-1} + (rows of gens) mod m.  Each K_d comes as
+    an array with one exponent row e per element, the first e of degree d
+    that reaches it in the walk.
     """
-    m = q - 1
-    grid_size = m ** s
-    if grid_size <= _RESIDUE_GRID_LIMIT:
-        cached = _residue_grids.get((s, q))
-        if cached is None:
-            grid = np.indices((m,) * s, dtype=np.int64).reshape(s, -1).T
-            cached = (grid, grid.sum(axis=1))
-            _residue_grids[(s, q)] = cached
-        grid, sums = cached
-        mask = (sums <= d) & (sums % m == d % m)
-        return grid[mask]
-    return np.unique(exponent_matrix(s, d) % m, axis=0)
+    s, g = gens.shape
+    keys = np.zeros((1, g), dtype=np.int64)
+    reps = np.zeros((1, s), dtype=np.int64)
+    step = np.eye(s, dtype=np.int64)
+    while True:
+        yield reps
+        keys = ((keys[:, None, :] + gens[None, :, :]) % m).reshape(-1, g)
+        reps = (reps[:, None, :] + step[None, :, :]).reshape(-1, s)
+        # rows as opaque bytes: np.unique(axis=0) sorts several times slower
+        rows = keys.view(np.dtype((np.void, keys.itemsize * g)))
+        _, first = np.unique(rows, return_index=True)
+        keys, reps = keys[first], reps[first]
 
 
 def evaluate_rows(X: ToricSet, E: np.ndarray) -> np.ndarray:
@@ -127,14 +129,18 @@ def code(X: ToricSet, d: int) -> LinearCode:
     """The parameterized code C_X(d) with its canonical generator matrix."""
     if d < 1:
         raise ValueError("need d >= 1")
-    E = reduced_exponents(X.s, d, X.field.q)
-    M = evaluate_rows(X, E)
-    R, pivots = _linalg.rref(X.field, M)
-    G = R[: len(pivots)]
+    reps = next(islice(_sumset_walk(X.gens, X.field.q - 1), d, None))
+    if len(reps) == len(X):
+        # d >= regularity: the code is all of GF(q)^|X|, whose RREF basis
+        # is the identity; elimination would cost O(|X|^3)
+        G = np.eye(len(X), dtype=X.field.dtype)
+    else:
+        R, pivots = _linalg.rref(X.field, evaluate_rows(X, reps))
+        G = R[: len(pivots)]
     return LinearCode(
         generator=G,
         length=len(X),
-        dimension=len(pivots),
+        dimension=len(G),
         d=d,
         field=X.field,
         source=X.source,
@@ -145,47 +151,33 @@ def hilbert_function(X: ToricSet, d: int) -> int:
     """H_X(d) = dim of the degree-d piece of the homogeneous coordinate ring."""
     if d < 0:
         raise ValueError("need d >= 0")
-    if d == 0:
-        return 1
-    cached = X._hilbert_cache.get(d)
-    if cached is not None:
-        return cached
-    # monomials agreeing componentwise mod q-1 evaluate identically on units
-    E = reduced_exponents(X.s, d, X.field.q)
-    value = _linalg.rank(X.field, evaluate_rows(X, E))
-    X._hilbert_cache[d] = value
-    return value
+    for e, reps in enumerate(_sumset_walk(X.gens, X.field.q - 1)):
+        # K_e only grows (t1 has the zero character), and never past |X|
+        if e == d or len(reps) == len(X):
+            return len(reps)
+
+
+def _hilbert_counts(X: ToricSet) -> list[int]:
+    """[H_X(0), ..., H_X(r)] through the regularity r <= (q-2)(s-1)."""
+    bound = (X.field.q - 2) * (X.s - 1)
+    counts = []
+    for reps in islice(_sumset_walk(X.gens, X.field.q - 1), bound + 1):
+        counts.append(len(reps))
+        if counts[-1] == len(X):
+            return counts
+    raise AssertionError("Hilbert function failed to reach |X| by (q-2)(s-1)")
 
 
 def regularity(X: ToricSet) -> int:
-    """Least d with H_X(d) = |X|; bounded above by (q-2)(s-1).
-
-    Binary search is sound because multiplication by the last variable
-    (a unit on every point) injects degree d into degree d+1, so H_X is
-    nondecreasing and the predicate H_X(d) = |X| is monotone in d.
-    """
-    target = len(X)
-    if target == 1:
-        return 0
-    bound = (X.field.q - 2) * (X.s - 1)
-    if hilbert_function(X, bound) != target:
-        raise AssertionError("Hilbert function failed to reach |X| by (q-2)(s-1)")
-    lo, hi = 1, bound
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if hilbert_function(X, mid) == target:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    """Least d with H_X(d) = |X|; bounded above by (q-2)(s-1)."""
+    return len(_hilbert_counts(X)) - 1
 
 
 def h_vector(X: ToricSet) -> list[int]:
     """First differences of H_X through the regularity; entries are positive
     and sum to |X|."""
-    r = regularity(X)
-    values = [hilbert_function(X, d) for d in range(r + 1)]
-    return [values[0]] + [values[i] - values[i - 1] for i in range(1, r + 1)]
+    counts = _hilbert_counts(X)
+    return [counts[0]] + [b - a for a, b in zip(counts, counts[1:])]
 
 
 def singleton_bound(X: ToricSet, d: int) -> int:

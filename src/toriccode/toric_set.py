@@ -60,21 +60,28 @@ class ToricSet:
     """A finite set of all-unit projective points over one field.
 
     ``logs`` is the |X| x s integer matrix of primitive-power exponents of
-    the canonical coordinates, rows sorted lexicographically.  Immutable
-    after construction.
+    the canonical coordinates, rows sorted lexicographically.  ``gens`` is
+    an s x g integer matrix whose row i is the character of t_i: X is the
+    image of (Z/(q-1))^g under a -> gens @ a mod q-1, so the monomial t^e
+    takes the value g^(a . (e @ gens)) at the point of a.  Immutable after
+    construction.
     """
 
-    def __init__(self, field: FiniteField, logs: np.ndarray, source: str):
+    def __init__(self, field: FiniteField, logs: np.ndarray, gens: np.ndarray, source: str):
         logs = np.asarray(logs, dtype=np.int64)
-        if logs.ndim != 2:
-            raise ValueError("logs must be 2-d")
+        gens = np.array(gens, dtype=np.int64)
+        if logs.ndim != 2 or gens.ndim != 2:
+            raise ValueError("logs and gens must be 2-d")
+        if gens.shape[0] != logs.shape[1]:
+            raise ValueError("gens needs one row per coordinate")
         if logs.size and (logs.min() < 0 or logs.max() >= field.q - 1):
             raise ValueError("exponents out of range")
         self.field = field
         self.logs = logs
         self.logs.setflags(write=False)
+        self.gens = gens
+        self.gens.setflags(write=False)
         self.source = source
-        self._hilbert_cache: dict[int, int] = {}
 
     @property
     def s(self) -> int:
@@ -127,7 +134,7 @@ def enumerate_X(C: Clutter, F: FiniteField, budget: int = DEFAULT_ENUM_BUDGET) -
         if len(chunks) > 64:
             chunks = [np.unique(np.concatenate(chunks), axis=0)]
     logs = np.unique(np.concatenate(chunks), axis=0)
-    return ToricSet(F, logs, source=f"X({C})")
+    return ToricSet(F, logs, B, source=f"X({C})")
 
 
 def projective_torus(s: int, F: FiniteField) -> ToricSet:
@@ -140,7 +147,8 @@ def projective_torus(s: int, F: FiniteField) -> ToricSet:
     radix = m ** np.arange(s - 2, -1, -1, dtype=np.int64)  # big-endian: lex order
     logs = np.zeros((count, s), dtype=np.int64)
     logs[:, 1:] = (ids[:, None] // radix[None, :]) % m
-    return ToricSet(F, logs, source=f"T(s={s})")
+    gens = np.eye(s, s - 1, k=-1, dtype=np.int64)  # [0; I_(s-1)]
+    return ToricSet(F, logs, gens, source=f"T(s={s})")
 
 
 def equals_torus(X: ToricSet) -> bool:
@@ -152,13 +160,14 @@ def equals_torus(X: ToricSet) -> bool:
     return bool(np.array_equal(X.logs, T.logs))
 
 
-def profile(C: Clutter, F: FiniteField, budget: int = DEFAULT_ENUM_BUDGET) -> dict:
-    """Size/rank report used to judge applicability of the torus bounds.
+def profile(C: Clutter, X: ToricSet) -> dict:
+    """Size/rank report of X = enumerate_X(C, F), used to judge
+    applicability of the torus bounds.
 
     Normality of the edge subring is asserted by the caller, never verified
     here; the note in the report says so.
     """
-    X = enumerate_X(C, F, budget=budget)
+    F = X.field
     A = incidence(C).A
     r = rank_rational(A)
     uniform, _ = uniformity(C)

@@ -9,22 +9,25 @@ is the least degree whose standard-monomial count reaches |X|: every point
 of X has unit coordinates, so ts is a nonzerodivisor mod I(X) and no
 reduced-basis element can live beyond degree D+1.
 
-Dependencies are read off one reduced-row-echelon computation per degree
-(columns = candidates in walk order), so no per-monomial re-solve happens.
+On X the monomial t^e is the character with key e @ X.gens mod q-1, and
+distinct characters are linearly independent (Artin).  So a candidate
+depends on the kept ones exactly when an earlier candidate t^e' has the
+same key; t^e' is then standard and t^e - t^e' vanishes on X.  Every basis
+element is such a binomial, found with integer keys and no field
+elimination: I(X) is a lattice ideal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations_with_replacement
+from itertools import islice
 from math import comb
 
 import numpy as np
 
-from . import _linalg
 from .clutter import Clutter, incidence
 from .errors import BudgetExceededError
-from .eval_code import evaluate_rows, exponent_matrix
+from .eval_code import _sumset_walk, evaluate_rows, exponent_matrix
 from .finite_field import FiniteField, field_from_q
 from .toric_set import ToricSet, enumerate_X
 
@@ -113,11 +116,12 @@ def interpolate_gb(X: ToricSet) -> ReducedGB:
     interpolation at the canonical representatives of X."""
     F = X.field
     s = X.s
-    m = len(X)
+    m = F.q - 1
+    minus_one = int(F.neg(1))
     lts: list[tuple[int, ...]] = []
     elements: list[HomogPoly] = []
     counts: dict[int, int] = {0: 1}
-    stable_at = 0 if m == 1 else None
+    stable_at = 0 if len(X) == 1 else None
     hard_stop = (F.q - 2) * (s - 1) + 1
     d = 0
     while True:
@@ -128,30 +132,16 @@ def interpolate_gb(X: ToricSet) -> ReducedGB:
             raise AssertionError("interpolation ran past the regularity bound")
         cands = exponent_matrix(s, d)[::-1]  # ascending revlex
         cands = _filter_multiples(cands, lts)
-        M = evaluate_rows(X, cands).T  # points x candidates
-        R, pivots = _linalg.rref(F, M)
-        kept = list(pivots)
-        counts[d] = len(kept)
-        kept_set = set(kept)
-        cand_tuples = [tuple(int(x) for x in row) for row in cands]
-        cand_index = {t: i for i, t in enumerate(cand_tuples)}
-        for j in range(cands.shape[0]):
-            if j in kept_set:
-                continue
-            expo = cand_tuples[j]
-            terms = [(expo, 1)]
-            for i, p in enumerate(kept):
-                if p >= j:
-                    break
-                c = int(R[i, j])
-                if c:
-                    terms.append((cand_tuples[p], int(F.neg(c))))
-            # candidates are ascending revlex, so descending term order is
-            # descending candidate index
-            terms.sort(key=lambda t: -cand_index[t[0]])
-            elements.append(HomogPoly(terms=tuple(terms), lead=expo))
-            lts.append(expo)
-        if stable_at is None and len(kept) == m:
+        keys = (cands @ X.gens) % m
+        standard: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for expo, key in zip(map(tuple, cands.tolist()), map(tuple, keys.tolist())):
+            tail = standard.setdefault(key, expo)
+            if tail != expo:
+                # candidates ascend in revlex, so expo leads
+                elements.append(HomogPoly(terms=((expo, 1), (tail, minus_one)), lead=expo))
+                lts.append(expo)
+        counts[d] = len(standard)
+        if stable_at is None and len(standard) == len(X):
             stable_at = d
     elements.sort(key=lambda g: (g.degree, tuple(reversed(g.lead))))
     return ReducedGB(field=F, s=s, elements=elements, standard_counts=counts)
@@ -260,19 +250,12 @@ def hilbert_IA(C: Clutter, d: int, budget: int = 5 * 10 ** 6) -> int:
     of distinct sums of d characteristic vectors (with repetition)."""
     if d < 0:
         raise ValueError("need d >= 0")
-    if d == 0:
-        return 1
     count = comb(C.s + d - 1, d)
     if count > budget:
         raise BudgetExceededError(
             f"degree {d} needs {count} multisets > budget {budget}"
         )
-    V = C.vectors
-    seen = set()
-    for pick in combinations_with_replacement(range(C.s), d):
-        total = [0] * C.n
-        for j in pick:
-            for i, x in enumerate(V[j]):
-                total[i] += x
-        seen.add(tuple(total))
-    return len(seen)
+    # no entry of a sum of d 0/1 vectors reaches d + 1, so the walk's
+    # reduction mod d + 1 changes nothing
+    V = np.array(C.vectors, dtype=np.int64)
+    return len(next(islice(_sumset_walk(V, d + 1), d, None)))

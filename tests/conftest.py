@@ -1,8 +1,11 @@
 """Shared fixtures and independent oracles.
 
-The oracles here deliberately avoid the package's vectorized kernels:
+Most oracles here deliberately avoid the package's vectorized kernels:
 they use Fraction arithmetic, scalar field operations and exhaustive
 loops so that test expectations are derived by a second, simpler route.
+The GF(q) oracles for H_X, the generator matrix and the reduced basis
+instead do the linear algebra that the package replaces by integer
+character keys: rank and reduced row echelon form of evaluation matrices.
 """
 
 from __future__ import annotations
@@ -15,6 +18,9 @@ import numpy as np
 import pytest
 
 from toriccode import Clutter, parse_clutter
+from toriccode._linalg import rank, rref
+from toriccode.eval_code import evaluate_rows, exponent_matrix
+from toriccode.vanishing_ideal import _filter_multiples
 
 # ---------------------------------------------------------------------------
 # clutter battery: small graphs with known structure
@@ -208,3 +214,62 @@ def oracle_torus_h_vector(s: int, q: int) -> list[int]:
     for _ in range(s - 1):
         out = np.polymul(out, block)
     return [int(c) for c in out]
+
+
+def _residue_rows(X, d):
+    """One degree-d exponent row per residue class mod q-1: monomials in
+    one class agree on X, whose coordinates are units."""
+    return np.unique(exponent_matrix(X.s, d) % (X.field.q - 1), axis=0)
+
+
+def oracle_hilbert_rank(X, d) -> int:
+    """H_X(d) as the GF(q) rank of the degree-d evaluation rows."""
+    return rank(X.field, evaluate_rows(X, _residue_rows(X, d)))
+
+
+def oracle_regularity(X) -> int:
+    """Least d with oracle_hilbert_rank(X, d) = |X|, by linear search."""
+    d = 0
+    while oracle_hilbert_rank(X, d) < len(X):
+        d += 1
+    return d
+
+
+def oracle_code_generator(X, d):
+    """RREF generator of C_X(d) from all degree-d evaluation rows."""
+    R, pivots = rref(X.field, evaluate_rows(X, _residue_rows(X, d)))
+    return R[: len(pivots)]
+
+
+def oracle_interpolate_gb(X):
+    """(terms of each element, standard counts) of the reduced revlex basis
+    of I(X), by one GF(q) rref per degree over the candidate evaluations.
+
+    A candidate that is not a pivot column closes into a basis element
+    with the pivot columns it depends on as its tail.
+    """
+    F, s = X.field, X.s
+    lts, elements, counts = [], [], {0: 1}
+    stable_at = 0 if len(X) == 1 else None
+    d = 0
+    while stable_at is None or d <= stable_at:
+        d += 1
+        cands = _filter_multiples(exponent_matrix(s, d)[::-1], lts)
+        R, pivots = rref(F, evaluate_rows(X, cands).T)
+        counts[d] = len(pivots)
+        cand_tuples = [tuple(int(x) for x in row) for row in cands]
+        for j in range(len(cands)):
+            if j in pivots:
+                continue
+            terms = [(cand_tuples[j], 1)]
+            for i, p in enumerate(pivots):
+                if p < j and int(R[i, j]):
+                    terms.append((cand_tuples[p], int(F.neg(int(R[i, j])))))
+            # later candidates are larger in revlex
+            terms.sort(key=lambda t: -cand_tuples.index(t[0]))
+            elements.append(tuple(terms))
+            lts.append(cand_tuples[j])
+        if stable_at is None and len(pivots) == len(X):
+            stable_at = d
+    elements.sort(key=lambda t: (sum(t[0][0]), tuple(reversed(t[0][0]))))
+    return elements, counts

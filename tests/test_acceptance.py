@@ -183,13 +183,7 @@ def test_criterion_7_hilbert_equality():
             assert hilbert_function(X9, d) == hilbert_IA(BATTERY["C3"], d), d
 
 
-# the largest members are skipped at q = 5 on runtime grounds: their
-# regularity computation alone takes minutes (|X| = 4^6 on 7 vertices)
-_REG_BATTERY = {
-    3: sorted(BATTERY),
-    4: sorted(BATTERY),
-    5: sorted(set(BATTERY) - {"C7", "U7", "K5"}),
-}
+_REG_BATTERY = {q: sorted(BATTERY) for q in (3, 4, 5)}
 
 
 def test_criterion_8_bound_suite():

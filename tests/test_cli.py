@@ -98,6 +98,21 @@ class TestParams:
         assert out.splitlines()[1].startswith("1,4,3,")
 
 
+    def test_k5_gf7_formula_regularity(self, run, tmp_path):
+        # s = 10 puts the bound (q-2)(s-1) = 45 far above the regularity,
+        # where no degree-45 monomial list may be built
+        f = tmp_path / "k5.json"
+        edges = [[a, b] for a in range(1, 6) for b in range(a + 1, 6)]
+        f.write_text(json.dumps({"n": 5, "edges": edges}))
+        rc, out, _ = run(
+            "params", "--clutter", str(f), "--q", "7", "--d", "1",
+            "--method", "formula", "--format", "json",
+        )
+        assert rc == EXIT_OK
+        body = json.loads(out)
+        assert body["regularity"] == 10 and body["length"] == 1296
+
+
 class TestMindist:
     def test_json_report(self, run, k4_file):
         rc, out, _ = run(

@@ -1,6 +1,5 @@
 """Code construction, Hilbert data, degree bounds."""
 
-import numpy as np
 import pytest
 
 from conftest import oracle_torus_h_vector
@@ -17,7 +16,7 @@ from toriccode import (
     regularity,
     singleton_bound,
 )
-from toriccode.eval_code import exponent_matrix, monomial_count, reduced_exponents
+from toriccode.eval_code import exponent_matrix, monomial_count
 
 
 class TestMonomialOrder:
@@ -40,21 +39,6 @@ class TestMonomialOrder:
 
     def test_str_of_constant(self):
         assert str(monomials(2, 0)[0]) == "1"
-
-
-class TestReducedExponents:
-    @pytest.mark.parametrize("s,d,q", [(3, 4, 3), (4, 6, 4), (2, 9, 5), (3, 1, 9)])
-    def test_matches_explicit_reduction(self, s, d, q):
-        direct = np.unique(exponent_matrix(s, d) % (q - 1), axis=0)
-        assert np.array_equal(reduced_exponents(s, d, q), direct)
-
-    def test_large_s_small_grid(self):
-        # grid path: 10 variables over GF(4)
-        got = reduced_exponents(10, 18, 4)
-        assert got.shape[1] == 10
-        sums = got.sum(axis=1)
-        assert np.all(sums % 3 == 0) and np.all(sums <= 18)
-        assert len(np.unique(got, axis=0)) == len(got)
 
 
 class TestEvaluation:

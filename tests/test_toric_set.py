@@ -1,5 +1,7 @@
 """Point set enumeration: canonical form, sizes, torus comparison."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,15 @@ class TestEnumerate:
         F = field_from_q(q)
         X = enumerate_X(C, F)
         assert _as_enc_set(X) == oracle_toric_points(C, F)
+
+    @pytest.mark.parametrize("q", [3, 4])
+    def test_gens_parameterize_points(self, q):
+        # row i of gens is the character of t_i: the points are gens @ a
+        F = field_from_q(q)
+        m = F.q - 1
+        for X in (enumerate_X(BATTERY["U4"], F), projective_torus(3, F)):
+            A = np.array(list(itertools.product(range(m), repeat=X.gens.shape[1])))
+            assert {tuple(r) for r in (A @ X.gens.T) % m} == {tuple(r) for r in X.logs}
 
     def test_triangle_gf9_size(self, triangle):
         X = enumerate_X(triangle, make_field(3, 2))
@@ -136,7 +147,7 @@ class TestProjectivePoint:
 
 class TestProfileAndCsv:
     def test_profile_k4(self, k4):
-        body = profile(k4, make_field(2, 2))
+        body = profile(k4, enumerate_X(k4, make_field(2, 2)))
         assert body["points"] == 27
         assert body["rank_is_n"] is True
         assert body["uniform"] is True
