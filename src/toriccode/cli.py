@@ -14,7 +14,7 @@ import sys
 
 from .clutter import ClutterError, incidence, load_clutter, uniformity
 from .errors import BudgetExceededError
-from .eval_code import code, hilbert_function, regularity, singleton_bound
+from .eval_code import _hilbert_counts, code
 from .finite_field import FiniteField, field_from_q, make_field
 from .intlattice import ci_classify, rank_rational
 from .mindist import (
@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--format", choices=["text", "csv", "json"], default="text", dest="fmt"
         )
-        p.add_argument("--budget", type=int, default=None, help="enumeration budget for X")
+        p.add_argument("--budget", type=int, default=None, help="maximum number of points of X")
         p.add_argument("--class-budget", type=int, default=None, help="codeword class budget")
         p.add_argument("--time-budget", type=float, default=None, help="search seconds budget")
         if with_d:
@@ -118,7 +118,7 @@ def _resolve_inputs(args):
     if args.torus is not None:
         if args.torus < 2:
             raise _InputError("--torus needs S >= 2")
-        return None, F, projective_torus(args.torus, F)
+        return None, F, projective_torus(args.torus, F, budget=budget)
     try:
         C = load_clutter(args.clutter)
     except OSError as exc:
@@ -180,7 +180,8 @@ def _delta_for(args, C, F, X, d, reg):
 
 def _cmd_params(args) -> int:
     C, F, X = _resolve_inputs(args)
-    reg = regularity(X)
+    counts = _hilbert_counts(X)
+    reg = len(counts) - 1
     if args.d is not None:
         dmin = dmax = args.d
     else:
@@ -196,16 +197,17 @@ def _cmd_params(args) -> int:
     rows = []
     for d in range(dmin, dmax + 1):
         delta, method, exact, delta_prime = _delta_for(args, C, F, X, d, reg)
+        dim = counts[min(d, reg)]
         rows.append(
             {
                 "d": d,
                 "length": len(X),
-                "dim": hilbert_function(X, d),
+                "dim": dim,
                 "delta": delta,
                 "delta_method": method,
                 "delta_exact": exact,
                 "delta_prime": delta_prime,
-                "singleton": singleton_bound(X, d),
+                "singleton": len(X) - dim + 1,
             }
         )
     out = sys.stdout
@@ -243,17 +245,21 @@ def _cmd_mindist(args) -> int:
     C, F, X = _resolve_inputs(args)
     if args.d is None:
         raise _InputError("mindist needs --d")
-    reg = regularity(X)
+    if args.d < 1:
+        raise _InputError("need d >= 1")
+    counts = _hilbert_counts(X)
+    reg = len(counts) - 1
     delta, method, exact, delta_prime = _delta_for(args, C, F, X, args.d, reg)
+    dim = counts[min(args.d, reg)]
     report = {
         "d": args.d,
         "length": len(X),
-        "dimension": hilbert_function(X, args.d),
+        "dimension": dim,
         "delta": delta,
         "delta_method": method,
         "delta_exact": exact,
         "delta_prime": delta_prime,
-        "singleton": singleton_bound(X, args.d),
+        "singleton": len(X) - dim + 1,
         "regularity": reg,
         "delta_one_shortcut": args.d >= reg,
         "equals_torus": equals_torus(X),

@@ -5,9 +5,17 @@ so each is stored canonically (first coordinate scaled to 1) as the vector
 of primitive-power exponents of its coordinates.  Point order is the
 lexicographic order of those exponent vectors, which makes every downstream
 computation deterministic.
+
+In exponent space the projective torus is (Z/(q-1))^(s-1), and both X and
+the torus are subgroups of it spanned by the columns of a generator
+matrix: the difference matrix of the clutter, or [0; I].  Both are built
+by one closure over those columns (`_span`), in memory O(|X|) and time
+O(|X|) per column, and the enumeration budget bounds |X| itself.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 import numpy as np
 
@@ -17,7 +25,6 @@ from .finite_field import FieldElement, FiniteField
 from .intlattice import rank_rational
 
 DEFAULT_ENUM_BUDGET = 10 ** 8
-_CHUNK = 1 << 16
 
 
 class ProjectivePoint:
@@ -110,54 +117,65 @@ def _difference_matrix(C: Clutter) -> np.ndarray:
     return V - V[0]
 
 
+def _span(gens: np.ndarray, m: int, budget: int) -> np.ndarray:
+    """Rows of the subgroup of (Z/m)^s spanned by the columns of gens,
+    sorted lexicographically.
+
+    S starts as {0}.  For each column b, r is the least r >= 1 with r*b in
+    S; it divides the order of b, since {k : k*b in S} is a subgroup of Z
+    that holds that order.  S + <b> is then the disjoint union of the
+    cosets S + k*b for k = 0..r-1, so no deduplication is needed.  Raises
+    BudgetExceededError before S would grow past the budget.
+    """
+    s = gens.shape[0]
+    S = np.zeros((1, s), dtype=np.int64)
+    for b in gens.T % m:
+        order = m // gcd(m, *(int(x) for x in b))
+        for r in range(1, order + 1):
+            if order % r == 0 and (r == order or (S == r * b % m).all(axis=1).any()):
+                break
+        if len(S) * r > budget:
+            raise BudgetExceededError(
+                f"X would reach {len(S) * r} points > budget {budget}"
+            )
+        steps = np.arange(r, dtype=np.int64)[:, None] * b % m  # r x s
+        S = ((steps[:, None, :] + S[None, :, :]) % m).reshape(-1, s)
+    return S[np.lexsort(S.T[::-1])]
+
+
 def enumerate_X(C: Clutter, F: FiniteField, budget: int = DEFAULT_ENUM_BUDGET) -> ToricSet:
     """All points [ (x^v1 : ... : x^vs) ] for x in the affine torus (K*)^n.
 
-    The walk is over (q-1)^n unit tuples; raises BudgetExceededError first
-    if that count exceeds the budget.
+    X is a group: the subgroup of the projective torus spanned by the
+    columns b_j of the difference matrix B = V - V[0], the images of the
+    coordinate characters of (K*)^n.  It is built by closure over those
+    n columns, with O(n |X|) row operations and never a walk over the
+    (q-1)^n tuples; raises BudgetExceededError before |X| would pass the
+    budget.
     """
-    n, s = C.n, C.s
-    m = F.q - 1
-    total = m ** n
-    if total > budget:
-        raise BudgetExceededError(
-            f"enumeration needs {total} tuples (= (q-1)^n) > budget {budget}"
-        )
     B = _difference_matrix(C)  # s x n; row 0 is zero, giving the canonical 0 column
-    radix = m ** np.arange(n, dtype=np.int64)
-    chunks = []
-    for start in range(0, total, _CHUNK):
-        ids = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        a = (ids[:, None] // radix[None, :]) % m
-        logs = (a @ B.T) % m
-        chunks.append(np.unique(logs, axis=0))
-        if len(chunks) > 64:
-            chunks = [np.unique(np.concatenate(chunks), axis=0)]
-    logs = np.unique(np.concatenate(chunks), axis=0)
-    return ToricSet(F, logs, B, source=f"X({C})")
+    return ToricSet(F, _span(B, F.q - 1, budget), B, source=f"X({C})")
 
 
-def projective_torus(s: int, F: FiniteField) -> ToricSet:
-    """The torus T in P^(s-1): all points with every coordinate nonzero."""
+def projective_torus(s: int, F: FiniteField, budget: int = DEFAULT_ENUM_BUDGET) -> ToricSet:
+    """The torus T in P^(s-1): all points with every coordinate nonzero.
+
+    Built by the same closure as enumerate_X, over gens [0; I_(s-1)], so
+    the budget bounds |T| = (q-1)^(s-1) in the same way.
+    """
     if s < 2:
         raise ValueError("need s >= 2")
-    m = F.q - 1
-    count = m ** (s - 1)
-    ids = np.arange(count, dtype=np.int64)
-    radix = m ** np.arange(s - 2, -1, -1, dtype=np.int64)  # big-endian: lex order
-    logs = np.zeros((count, s), dtype=np.int64)
-    logs[:, 1:] = (ids[:, None] // radix[None, :]) % m
     gens = np.eye(s, s - 1, k=-1, dtype=np.int64)  # [0; I_(s-1)]
-    return ToricSet(F, logs, gens, source=f"T(s={s})")
+    return ToricSet(F, _span(gens, F.q - 1, budget), gens, source=f"T(s={s})")
 
 
 def equals_torus(X: ToricSet) -> bool:
-    """Whether X is all of the projective torus in its ambient space."""
-    m = X.field.q - 1
-    if len(X) != m ** (X.s - 1):
-        return False
-    T = projective_torus(X.s, X.field)
-    return bool(np.array_equal(X.logs, T.logs))
+    """Whether X is all of the projective torus in its ambient space.
+
+    Every X lies in T (its coordinates are units and its first log is 0),
+    so equality is a size test.
+    """
+    return len(X) == (X.field.q - 1) ** (X.s - 1)
 
 
 def profile(C: Clutter, X: ToricSet) -> dict:

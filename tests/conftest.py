@@ -16,6 +16,8 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from toriccode import Clutter, parse_clutter
 from toriccode._linalg import rank, rref
@@ -90,6 +92,49 @@ def triangle():
 @pytest.fixture
 def k4():
     return K4
+
+
+# ---------------------------------------------------------------------------
+# random clutters for property tests
+# ---------------------------------------------------------------------------
+
+FIELD_SIZES = [3, 4, 5, 7, 8, 9]
+
+
+def _largest(base: int, limit: int) -> int:
+    """Largest k with base^k <= limit."""
+    k = 0
+    while base ** (k + 1) <= limit:
+        k += 1
+    return k
+
+
+@st.composite
+def clutters_over_fields(draw, max_torus):
+    """(clutter, q) with (q-1)^n <= 10^5 tuples to walk, so that the
+    tuple-walk oracle stays fast, and at most max_torus torus points in
+    P^(s-1)."""
+    q = draw(st.sampled_from(FIELD_SIZES))
+    m = q - 1
+    n_max = min(_largest(m, 10 ** 5), 8)
+    s_max = _largest(m, max_torus) + 1
+    n = draw(st.integers(3, n_max))
+    s = draw(st.integers(2, s_max))
+    edges = draw(
+        st.lists(
+            st.frozensets(st.integers(1, n), min_size=2, max_size=3),
+            min_size=s,
+            max_size=s,
+            unique=True,
+        )
+    )
+    # keep the inclusion-minimal edges, so that the family is a clutter
+    edges = [e for e in edges if not any(f < e for f in edges)]
+    assume(len(edges) >= 2)
+    used = sorted(set().union(*edges))
+    label = {v: i + 1 for i, v in enumerate(used)}
+    doc = {"n": len(used), "edges": [sorted(label[v] for v in e) for e in edges]}
+    return parse_clutter(doc), q
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +218,22 @@ def oracle_toric_points(C: Clutter, F) -> frozenset:
         first_inv = coords[0] ** (-1)
         pts.add(tuple((c * first_inv).enc for c in coords))
     return frozenset(pts)
+
+
+def oracle_enumerate_X(C: Clutter, F) -> np.ndarray:
+    """Exponent rows of X, sorted: the images of all (q-1)^n unit tuples
+    under the difference matrix, deduplicated chunk by chunk."""
+    m = F.q - 1
+    V = np.array(C.vectors, dtype=np.int64)
+    B = V - V[0]
+    total = m ** C.n
+    radix = m ** np.arange(C.n, dtype=np.int64)
+    chunks = []
+    for start in range(0, total, 1 << 16):
+        ids = np.arange(start, min(start + (1 << 16), total), dtype=np.int64)
+        a = (ids[:, None] // radix[None, :]) % m
+        chunks.append(np.unique((a @ B.T) % m, axis=0))
+    return np.unique(np.concatenate(chunks), axis=0)
 
 
 def oracle_min_weight(F, G) -> int:

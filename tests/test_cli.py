@@ -186,6 +186,15 @@ class TestProfile:
         assert lines[0] == "t1,t2,t3,t4,t5,t6"
         assert len(lines) == 9
 
+    def test_four_disjoint_triangles_gf9(self, run, tmp_path):
+        # (q-1)^n = 8^12 tuples, but X is the whole torus of 8^3 points
+        f = tmp_path / "tri4.txt"
+        f.write_text("1 2 3\n4 5 6\n7 8 9\n10 11 12\n")
+        rc, out, _ = run("profile", "--clutter", str(f), "--q", "9", "--format", "json")
+        assert rc == EXIT_OK
+        body = json.loads(out)
+        assert body["points"] == 512 and body["equals_ambient_torus"] is True
+
 
 class TestErrors:
     def test_missing_field(self, run, k4_file):
@@ -212,6 +221,17 @@ class TestErrors:
 
     def test_enum_budget(self, run, k4_file):
         rc, _, err = run("params", "--clutter", k4_file, "--q", "9", "--budget", "10")
+        assert rc == EXIT_BUDGET and "budget" in err
+
+    def test_torus_budget(self, run):
+        # |T| = 8^11 points: the budget stops the build before allocating it
+        rc, _, err = run("profile", "--torus", "12", "--q", "9", "--budget", "1000")
+        assert rc == EXIT_BUDGET and "budget" in err
+
+    def test_large_torus_budget(self, run):
+        rc, _, err = run(
+            "params", "--torus", "30", "--q", "9", "--d", "1", "--budget", "1000"
+        )
         assert rc == EXIT_BUDGET and "budget" in err
 
     def test_class_budget(self, run, k4_file):

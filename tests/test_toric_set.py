@@ -1,11 +1,19 @@
 """Point set enumeration: canonical form, sizes, torus comparison."""
 
 import itertools
+from math import gcd, prod
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
-from conftest import BATTERY, NON_BIPARTITE, oracle_toric_points
+from conftest import (
+    BATTERY,
+    NON_BIPARTITE,
+    clutters_over_fields,
+    oracle_enumerate_X,
+    oracle_toric_points,
+)
 from toriccode import (
     BudgetExceededError,
     enumerate_X,
@@ -16,6 +24,7 @@ from toriccode import (
     profile,
     projective_torus,
 )
+from toriccode.intlattice import smith_normal_form
 from toriccode.toric_set import ProjectivePoint, points_csv
 
 
@@ -98,6 +107,33 @@ class TestEnumerate:
         X = enumerate_X(triangle, make_field(3, 1))
         with pytest.raises(ValueError):
             X.logs[0, 0] = 1
+
+
+def _check_against_tuple_walk(C, q):
+    # the subgroup closure against the walk over all (q-1)^n tuples, and
+    # |X| against the Smith invariant factors d_i of the difference matrix
+    X = enumerate_X(C, field_from_q(q))
+    assert np.array_equal(X.logs, oracle_enumerate_X(C, X.field))
+    m = q - 1
+    factors = smith_normal_form(X.gens).invariant_factors
+    assert len(X) == prod(m // gcd(m, d) for d in factors)
+
+
+@pytest.mark.parametrize("name", sorted(BATTERY))
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_battery_matches_tuple_walk(name, q):
+    _check_against_tuple_walk(BATTERY[name], q)
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(clutters_over_fields(max_torus=10 ** 4))
+def test_random_clutters_match_tuple_walk(case):
+    _check_against_tuple_walk(*case)
 
 
 class TestTorus:
