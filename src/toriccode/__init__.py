@@ -32,6 +32,7 @@ from .intlattice import (
 from .mindist import (
     DistanceResult,
     distance_report,
+    min_distance,
     min_distance_bruteforce,
     min_distance_isd,
     torus_distance,
@@ -79,6 +80,7 @@ __all__ = [
     "interpolate_gb",
     "load_clutter",
     "make_field",
+    "min_distance",
     "min_distance_bruteforce",
     "min_distance_isd",
     "monomials",

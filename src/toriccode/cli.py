@@ -12,17 +12,12 @@ import json
 import os
 import sys
 
-from .clutter import ClutterError, incidence, load_clutter, uniformity
+from .clutter import ClutterError, load_clutter
 from .errors import BudgetExceededError
-from .eval_code import _hilbert_counts, code
+from .eval_code import _hilbert_counts
 from .finite_field import FiniteField, field_from_q, make_field
-from .intlattice import ci_classify, rank_rational
-from .mindist import (
-    DEFAULT_CLASS_BUDGET,
-    min_distance_bruteforce,
-    min_distance_isd,
-    torus_distance,
-)
+from .intlattice import ci_classify
+from .mindist import DEFAULT_CLASS_BUDGET, METHODS, delta_prime, min_distance
 from .toric_set import (
     DEFAULT_ENUM_BUDGET,
     enumerate_X,
@@ -83,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if with_method:
             p.add_argument(
                 "--method",
-                choices=["auto", "bruteforce", "isd", "formula"],
+                choices=METHODS,
                 default="auto",
             )
         return p
@@ -139,43 +134,13 @@ def _time_budget(args):
     return float(env) if env else None
 
 
-def _delta_for(args, C, F, X, d, reg):
-    """(delta, method, exact, delta_prime) for one degree."""
-    torus = equals_torus(X)
-    if C is not None:
-        uniform, _ = uniformity(C)
-        prime_ok = uniform and rank_rational(incidence(C).A) == C.n
-        delta_prime = torus_distance(F.q, C.n, d) if prime_ok else None
-    else:
-        delta_prime = torus_distance(F.q, X.s, d)
-    method = args.method
-    if method == "auto":
-        if torus:
-            return torus_distance(F.q, X.s, d), "formula", True, delta_prime
-        if d >= reg:
-            # H_X(d) = |X| here, so the code is the full ambient space
-            return 1, "regularity", True, delta_prime
-        cd = code(X, d)
-        classes = (F.q ** cd.dimension - 1) // (F.q - 1)
-        if classes <= _class_budget(args):
-            r = min_distance_bruteforce(cd, class_budget=_class_budget(args))
-        else:
-            r = min_distance_isd(cd, time_budget=_time_budget(args))
-        return r.value, r.method, r.exact, delta_prime
-    if method == "formula":
-        if torus:
-            return torus_distance(F.q, X.s, d), "formula", True, delta_prime
-        if delta_prime is not None:
-            return delta_prime, "bound-only", False, delta_prime
-        raise _InputError(
-            "formula method needs X = torus, or a uniform clutter with rank(A) = n"
-        )
-    cd = code(X, d)
-    if method == "bruteforce":
-        r = min_distance_bruteforce(cd, class_budget=_class_budget(args))
-    else:
-        r = min_distance_isd(cd, time_budget=_time_budget(args))
-    return r.value, r.method, r.exact, delta_prime
+def _delta_for(args, C, X, d, reg):
+    """(DistanceResult, delta_prime) for one degree."""
+    prime = delta_prime(C, X, d)
+    res = min_distance(
+        X, d, reg, args.method, prime, _class_budget(args), _time_budget(args)
+    )
+    return res, prime
 
 
 def _cmd_params(args) -> int:
@@ -196,17 +161,17 @@ def _cmd_params(args) -> int:
         raise _InputError(f"bad degree range [{dmin}, {dmax}]")
     rows = []
     for d in range(dmin, dmax + 1):
-        delta, method, exact, delta_prime = _delta_for(args, C, F, X, d, reg)
+        res, prime = _delta_for(args, C, X, d, reg)
         dim = counts[min(d, reg)]
         rows.append(
             {
                 "d": d,
                 "length": len(X),
                 "dim": dim,
-                "delta": delta,
-                "delta_method": method,
-                "delta_exact": exact,
-                "delta_prime": delta_prime,
+                "delta": res.value,
+                "delta_method": res.method,
+                "delta_exact": res.exact,
+                "delta_prime": prime,
                 "singleton": len(X) - dim + 1,
             }
         )
@@ -242,23 +207,23 @@ def _cmd_params(args) -> int:
 
 
 def _cmd_mindist(args) -> int:
-    C, F, X = _resolve_inputs(args)
+    C, _, X = _resolve_inputs(args)
     if args.d is None:
         raise _InputError("mindist needs --d")
     if args.d < 1:
         raise _InputError("need d >= 1")
     counts = _hilbert_counts(X)
     reg = len(counts) - 1
-    delta, method, exact, delta_prime = _delta_for(args, C, F, X, args.d, reg)
+    res, prime = _delta_for(args, C, X, args.d, reg)
     dim = counts[min(args.d, reg)]
     report = {
         "d": args.d,
         "length": len(X),
         "dimension": dim,
-        "delta": delta,
-        "delta_method": method,
-        "delta_exact": exact,
-        "delta_prime": delta_prime,
+        "delta": res.value,
+        "delta_method": res.method,
+        "delta_exact": res.exact,
+        "delta_prime": prime,
         "singleton": len(X) - dim + 1,
         "regularity": reg,
         "delta_one_shortcut": args.d >= reg,

@@ -117,6 +117,9 @@ class LinearCode:
     d: int
     field: FiniteField
     source: str
+    # whether a group acts regularly on the coordinates and maps the code to
+    # itself; information-set search then needs a single systematic form
+    transitive: bool = False
 
     def __repr__(self):
         return (
@@ -126,7 +129,12 @@ class LinearCode:
 
 
 def code(X: ToricSet, d: int) -> LinearCode:
-    """The parameterized code C_X(d) with its canonical generator matrix."""
+    """The parameterized code C_X(d) with its canonical generator matrix.
+
+    The code is transitive: x in X moves the point p to x*p, which
+    permutes the coordinates regularly and only rescales the evaluation row
+    of each monomial t^e (by t^e(x)), so C_X(d) is an abelian group code.
+    """
     if d < 1:
         raise ValueError("need d >= 1")
     reps = next(islice(_sumset_walk(X.gens, X.field.q - 1), d, None))
@@ -144,6 +152,7 @@ def code(X: ToricSet, d: int) -> LinearCode:
         d=d,
         field=X.field,
         source=X.source,
+        transitive=True,
     )
 
 

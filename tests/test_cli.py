@@ -127,6 +127,16 @@ class TestMindist:
         rc, _, err = run("mindist", "--clutter", k4_file, "--q", "3")
         assert rc == EXIT_INPUT and "needs --d" in err
 
+    def test_time_budget_stops_bruteforce(self, run, k4_file):
+        rc, out, _ = run(
+            "mindist", "--clutter", k4_file, "--q", "4", "--d", "1",
+            "--method", "bruteforce", "--time-budget", "0", "--format", "json",
+        )
+        body = json.loads(out)
+        assert rc == EXIT_OK
+        assert body["delta_method"] == "bruteforce" and body["delta_exact"] is False
+        assert body["delta"] >= 12
+
 
 class TestCi:
     def test_k4_json(self, run, k4_file):

@@ -1,9 +1,12 @@
 """Minimum distance: exhaustive search, information-set search, closed form."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
-from conftest import oracle_min_weight
+from conftest import BATTERY, clutters_over_fields, oracle_min_weight
 from toriccode import (
     BudgetExceededError,
     code,
@@ -11,13 +14,16 @@ from toriccode import (
     enumerate_X,
     field_from_q,
     make_field,
+    min_distance,
     min_distance_bruteforce,
     min_distance_isd,
     parse_clutter,
     projective_torus,
+    regularity,
     torus_distance,
 )
 from toriccode._linalg import row_space_contains, rref
+from toriccode.eval_code import _hilbert_counts
 
 
 class TestTorusDistanceFormula:
@@ -189,3 +195,143 @@ class TestDistanceReport:
     def test_bad_method(self, k4):
         with pytest.raises(ValueError):
             distance_report(k4, make_field(3, 1), 1, method="magic")
+
+
+def _translate(X, G, i):
+    """G with column p moved to the position of x*p, x the i-th point of X."""
+    index = {row: j for j, row in enumerate(map(tuple, X.logs.tolist()))}
+    moved = (X.logs + X.logs[i]) % (X.field.q - 1)
+    perm = np.array([index[row] for row in map(tuple, moved.tolist())])
+    out = np.empty_like(G)
+    out[:, perm] = G
+    return out
+
+
+_TRANSITIVE_CASES = [
+    *[(name, q) for name in ("C4", "C5", "C6", "K4", "K5", "T7", "U6") for q in (3, 4)],
+    *[(name, 5) for name in ("C4", "C6", "K4")],
+    *[(f"torus{s}", q) for s, q in ((2, 7), (3, 4), (3, 5), (4, 3))],
+]
+
+
+@pytest.mark.parametrize("name,q", _TRANSITIVE_CASES)
+def test_points_of_X_permute_the_code(name, q):
+    """The fact the one-form ISD bound rests on: p -> x*p maps C_X(d) to itself."""
+    F = field_from_q(q)
+    if name.startswith("torus"):
+        X = projective_torus(int(name[5:]), F)
+    else:
+        X = enumerate_X(BATTERY[name], F)
+    rng = np.random.default_rng(len(X) * q)
+    reg = regularity(X)
+    for d in sorted({1, reg // 2, reg - 1} - {0}):
+        cd = code(X, d)
+        assert cd.transitive
+        R, pivots = rref(F, cd.generator)
+        for i in rng.choice(len(X), size=min(2, len(X)), replace=False):
+            moved = _translate(X, cd.generator, int(i))
+            assert all(row_space_contains(F, R, pivots, row) for row in moved)
+
+
+_MAX_MESSAGES = 729
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(clutters_over_fields(max_torus=64))
+def test_isd_on_random_codes_matches_exhaustive_weight(case):
+    """Every C_X(d) with at most _MAX_MESSAGES messages: the one-form search,
+    the Brouwer-Zimmermann search and a search stopped at once all hold the
+    exhaustive minimum weight in [lower, value]."""
+    C, q = case
+    F = field_from_q(q)
+    X = enumerate_X(C, F)
+    counts = _hilbert_counts(X)
+    for d in range(1, len(counts)):
+        if q ** counts[d] > _MAX_MESSAGES:
+            break
+        cd = code(X, d)
+        delta = oracle_min_weight(F, cd.generator)
+        one_form = min_distance_isd(cd)
+        assert one_form.exact and one_form.value == one_form.lower == delta
+        assert int(np.count_nonzero(one_form.witness)) == delta
+        bz = min_distance_isd(dataclasses.replace(cd, transitive=False))
+        assert bz.exact and bz.value == delta
+        stopped = min_distance_isd(cd, time_budget=0.0)
+        assert stopped.lower <= delta <= stopped.value
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+@pytest.mark.parametrize("name", sorted(BATTERY))
+def test_isd_matches_bruteforce_on_battery(name, q):
+    """Every C_X(d) below the regularity with at most 10^4 codeword classes."""
+    X = enumerate_X(BATTERY[name], field_from_q(q))
+    counts = _hilbert_counts(X)
+    for d in range(1, len(counts) - 1):
+        if (q ** counts[d] - 1) // (q - 1) > 10 ** 4:
+            break
+        cd = code(X, d)
+        r = min_distance_isd(cd)
+        assert r.exact and r.value == min_distance_bruteforce(cd).value
+
+
+def test_k5_gf5_d1_isd_exact():
+    # n = 256, k = 10: the search stops after weight 5, where
+    # ceil(256 * 6 / 10) = 154 >= 144
+    X = enumerate_X(BATTERY["K5"], field_from_q(5))
+    r = min_distance_isd(code(X, 1))
+    assert r.exact and r.value == r.lower == 144
+
+
+class TestIntervals:
+    def test_isd_stopped_reports_interval(self, k4):
+        cd = code(enumerate_X(k4, field_from_q(5)), 3)
+        r = min_distance_isd(cd, time_budget=0.0)
+        # nothing enumerated yet: only ceil(n/k) = ceil(64/44) is proven
+        assert not r.exact and (r.lower, r.value) == (2, 64)
+        assert repr(r) == "DistanceResult([2, 64], isd)"
+
+    def test_exact_lower_equals_value(self, k4):
+        r = min_distance_isd(code(enumerate_X(k4, field_from_q(5)), 3))
+        assert r.exact and r.lower == r.value == 4
+        assert repr(r) == "DistanceResult(4, isd, exact)"
+
+    def test_bruteforce_time_budget(self, k4):
+        F = field_from_q(4)
+        cd = code(enumerate_X(k4, F), 1)  # [27, 6]: six message blocks
+        r = min_distance_bruteforce(cd, time_budget=0.0)
+        assert not r.exact and r.method == "bruteforce"
+        assert r.lower == 1 and r.value >= 12
+        assert int(np.count_nonzero(r.witness)) == r.value
+
+
+class TestMinDistance:
+    def test_torus_formula_first(self, triangle):
+        X = enumerate_X(triangle, make_field(3, 2))
+        r = min_distance(X, 20, regularity(X))
+        assert (r.value, r.method, r.exact) == (1, "formula", True)
+
+    def test_regularity_shortcut(self, k4):
+        rep = distance_report(k4, make_field(3, 1), 2)
+        assert rep["delta"] == 1 and rep["delta_method"] == "regularity"
+        assert rep["delta_exact"] and rep["delta_one_shortcut"]
+
+    def test_forced_methods_skip_shortcut(self, k4):
+        X = enumerate_X(k4, make_field(3, 1))
+        for method in ("bruteforce", "isd"):
+            r = min_distance(X, 2, regularity(X), method)
+            assert (r.value, r.method, r.exact) == (1, method, True)
+
+    def test_class_budget_picks_isd(self, k4):
+        X = enumerate_X(k4, make_field(3, 1))
+        r = min_distance(X, 1, regularity(X), class_budget=10)
+        assert (r.value, r.method, r.exact) == (2, "isd", True)
+
+    def test_rejects_degree_zero(self, k4):
+        X = enumerate_X(k4, make_field(3, 1))
+        with pytest.raises(ValueError):
+            min_distance(X, 0, regularity(X))
