@@ -17,7 +17,13 @@ from .errors import BudgetExceededError
 from .eval_code import _hilbert_counts
 from .finite_field import FiniteField, field_from_q, make_field
 from .intlattice import ci_classify
-from .mindist import DEFAULT_CLASS_BUDGET, METHODS, delta_prime, min_distance
+from .mindist import (
+    DEFAULT_CLASS_BUDGET,
+    METHODS,
+    delta_prime,
+    distance_report,
+    min_distance,
+)
 from .toric_set import (
     DEFAULT_ENUM_BUDGET,
     enumerate_X,
@@ -33,7 +39,9 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
-PARAMS_COLUMNS = ["d", "length", "dim", "delta", "delta_method", "delta_prime", "singleton"]
+PARAMS_COLUMNS = [
+    "d", "length", "dim", "delta", "delta_lower", "delta_method", "delta_prime", "singleton"
+]
 
 
 class _InputError(ValueError):
@@ -88,8 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("mindist", help="minimum distance report for one degree"),
            with_d=True, with_method=True)
     common(sub.add_parser("ci", help="complete-intersection classification"))
-    g = common(sub.add_parser("groebner", help="reduced Groebner basis of I(X)"))
-    g.add_argument("--degree-bound", type=int, default=None, help=argparse.SUPPRESS)
+    common(sub.add_parser("groebner", help="reduced Groebner basis of I(X)"))
     pr = common(sub.add_parser("profile", help="size/rank profile of X"))
     pr.add_argument("--dump-points", metavar="FILE", help="write X as CSV of power indices")
     return top
@@ -143,6 +150,13 @@ def _delta_for(args, C, X, d, reg):
     return res, prime
 
 
+def _delta_text(report) -> str:
+    """delta, or the interval [lower, value] that holds it when inexact."""
+    if report["delta_exact"]:
+        return str(report["delta"])
+    return f"[{report['delta_lower']}, {report['delta']}]"
+
+
 def _cmd_params(args) -> int:
     C, F, X = _resolve_inputs(args)
     counts = _hilbert_counts(X)
@@ -169,6 +183,7 @@ def _cmd_params(args) -> int:
                 "length": len(X),
                 "dim": dim,
                 "delta": res.value,
+                "delta_lower": res.lower,
                 "delta_method": res.method,
                 "delta_exact": res.exact,
                 "delta_prime": prime,
@@ -194,7 +209,7 @@ def _cmd_params(args) -> int:
                 str(r["d"]),
                 str(r["length"]),
                 str(r["dim"]),
-                str(r["delta"]) + ("" if r["delta_exact"] else "?"),
+                _delta_text(r),
                 r["delta_method"],
                 "" if r["delta_prime"] is None else str(r["delta_prime"]),
                 str(r["singleton"]),
@@ -207,28 +222,15 @@ def _cmd_params(args) -> int:
 
 
 def _cmd_mindist(args) -> int:
-    C, _, X = _resolve_inputs(args)
+    C, F, X = _resolve_inputs(args)
     if args.d is None:
         raise _InputError("mindist needs --d")
     if args.d < 1:
         raise _InputError("need d >= 1")
-    counts = _hilbert_counts(X)
-    reg = len(counts) - 1
-    res, prime = _delta_for(args, C, X, args.d, reg)
-    dim = counts[min(args.d, reg)]
-    report = {
-        "d": args.d,
-        "length": len(X),
-        "dimension": dim,
-        "delta": res.value,
-        "delta_method": res.method,
-        "delta_exact": res.exact,
-        "delta_prime": prime,
-        "singleton": len(X) - dim + 1,
-        "regularity": reg,
-        "delta_one_shortcut": args.d >= reg,
-        "equals_torus": equals_torus(X),
-    }
+    report = distance_report(
+        C, F, args.d, args.method, X=X,
+        class_budget=_class_budget(args), time_budget=_time_budget(args),
+    )
     if args.fmt == "json":
         sys.stdout.write(json.dumps(report, indent=2) + "\n")
     elif args.fmt == "csv":
@@ -239,7 +241,7 @@ def _cmd_mindist(args) -> int:
         )
     else:
         for k, v in report.items():
-            sys.stdout.write(f"{k}: {v}\n")
+            sys.stdout.write(f"{k}: {_delta_text(report) if k == 'delta' else v}\n")
     return EXIT_OK
 
 

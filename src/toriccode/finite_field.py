@@ -135,10 +135,9 @@ class FiniteField:
             raise AssertionError("primitive element order mismatch")
         self._primitive_enc = prim
 
+        self._add_table = self._mul_table = None
         if q <= _TABLE_LIMIT:
             self._build_tables()
-        else:
-            self._add_table = None
 
     # -- construction-time scalar arithmetic (slow, exact) --
 
@@ -177,7 +176,8 @@ class FiniteField:
         q = self.q
         a = np.arange(q, dtype=np.int64)
         aa, bb = np.meshgrid(a, a, indexing="ij")
-        self._add_table = self._add_formula(aa, bb).astype(self.dtype)
+        if self.p != 2 and self.k > 1:  # add is arithmetic on the other encodings
+            self._add_table = self._add_formula(aa, bb).astype(self.dtype)
         self._mul_table = self._mul_formula(aa, bb).astype(self.dtype)
         self._neg_table = self._neg_formula(a).astype(self.dtype)
         inv = np.zeros(q, dtype=self.dtype)
@@ -217,12 +217,21 @@ class FiniteField:
     # -- public vectorized kernels; inputs are encodings (ints or arrays) --
 
     def add(self, a, b):
+        if self.p == 2:
+            return np.bitwise_xor(a, b).astype(self.dtype, copy=False)
+        if self.k == 1:
+            a = np.asarray(a, dtype=self.dtype)
+            b = np.asarray(b, dtype=self.dtype)
+            # with t = p - b in [1, p], a + b mod p is a - t when a >= t and
+            # a + b < p otherwise; only the branch np.where drops can wrap
+            t = self.p - b
+            return np.where(a >= t, a - t, a + b)
         if self._add_table is not None:
             return self._add_table[a, b]
         return self._add_formula(a, b).astype(self.dtype)
 
     def neg(self, a):
-        if self._add_table is not None:
+        if self._mul_table is not None:
             return self._neg_table[a]
         return self._neg_formula(a).astype(self.dtype)
 
@@ -230,7 +239,7 @@ class FiniteField:
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
-        if self._add_table is not None:
+        if self._mul_table is not None:
             return self._mul_table[a, b]
         return self._mul_formula(a, b).astype(self.dtype)
 
@@ -238,7 +247,7 @@ class FiniteField:
         a = np.asarray(a)
         if np.any(a == 0):
             raise ZeroDivisionError("inverse of zero")
-        if self._add_table is not None:
+        if self._mul_table is not None:
             return self._inv_table[a]
         r = self.exp[(self.q - 1 - self.log[a]) % (self.q - 1)]
         return r.astype(self.dtype)

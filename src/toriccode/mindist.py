@@ -19,6 +19,15 @@ bound for cyclic codes, for a regular group action.  A code without that
 structure (`LinearCode.transitive` false) is searched Brouwer-Zimmermann
 style, on systematic forms over disjoint information sets with the bound
 sum_j max(0, w+1 - deficit_j).
+
+Both searches weigh words by comparison, not field arithmetic:
+wt(a + c*r) = #{j : a_j != (-c*r)_j}.  They share the table
+S[u, i] = g^u * row_i of every unit multiple of every row, built once per
+generator matrix.  Brute force compares each head word with the
+whole span of the tail rows at once; information-set search compares the
+sum of w-1 scaled rows with the negated unit multiples of the w-th.  Apart
+from S and tables of its size made from it, no array either search
+allocates exceeds max(_CELL_CAP, (q-1)n) cells.
 """
 
 from __future__ import annotations
@@ -39,7 +48,7 @@ from .toric_set import ToricSet, enumerate_X, equals_torus
 
 DEFAULT_CLASS_BUDGET = 10 ** 7
 METHODS = ("auto", "bruteforce", "isd", "formula")
-_CHUNK_ROWS = 1 << 14
+_CELL_CAP = 1 << 20  # cells of the largest array a search block allocates
 
 
 @dataclass
@@ -62,32 +71,19 @@ class DistanceResult:
         return f"DistanceResult([{self.lower}, {self.value}], {self.method})"
 
 
-def _message_blocks(q: int, k: int):
-    """All nonzero messages of length k up to scalar: first nonzero entry 1.
-
-    Yields (pivot, tail_matrix) chunks; the message is e_pivot followed by
-    the free tail on coordinates pivot+1..k-1.
-    """
-    for pivot in range(k):
-        free = k - pivot - 1
-        total = q ** free
-        radix = q ** np.arange(free, dtype=np.int64)
-        for start in range(0, total, _CHUNK_ROWS):
-            ids = np.arange(start, min(start + _CHUNK_ROWS, total), dtype=np.int64)
-            tails = (ids[:, None] // radix[None, :]) % q
-            yield pivot, tails
+def _scaled_rows(F: FiniteField, G: np.ndarray) -> np.ndarray:
+    """S[u, i] = g^u * G[i] for every unit g^u, shape (q-1, k, n)."""
+    return F.mul(F.exp[:, None, None], G[None, :, :])
 
 
-def _encode(F: FiniteField, messages: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """messages (r x k) times G (k x n) over the field."""
-    r = messages.shape[0]
-    out = np.zeros((r, G.shape[1]), dtype=F.dtype)
-    for j in range(G.shape[0]):
-        col = messages[:, j]
-        nz = np.nonzero(col)[0]
-        if nz.size:
-            out[nz] = F.add(out[nz], F.mul(col[nz, None].astype(F.dtype), G[j][None, :]))
-    return out
+def _span(F: FiniteField, S: np.ndarray) -> np.ndarray:
+    """All q^m combinations of the m rows that S (q-1, m, n) scales, one per
+    row of the result, the zero word first."""
+    n = S.shape[2]
+    B = np.zeros((1, n), dtype=F.dtype)
+    for i in range(S.shape[1]):
+        B = np.concatenate([B, F.add(S[:, i, None, :], B[None]).reshape(-1, n)])
+    return B
 
 
 def min_distance_bruteforce(
@@ -97,12 +93,17 @@ def min_distance_bruteforce(
 ) -> DistanceResult:
     """Exhaustive minimum distance over one codeword per scalar class.
 
-    The time budget is checked between message blocks.  On expiry the
-    lightest codeword so far is returned with exact=False and lower 1.
+    The message splits into head and tail coordinates.  The span B of the
+    last k2 rows is built once, k2 < k as large as q^k2 * n <= _CELL_CAP
+    allows.  Each head word a (first nonzero coefficient 1) is weighed
+    against all of B at once: wt(a + b) = #{j : a_j != -b_j}.  The nonzero
+    rows of B are the words with a zero head.  The time budget is checked
+    before each block of head words; on expiry the lightest codeword so far
+    is returned with exact=False and lower 1.
     """
     F = C.field
     q = F.q
-    k = C.dimension
+    k, n = C.generator.shape
     if k == 0:
         raise ValueError("zero code has no minimum distance")
     classes = (q ** k - 1) // (q - 1)
@@ -111,26 +112,40 @@ def min_distance_bruteforce(
             f"{classes} projective classes > budget {class_budget}; use isd"
         )
     start = time.monotonic()
-    best = None
-    witness = None
-    for pivot, tails in _message_blocks(q, k):
-        if (
-            best is not None
-            and time_budget is not None
-            and time.monotonic() - start > time_budget
-        ):
-            return DistanceResult(best, "bruteforce", exact=False, witness=witness)
-        rows = tails.shape[0]
-        msgs = np.zeros((rows, k), dtype=F.dtype)
-        msgs[:, pivot] = 1
-        if tails.shape[1]:
-            msgs[:, pivot + 1 :] = tails
-        words = _encode(F, msgs, C.generator)
-        weights = np.count_nonzero(words, axis=1)
+    S = _scaled_rows(F, C.generator)
+    k2 = 0
+    while k2 < k - 1 and q ** (k2 + 1) * n <= _CELL_CAP:
+        k2 += 1
+    k1 = k - k2
+    B = _span(F, S[:, k1:])
+    neg_B = F.neg(B)
+    best, witness = None, None
+    if k2:
+        weights = np.count_nonzero(B[1:], axis=1)
         i = int(np.argmin(weights))
-        if best is None or weights[i] < best:
-            best = int(weights[i])
-            witness = words[i].copy()
+        best, witness = int(weights[i]), B[1 + i]
+    Z = np.zeros((q, k, n), dtype=F.dtype)  # Z[c, i] = c * G[i], c an encoding
+    Z[F.exp] = S
+    block = max(1, _CELL_CAP // (len(B) * n))
+    for pivot in range(k1):
+        free = k1 - pivot - 1
+        radix = q ** np.arange(free, dtype=np.int64)
+        for first in range(0, q ** free, block):
+            if (
+                best is not None
+                and time_budget is not None
+                and time.monotonic() - start > time_budget
+            ):
+                return DistanceResult(best, "bruteforce", exact=False, witness=witness)
+            ids = np.arange(first, min(first + block, q ** free), dtype=np.int64)
+            digits = (ids[:, None] // radix[None, :]) % q
+            heads = np.broadcast_to(C.generator[pivot], (ids.size, n))
+            for j in range(free):
+                heads = F.add(heads, Z[digits[:, j], pivot + 1 + j])
+            weights = np.count_nonzero(heads[:, None, :] != neg_B[None], axis=2)
+            h, t = divmod(int(np.argmin(weights)), len(B))
+            if best is None or weights[h, t] < best:
+                best, witness = int(weights[h, t]), F.add(heads[h], B[t])
     return DistanceResult(value=best, method="bruteforce", exact=True, witness=witness)
 
 
@@ -157,19 +172,6 @@ def _systematic_forms(F: FiniteField, G: np.ndarray):
     return forms, deficits
 
 
-def _coeff_patterns(F: FiniteField, w: int) -> np.ndarray:
-    """Nonzero coefficient tuples of length w with first entry 1 (projective)."""
-    units = F.exp.astype(np.int64)
-    if w == 1:
-        return np.ones((1, 1), dtype=np.int64)
-    total = (F.q - 1) ** (w - 1)
-    radix = (F.q - 1) ** np.arange(w - 1, dtype=np.int64)
-    ids = np.arange(total, dtype=np.int64)
-    pat = np.ones((total, w), dtype=np.int64)
-    pat[:, 1:] = units[(ids[:, None] // radix[None, :]) % (F.q - 1)]
-    return pat
-
-
 def min_distance_isd(
     C: LinearCode, time_budget: float | None = None
 ) -> DistanceResult:
@@ -177,10 +179,13 @@ def min_distance_isd(
 
     Enumerates messages of increasing weight w on each systematic form: one
     form with the bound ceil(n(w+1)/k) when C is transitive, else the
-    Brouwer-Zimmermann forms and bound.  Stops as soon as the bound after
-    weight w reaches the lightest codeword seen.  On time budget exhaustion
-    that weight is returned with exact=False, and `lower` is the bound
-    after the last completed weight.
+    Brouwer-Zimmermann forms and bound.  A message is w rows with
+    coefficients, the first 1: the first w-1 scaled rows are gathered from
+    S and added, and the last is weighed against every unit at once by
+    comparison with -S.  Stops as soon as the bound after weight w reaches
+    the lightest codeword seen.  On time budget exhaustion that weight is
+    returned with exact=False, and `lower` is the bound after the last
+    completed weight.
     """
     F = C.field
     k, n = C.generator.shape
@@ -198,39 +203,54 @@ def min_distance_isd(
         def bound(w):
             return sum(max(0, w + 1 - d) for d in deficits)
 
+    tables = [(S, F.neg(S)) for S in (_scaled_rows(F, G_sys) for G_sys in forms)]
+    units = F.q - 1
     upper = None
     witness = None
     for w in range(1, k + 1):
-        patterns = _coeff_patterns(F, w)
-        support_chunk = max(1, (1 << 20) // max(1, patterns.shape[0] * n))
-        for G_sys in forms:
+        # unit indices: 0 for the first coefficient, all for the middle
+        # w-2 (enumerated in blocks of patterns), all for the last
+        last = np.arange(units if w > 1 else 1)
+        middles = units ** max(0, w - 2)
+        radix = units ** np.arange(max(0, w - 2), dtype=np.int64)
+        per_support = last.size * n
+        pattern_block = min(middles, max(1, _CELL_CAP // per_support))
+        support_block = max(1, _CELL_CAP // (pattern_block * per_support))
+        for S, neg_S in tables:
             combos = combinations(range(k), w)
             while True:
-                batch = list(islice(combos, support_chunk))
+                batch = list(islice(combos, support_block))
                 if not batch:
                     break
-                if time_budget is not None and time.monotonic() - start > time_budget:
-                    value = n if upper is None else upper
-                    return DistanceResult(
-                        value=value,
-                        method="isd",
-                        exact=False,
-                        witness=witness,
-                        lower=min(value, bound(w - 1)),
-                    )
                 sel = np.array(batch, dtype=np.int64)  # (b, w) row indices
-                rows = G_sys[sel]  # (b, w, n)
-                words = np.zeros((sel.shape[0], patterns.shape[0], n), dtype=F.dtype)
-                for t in range(w):
-                    coeff = patterns[:, t].astype(F.dtype)  # (P,)
-                    prod = F.mul(coeff[None, :, None], rows[:, t, :][:, None, :])
-                    words = F.add(words, prod)
-                weights = np.count_nonzero(words, axis=2)
-                i = int(np.argmin(weights))
-                bi, pi = divmod(i, patterns.shape[0])
-                if upper is None or weights[bi, pi] < upper:
-                    upper = int(weights[bi, pi])
-                    witness = words[bi, pi].copy()
+                neg_last = neg_S[last[None, :], sel[:, -1, None]]  # (b, L, n)
+                for first in range(0, middles, pattern_block):
+                    if time_budget is not None and time.monotonic() - start > time_budget:
+                        value = n if upper is None else upper
+                        return DistanceResult(
+                            value=value,
+                            method="isd",
+                            exact=False,
+                            witness=witness,
+                            lower=min(value, bound(w - 1)),
+                        )
+                    ids = np.arange(first, min(first + pattern_block, middles), dtype=np.int64)
+                    mid = (ids[:, None] // radix[None, :]) % units  # (P, w-2)
+                    if w == 1:
+                        partial = np.zeros((sel.shape[0], 1, n), dtype=F.dtype)
+                    else:
+                        partial = np.broadcast_to(
+                            S[0, sel[:, 0]][:, None, :], (sel.shape[0], ids.size, n)
+                        )
+                    for t in range(1, w - 1):
+                        partial = F.add(partial, S[mid[None, :, t - 1], sel[:, t, None]])
+                    weights = np.count_nonzero(
+                        partial[:, :, None, :] != neg_last[:, None], axis=3
+                    )  # (b, P, L)
+                    bi, pi, li = np.unravel_index(int(np.argmin(weights)), weights.shape)
+                    if upper is None or weights[bi, pi, li] < upper:
+                        upper = int(weights[bi, pi, li])
+                        witness = F.add(partial[bi, pi], S[last[li], sel[bi, -1]])
         if bound(w) >= upper:
             break
     return DistanceResult(value=upper, method="isd", exact=True, witness=witness)
@@ -307,7 +327,7 @@ def min_distance(
 
 
 def distance_report(
-    C: Clutter,
+    C: Clutter | None,
     F: FiniteField,
     d: int,
     method: str = "auto",
@@ -316,7 +336,9 @@ def distance_report(
     class_budget: int = DEFAULT_CLASS_BUDGET,
     time_budget: float | None = None,
 ) -> dict:
-    """Assemble delta_d together with every applicable bound for one degree."""
+    """Assemble delta_d together with every applicable bound for one degree.
+
+    C None means X is the projective torus, which must then be given."""
     if X is None:
         kwargs = {} if enum_budget is None else {"budget": enum_budget}
         X = enumerate_X(C, F, **kwargs)
@@ -325,23 +347,26 @@ def distance_report(
     dim = counts[min(d, reg)]
     prime = delta_prime(C, X, d)
     result = min_distance(X, d, reg, method, prime, class_budget, time_budget)
+    if C is None:
+        note = "the torus formula"
+    elif prime is not None:
+        note = "upper bound assuming a normal edge subring (user-asserted)"
+    else:
+        note = "not applicable: needs a uniform clutter with rank(A) = n"
     report = {
         "d": d,
         "length": len(X),
         "dimension": dim,
         "delta": result.value,
+        "delta_lower": result.lower,
         "delta_method": result.method,
         "delta_exact": result.exact,
+        "delta_prime": prime,
+        "delta_prime_note": note,
         "singleton": len(X) - dim + 1,
         "regularity": reg,
         "delta_one_shortcut": d >= reg,
         "equals_torus": equals_torus(X),
-        "delta_prime": prime,
-        "delta_prime_note": (
-            "upper bound assuming a normal edge subring (user-asserted)"
-            if prime is not None
-            else "not applicable: needs a uniform clutter with rank(A) = n"
-        ),
     }
     if d >= reg and result.exact and result.value != 1:
         raise AssertionError("distance must be 1 at or past the regularity")

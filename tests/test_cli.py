@@ -34,10 +34,10 @@ class TestParams:
         )
         assert rc == EXIT_OK
         assert out.splitlines() == [
-            "d,length,dim,delta,delta_method,delta_prime,singleton",
-            "1,8,6,2,bruteforce,4,3",
-            "2,8,8,1,bruteforce,2,1",
-            "3,8,8,1,bruteforce,1,1",
+            "d,length,dim,delta,delta_lower,delta_method,delta_prime,singleton",
+            "1,8,6,2,2,bruteforce,4,3",
+            "2,8,8,1,1,bruteforce,2,1",
+            "3,8,8,1,1,bruteforce,1,1",
         ]
 
     def test_torus_gf9_formula_csv(self, run):
@@ -47,10 +47,10 @@ class TestParams:
         )
         assert rc == EXIT_OK
         assert out.splitlines()[1:] == [
-            "1,64,3,56,formula,56,62",
-            "2,64,6,48,formula,48,59",
-            "3,64,10,40,formula,40,55",
-            "4,64,15,32,formula,32,50",
+            "1,64,3,56,56,formula,56,62",
+            "2,64,6,48,48,formula,48,59",
+            "3,64,10,40,40,formula,40,55",
+            "4,64,15,32,32,formula,32,50",
         ]
 
     def test_default_range_ends_at_regularity(self, run, k4_file):
@@ -137,6 +137,33 @@ class TestMindist:
         assert body["delta_method"] == "bruteforce" and body["delta_exact"] is False
         assert body["delta"] >= 12
 
+    def test_stopped_search_prints_interval(self, run, k4_file):
+        # K4/GF(5) d=3 is [64, 44]; stopped before weight 1, only
+        # ceil(64/44) = 2 is proven
+        argv = ["--clutter", k4_file, "--q", "5", "--d", "3",
+                "--method", "isd", "--time-budget", "0"]
+        rc, out, _ = run("mindist", *argv, "--format", "json")
+        body = json.loads(out)
+        assert rc == EXIT_OK and body["delta_exact"] is False
+        assert (body["delta_lower"], body["delta"]) == (2, 64)
+        rc, out, _ = run("mindist", *argv)
+        assert rc == EXIT_OK and "delta: [2, 64]" in out.splitlines()
+        rc, out, _ = run("params", *argv)
+        assert rc == EXIT_OK and out.splitlines()[1].split()[3:5] == ["[2,", "64]"]
+        rc, out, _ = run("params", *argv, "--format", "csv")
+        assert out.splitlines()[1] == "3,64,44,64,2,isd,16,21"
+
+    def test_torus_report(self, run):
+        rc, out, _ = run("mindist", "--torus", "3", "--q", "4", "--d", "2", "--format", "json")
+        body = json.loads(out)
+        assert rc == EXIT_OK and body["equals_torus"] is True
+        assert (body["delta"], body["delta_lower"], body["delta_method"]) == (3, 3, "formula")
+        assert body["delta_prime"] == 3 and body["regularity"] == 4
+
+    def test_rejects_degree_zero(self, run, k4_file):
+        rc, _, err = run("mindist", "--clutter", k4_file, "--q", "3", "--d", "0")
+        assert rc == EXIT_INPUT and "need d >= 1" in err
+
 
 class TestCi:
     def test_k4_json(self, run, k4_file):
@@ -183,6 +210,12 @@ class TestGroebner:
         # coefficient of the lead is 1, serialized as index 1
         assert first["terms"][0]["coeff_index"] == 1
         assert body["structure"]["pure_powers_present"] is True
+
+    def test_no_degree_bound_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["groebner", "--torus", "2", "--q", "4", "--degree-bound", "3"])
+        assert exc.value.code == EXIT_INPUT
+        assert "--degree-bound" in capsys.readouterr().err
 
 
 class TestProfile:

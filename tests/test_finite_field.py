@@ -186,6 +186,20 @@ class TestKernels:
             (x / F.element(int(y))).enc for x, y in zip(ea, nz)
         ]
 
+    @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 16, 27, 251])
+    def test_additive_kernels_are_digitwise_mod_p(self, q):
+        """add, sub and neg on every pair against base-p digit arithmetic;
+        GF(251) has sums up to 500 in a uint8 encoding."""
+        F = field_from_q(q)
+        a, b = (x.ravel() for x in np.meshgrid(np.arange(q), np.arange(q)))
+        a, b = a.astype(F.dtype), b.astype(F.dtype)
+        digits = (np.arange(q)[:, None] // F.p ** np.arange(F.k)) % F.p
+        weights = F.p ** np.arange(F.k)
+        assert np.array_equal(F.add(a, b), ((digits[a] + digits[b]) % F.p) @ weights)
+        assert np.array_equal(F.sub(a, b), ((digits[a] - digits[b]) % F.p) @ weights)
+        assert np.array_equal(F.neg(a), ((-digits[a]) % F.p) @ weights)
+        assert F.add(a, b).dtype == F.sub(a, b).dtype == F.dtype
+
     def test_large_field_formula_paths(self):
         # GF(257) and GF(343) exceed the table limit, exercising formulas
         for q in (257, 343):

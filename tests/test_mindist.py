@@ -1,6 +1,8 @@
 """Minimum distance: exhaustive search, information-set search, closed form."""
 
 import dataclasses
+import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,8 +24,9 @@ from toriccode import (
     regularity,
     torus_distance,
 )
+from toriccode import mindist
 from toriccode._linalg import row_space_contains, rref
-from toriccode.eval_code import _hilbert_counts
+from toriccode.eval_code import LinearCode, _hilbert_counts
 
 
 class TestTorusDistanceFormula:
@@ -263,6 +266,90 @@ def test_isd_on_random_codes_matches_exhaustive_weight(case):
         assert bz.exact and bz.value == delta
         stopped = min_distance_isd(cd, time_budget=0.0)
         assert stopped.lower <= delta <= stopped.value
+
+
+def _small_codes(case):
+    """Every C_X(d) of a drawn clutter with at most _MAX_MESSAGES messages."""
+    C, q = case
+    X = enumerate_X(C, field_from_q(q))
+    counts = _hilbert_counts(X)
+    for d in range(1, len(counts)):
+        if q ** counts[d] > _MAX_MESSAGES:
+            break
+        yield code(X, d)
+
+
+def _small_blocks(q, n):
+    """A cell cap of 2qn: brute force keeps one tail row and weighs two head
+    words per block over k-1 pivots; ISD takes two middle coefficient
+    patterns per block."""
+    return 2 * q * n
+
+
+def _check_searches(cd, cell_cap=None):
+    """Brute force, and ISD too when cell_cap(q, n) replaces
+    mindist._CELL_CAP, against the exhaustive weight; each witness must be
+    a codeword of the reported weight."""
+    F = cd.field
+    delta = oracle_min_weight(F, cd.generator)
+    R, pivots = rref(F, cd.generator)
+    cap = mindist._CELL_CAP if cell_cap is None else cell_cap(F.q, cd.length)
+    with mock.patch.object(mindist, "_CELL_CAP", cap):
+        results = [min_distance_bruteforce(cd)]
+        if cell_cap is not None:
+            results.append(min_distance_isd(cd))
+    for r in results:
+        assert r.exact and r.value == delta
+        assert int(np.count_nonzero(r.witness)) == delta
+        assert row_space_contains(F, R, pivots, r.witness)
+
+
+_RANDOM_CODES = settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@_RANDOM_CODES
+@given(clutters_over_fields(max_torus=64))
+def test_bruteforce_on_random_codes_matches_exhaustive_weight(case):
+    for cd in _small_codes(case):
+        _check_searches(cd)
+
+
+@_RANDOM_CODES
+@given(clutters_over_fields(max_torus=64))
+def test_searches_in_small_blocks_match_exhaustive_weight(case):
+    for cd in _small_codes(case):
+        _check_searches(cd, _small_blocks)
+
+
+@pytest.mark.parametrize("q,k", [(3, 3), (3, 4), (4, 3)])
+def test_every_class_can_be_the_unique_lightest(q, k):
+    """For each projective message m, a code whose lightest class is m's
+    alone, so that a search skipping any block of messages misses it.  Its
+    columns are every projective point v of GF(q)^k, plus once more those
+    with m.v = 0.  m.G has weight q^(k-1), as in the simplex code; every
+    other class has q^(k-2) more, its nonzeros among the repeated points."""
+    F = field_from_q(q)
+    points = np.array(
+        [v for v in itertools.product(range(q), repeat=k)
+         if any(v) and next(c for c in v if c) == 1],
+        dtype=F.dtype,
+    ).T
+    for m in points.T:
+        on_hyperplane = F.sum_axis(F.mul(m[:, None], points), axis=0) == 0
+        G = np.concatenate([points, points[:, on_hyperplane]], axis=1)
+        R, pivots = rref(F, G)
+        cd = LinearCode(
+            generator=R, length=G.shape[1], dimension=k, d=1, field=F, source="m"
+        )
+        for cap in (mindist._CELL_CAP, _small_blocks(q, cd.length)):
+            with mock.patch.object(mindist, "_CELL_CAP", cap):
+                assert min_distance_bruteforce(cd).value == q ** (k - 1)
+                assert min_distance_isd(cd).value == q ** (k - 1)
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])
