@@ -11,14 +11,10 @@ from .clutter import Clutter, ClutterError, IncidenceMatrix, incidence, load_clu
 from .errors import BudgetExceededError
 from .eval_code import (
     LinearCode,
-    Monomial,
     code,
-    evaluation_matrix,
     h_vector,
     hilbert_function,
-    monomials,
     regularity,
-    singleton_bound,
 )
 from .finite_field import FieldElement, FiniteField, field_from_q, make_field
 from .intlattice import (
@@ -44,7 +40,6 @@ from .vanishing_ideal import (
     degree_complexity,
     hilbert_IA,
     interpolate_gb,
-    standard_monomial_count,
     vanishing_defect,
     verify_gb_structure,
 )
@@ -61,7 +56,6 @@ __all__ = [
     "FiniteField",
     "IncidenceMatrix",
     "LinearCode",
-    "Monomial",
     "ReducedGB",
     "ToricSet",
     "binomial_in_IX",
@@ -71,7 +65,6 @@ __all__ = [
     "distance_report",
     "enumerate_X",
     "equals_torus",
-    "evaluation_matrix",
     "field_from_q",
     "h_vector",
     "hilbert_IA",
@@ -83,7 +76,6 @@ __all__ = [
     "min_distance",
     "min_distance_bruteforce",
     "min_distance_isd",
-    "monomials",
     "multiplication_injective",
     "parse_clutter",
     "phi_injective",
@@ -91,9 +83,7 @@ __all__ = [
     "projective_torus",
     "rank_rational",
     "regularity",
-    "singleton_bound",
     "smith_normal_form",
-    "standard_monomial_count",
     "torus_distance",
     "uniformity",
     "vanishing_defect",

@@ -6,20 +6,21 @@ normalization by t1^d.
 
 On X the monomial t^e is the character with key e @ X.gens mod q-1, and
 distinct characters of a finite group are linearly independent (Artin).
-So the degree-d monomials span a space whose dimension H_X(d) is the
-number of distinct keys of degree d, and one monomial per key is a basis.
-Both come from one integer walk over keys (`_sumset_walk`): H_X, the
-regularity and the h-vector need no field arithmetic.  Only the generator
-matrix of C_X(d) is computed over GF(q), as the reduced row echelon form of
-the evaluations of one monomial per key; RREF is unique for a row space,
-so the choice of monomials does not show in it.
+So two degree-d monomials agree on X exactly when their keys agree, I(X)
+is spanned by the binomials t^e - t^e' of equal keys, and the revlex-least
+monomial of each key is standard.  One walk (`standard_walk`) lists, degree
+by degree, the standard monomials Delta_d in ascending revlex, the new
+leading terms of the reduced revlex Groebner basis and their tails.  H_X(d)
+is |Delta_d|; the regularity, the h-vector, the rows behind C_X(d) and the
+basis in `vanishing_ideal` all come from it, with no field arithmetic.
+Only the generator matrix of C_X(d) is computed over GF(q), as the reduced
+row echelon form of the evaluations of Delta_d; RREF is unique for a row
+space, so the choice of monomials does not show in it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
-from math import comb
 
 import numpy as np
 
@@ -28,69 +29,50 @@ from .finite_field import FiniteField
 from .toric_set import ToricSet
 
 
-@dataclass(frozen=True)
-class Monomial:
-    exponents: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exponents)
-
-    def __str__(self):
-        parts = []
-        for i, e in enumerate(self.exponents):
-            if e == 1:
-                parts.append(f"t{i + 1}")
-            elif e > 1:
-                parts.append(f"t{i + 1}^{e}")
-        return "*".join(parts) if parts else "1"
+def _rows(a: np.ndarray) -> np.ndarray:
+    """The rows of a 2-d array as opaque byte strings, one element each;
+    np.unique over them is several times faster than with axis=0."""
+    a = np.ascontiguousarray(a)
+    return a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel()
 
 
-def exponent_matrix(s: int, d: int) -> np.ndarray:
-    """Exponent vectors of all degree-d monomials in s variables, as rows,
-    in descending reverse-lexicographic order (t1^d first, ts^d last)."""
-    if s < 1 or d < 0:
-        raise ValueError("need s >= 1 and d >= 0")
-    if d == 0:
-        return np.zeros((1, s), dtype=np.int64)
-    rows = []
-    # stars and bars: bar positions inside d + s - 1 slots
-    for bars in combinations(range(d + s - 1), s - 1):
-        prev = -1
-        e = []
-        for b in bars:
-            e.append(b - prev - 1)
-            prev = b
-        e.append(d + s - 1 - prev - 1)
-        rows.append(tuple(e))
-    rows.sort(key=lambda e: tuple(reversed(e)))
-    return np.array(rows, dtype=np.int64)
+def standard_walk(gens: np.ndarray, m: int, max_degree: int):
+    """Yield (Delta_d, leads_d, tails_d) for d = 0, 1, ..., max_degree.
 
+    The key of t^e is e @ gens mod m, and the ideal is spanned by the
+    binomials of equal degree and key.  Delta_d holds the degree-d standard
+    monomials of its revlex Groebner basis, in ascending revlex, one per
+    key; leads_d the basis's leading terms of degree d, in ascending revlex,
+    and tails_d, row by row, the standard monomial of the same key.
 
-def monomials(s: int, d: int) -> list[Monomial]:
-    """Degree-d monomials in descending revlex order."""
-    return [Monomial(tuple(int(x) for x in row)) for row in exponent_matrix(s, d)]
-
-
-def _sumset_walk(gens: np.ndarray, m: int):
-    """Yield K_0, K_1, K_2, ... where K_d = {e @ gens mod m : e >= 0, |e| = d}.
-
-    K_0 = {0} and K_d = K_{d-1} + (rows of gens) mod m.  Each K_d comes as
-    an array with one exponent row e per element, the first e of degree d
-    that reaches it in the walk.
+    Standard monomials form an order ideal, so the candidates of degree d
+    are Delta_(d-1) times t_1..t_s.  A candidate c lies outside the ideal
+    of the lower leading terms exactly when all its degree-(d-1) divisors
+    are standard, that is when c occurs nnz(c) times among the products.
+    Of those, the first in ascending revlex for its key is standard and
+    every later one is a leading term whose tail is that first one.  Rows
+    are sorted as the bytes of top - e[::-1] in big-endian words wide
+    enough for max_degree, which ascend as e does in revlex.
     """
-    s, g = gens.shape
-    keys = np.zeros((1, g), dtype=np.int64)
-    reps = np.zeros((1, s), dtype=np.int64)
+    s = gens.shape[0]
+    width = next(b for b in (1, 2, 4, 8) if 256 ** b > max_degree)
+    word = np.dtype(f">u{width}")
+    top = np.iinfo(word).max
+    std = np.zeros((1, s), dtype=np.int64)
+    yield std, std[:0], std[:0]
     step = np.eye(s, dtype=np.int64)
-    while True:
-        yield reps
-        keys = ((keys[:, None, :] + gens[None, :, :]) % m).reshape(-1, g)
-        reps = (reps[:, None, :] + step[None, :, :]).reshape(-1, s)
-        # rows as opaque bytes: np.unique(axis=0) sorts several times slower
-        rows = keys.view(np.dtype((np.void, keys.itemsize * g)))
-        _, first = np.unique(rows, return_index=True)
-        keys, reps = keys[first], reps[first]
+    for _ in range(max_degree):
+        cand = (std[:, None, :] + step[None, :, :]).reshape(-1, s)
+        flipped = (top - cand[:, ::-1]).astype(word)
+        _, index, hits = np.unique(_rows(flipped), return_index=True, return_counts=True)
+        cand = cand[index[hits == np.count_nonzero(cand[index], axis=1)]]
+        _, first, group = np.unique(
+            _rows((cand @ gens) % m), return_index=True, return_inverse=True
+        )
+        standard = np.zeros(len(cand), dtype=bool)
+        standard[first] = True
+        std = cand[standard]
+        yield std, cand[~standard], cand[first[group[~standard]]]
 
 
 def evaluate_rows(X: ToricSet, E: np.ndarray) -> np.ndarray:
@@ -102,11 +84,6 @@ def evaluate_rows(X: ToricSet, E: np.ndarray) -> np.ndarray:
     F = X.field
     R = (np.asarray(E, dtype=np.int64) @ X.logs.T) % (F.q - 1)
     return F.exp[R]
-
-
-def evaluation_matrix(X: ToricSet, d: int) -> np.ndarray:
-    """Rows = degree-d monomials (descending revlex), columns = points of X."""
-    return evaluate_rows(X, exponent_matrix(X.s, d))
 
 
 @dataclass
@@ -128,6 +105,21 @@ class LinearCode:
         )
 
 
+def _walk(X: ToricSet):
+    """standard_walk over the keys of X, up to (q-2)(s-1)+1: one past the
+    bound on the regularity, the last degree of a reduced-basis element."""
+    q = X.field.q
+    return standard_walk(X.gens, q - 1, (q - 2) * (X.s - 1) + 1)
+
+
+def _standard(X: ToricSet, d: int) -> np.ndarray:
+    """Delta_d, or Delta_r for d past the regularity r: its size |X| is
+    H_X(d) from r on (t1 has the zero key), and the walk is not continued."""
+    for e, (std, _, _) in enumerate(_walk(X)):
+        if e == d or len(std) == len(X):
+            return std
+
+
 def code(X: ToricSet, d: int) -> LinearCode:
     """The parameterized code C_X(d) with its canonical generator matrix.
 
@@ -137,13 +129,13 @@ def code(X: ToricSet, d: int) -> LinearCode:
     """
     if d < 1:
         raise ValueError("need d >= 1")
-    reps = next(islice(_sumset_walk(X.gens, X.field.q - 1), d, None))
-    if len(reps) == len(X):
+    std = _standard(X, d)
+    if len(std) == len(X):
         # d >= regularity: the code is all of GF(q)^|X|, whose RREF basis
         # is the identity; elimination would cost O(|X|^3)
         G = np.eye(len(X), dtype=X.field.dtype)
     else:
-        R, pivots = _linalg.rref(X.field, evaluate_rows(X, reps))
+        R, pivots = _linalg.rref(X.field, evaluate_rows(X, std))
         G = R[: len(pivots)]
     return LinearCode(
         generator=G,
@@ -160,18 +152,14 @@ def hilbert_function(X: ToricSet, d: int) -> int:
     """H_X(d) = dim of the degree-d piece of the homogeneous coordinate ring."""
     if d < 0:
         raise ValueError("need d >= 0")
-    for e, reps in enumerate(_sumset_walk(X.gens, X.field.q - 1)):
-        # K_e only grows (t1 has the zero character), and never past |X|
-        if e == d or len(reps) == len(X):
-            return len(reps)
+    return len(_standard(X, d))
 
 
 def _hilbert_counts(X: ToricSet) -> list[int]:
     """[H_X(0), ..., H_X(r)] through the regularity r <= (q-2)(s-1)."""
-    bound = (X.field.q - 2) * (X.s - 1)
     counts = []
-    for reps in islice(_sumset_walk(X.gens, X.field.q - 1), bound + 1):
-        counts.append(len(reps))
+    for std, _, _ in _walk(X):
+        counts.append(len(std))
         if counts[-1] == len(X):
             return counts
     raise AssertionError("Hilbert function failed to reach |X| by (q-2)(s-1)")
@@ -187,14 +175,3 @@ def h_vector(X: ToricSet) -> list[int]:
     and sum to |X|."""
     counts = _hilbert_counts(X)
     return [counts[0]] + [b - a for a, b in zip(counts, counts[1:])]
-
-
-def singleton_bound(X: ToricSet, d: int) -> int:
-    """|X| - H_X(d) + 1, the Singleton bound for delta_d."""
-    if d < 1:
-        raise ValueError("need d >= 1")
-    return len(X) - hilbert_function(X, d) + 1
-
-
-def monomial_count(s: int, d: int) -> int:
-    return comb(s + d - 1, d)

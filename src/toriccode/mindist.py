@@ -183,9 +183,9 @@ def min_distance_isd(
     coefficients, the first 1: the first w-1 scaled rows are gathered from
     S and added, and the last is weighed against every unit at once by
     comparison with -S.  Stops as soon as the bound after weight w reaches
-    the lightest codeword seen.  On time budget exhaustion that weight is
-    returned with exact=False, and `lower` is the bound after the last
-    completed weight.
+    the lightest codeword seen, which starts as the lightest row of the
+    first form.  On time budget exhaustion that weight is returned with
+    exact=False, and `lower` is the bound after the last completed weight.
     """
     F = C.field
     k, n = C.generator.shape
@@ -205,8 +205,11 @@ def min_distance_isd(
 
     tables = [(S, F.neg(S)) for S in (_scaled_rows(F, G_sys) for G_sys in forms)]
     units = F.q - 1
-    upper = None
-    witness = None
+    # a systematic row has at most n-k+1 nonzeros: the lightest one bounds
+    # delta before any message is weighed
+    row_weights = np.count_nonzero(forms[0], axis=1)
+    upper = int(row_weights.min())
+    witness = forms[0][int(np.argmin(row_weights))]
     for w in range(1, k + 1):
         # unit indices: 0 for the first coefficient, all for the middle
         # w-2 (enumerated in blocks of patterns), all for the last
@@ -226,13 +229,12 @@ def min_distance_isd(
                 neg_last = neg_S[last[None, :], sel[:, -1, None]]  # (b, L, n)
                 for first in range(0, middles, pattern_block):
                     if time_budget is not None and time.monotonic() - start > time_budget:
-                        value = n if upper is None else upper
                         return DistanceResult(
-                            value=value,
+                            value=upper,
                             method="isd",
                             exact=False,
                             witness=witness,
-                            lower=min(value, bound(w - 1)),
+                            lower=min(upper, bound(w - 1)),
                         )
                     ids = np.arange(first, min(first + pattern_block, middles), dtype=np.int64)
                     mid = (ids[:, None] // radix[None, :]) % units  # (P, w-2)
@@ -248,7 +250,7 @@ def min_distance_isd(
                         partial[:, :, None, :] != neg_last[:, None], axis=3
                     )  # (b, P, L)
                     bi, pi, li = np.unravel_index(int(np.argmin(weights)), weights.shape)
-                    if upper is None or weights[bi, pi, li] < upper:
+                    if weights[bi, pi, li] < upper:
                         upper = int(weights[bi, pi, li])
                         witness = F.add(partial[bi, pi], S[last[li], sel[bi, -1]])
         if bound(w) >= upper:

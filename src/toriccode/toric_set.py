@@ -21,46 +21,10 @@ import numpy as np
 
 from .clutter import Clutter, incidence, uniformity
 from .errors import BudgetExceededError
-from .finite_field import FieldElement, FiniteField
+from .finite_field import FiniteField
 from .intlattice import rank_rational
 
 DEFAULT_ENUM_BUDGET = 10 ** 8
-
-
-class ProjectivePoint:
-    """A point of P^(s-1), stored in canonical form (first nonzero coord = 1)."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        coords = tuple(coords)
-        if not coords:
-            raise ValueError("empty coordinate tuple")
-        field = coords[0].field
-        for c in coords:
-            if not isinstance(c, FieldElement) or c.field != field:
-                raise ValueError("coordinates must share one field")
-        first = next((c for c in coords if c.enc != 0), None)
-        if first is None:
-            raise ValueError("projective point cannot be all-zero")
-        inv = first ** (-1)
-        self.coords = tuple(c * inv for c in coords)
-
-    @property
-    def field(self) -> FiniteField:
-        return self.coords[0].field
-
-    def __len__(self):
-        return len(self.coords)
-
-    def __eq__(self, other):
-        return isinstance(other, ProjectivePoint) and self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def __repr__(self):
-        return "[" + ":".join(repr(c).split("#")[0] for c in self.coords) + "]"
 
 
 class ToricSet:
@@ -96,17 +60,6 @@ class ToricSet:
 
     def __len__(self):
         return self.logs.shape[0]
-
-    def points(self) -> list[ProjectivePoint]:
-        F = self.field
-        enc = F.exp[self.logs]
-        return [
-            ProjectivePoint(FieldElement(F, int(e)) for e in row) for row in enc
-        ]
-
-    def coordinate_matrix(self) -> np.ndarray:
-        """|X| x s matrix of canonical coordinates as field encodings."""
-        return self.field.exp[self.logs]
 
     def __repr__(self):
         return f"ToricSet({len(self)} points in P^{self.s - 1} over {self.field!r}, {self.source})"

@@ -1,20 +1,18 @@
-"""Reduced revlex Groebner basis of the vanishing ideal I(X) by interpolation.
-
-The basis is found degree by degree: within degree d the candidate
-monomials (those not divisible by an already-found leading term) are walked
-in ascending revlex order; a candidate whose evaluation vector depends on
-the previously kept ones closes into a basis element with itself as leading
-term, otherwise it stays standard.  The walk stops after degree D+1 where D
-is the least degree whose standard-monomial count reaches |X|: every point
-of X has unit coordinates, so ts is a nonzerodivisor mod I(X) and no
-reduced-basis element can live beyond degree D+1.
+"""Reduced revlex Groebner basis of the vanishing ideal I(X).
 
 On X the monomial t^e is the character with key e @ X.gens mod q-1, and
-distinct characters are linearly independent (Artin).  So a candidate
-depends on the kept ones exactly when an earlier candidate t^e' has the
-same key; t^e' is then standard and t^e - t^e' vanishes on X.  Every basis
-element is such a binomial, found with integer keys and no field
-elimination: I(X) is a lattice ideal.
+distinct characters are linearly independent (Artin).  So I(X) is spanned
+by the binomials t^e - t^e' of equal degree and key: it is a lattice ideal,
+and its reduced revlex basis consists of such binomials.  The basis comes
+from the standard-monomial walk of `eval_code.standard_walk`, with no field
+elimination: in degree d the candidates are the standard monomials of
+degree d-1 times each variable, kept when all their divisors of degree d-1
+are standard; the revlex-least candidate of each key is standard, and
+every other one is a leading term t^e whose basis element is t^e minus
+the standard monomial of its key.  The walk stops after degree r+1, where
+r is the regularity (the least degree with |X| standard monomials): every
+point of X has unit coordinates, so ts is a nonzerodivisor mod I(X) and
+no reduced-basis element lives beyond degree r+1.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ import numpy as np
 
 from .clutter import Clutter, incidence
 from .errors import BudgetExceededError
-from .eval_code import _sumset_walk, evaluate_rows, exponent_matrix
+from .eval_code import _walk, evaluate_rows, standard_walk
 from .finite_field import FiniteField, field_from_q
 from .toric_set import ToricSet, enumerate_X
 
@@ -84,10 +82,6 @@ def _mono_str(expo) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def _revlex_descending(exps: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    return sorted(exps, key=lambda e: (-sum(e), tuple(reversed(e))))
-
-
 @dataclass
 class ReducedGB:
     field: FiniteField
@@ -103,48 +97,22 @@ class ReducedGB:
         return len(self.elements)
 
 
-def _filter_multiples(E: np.ndarray, lts: list[tuple[int, ...]]) -> np.ndarray:
-    if not lts or E.size == 0:
-        return E
-    L = np.array(lts, dtype=np.int64)
-    divisible = (E[:, None, :] >= L[None, :, :]).all(axis=2).any(axis=1)
-    return E[~divisible]
-
-
 def interpolate_gb(X: ToricSet) -> ReducedGB:
-    """The reduced revlex Groebner basis of I(X), by degree-truncated
-    interpolation at the canonical representatives of X."""
+    """The reduced revlex Groebner basis of I(X), degree by degree from the
+    standard-monomial walk, elements sorted by degree and then descending
+    revlex leading term."""
     F = X.field
-    s = X.s
-    m = F.q - 1
     minus_one = int(F.neg(1))
-    lts: list[tuple[int, ...]] = []
     elements: list[HomogPoly] = []
-    counts: dict[int, int] = {0: 1}
-    stable_at = 0 if len(X) == 1 else None
-    hard_stop = (F.q - 2) * (s - 1) + 1
-    d = 0
-    while True:
-        d += 1
-        if stable_at is not None and d > stable_at + 1:
-            break
-        if d > hard_stop:
-            raise AssertionError("interpolation ran past the regularity bound")
-        cands = exponent_matrix(s, d)[::-1]  # ascending revlex
-        cands = _filter_multiples(cands, lts)
-        keys = (cands @ X.gens) % m
-        standard: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for expo, key in zip(map(tuple, cands.tolist()), map(tuple, keys.tolist())):
-            tail = standard.setdefault(key, expo)
-            if tail != expo:
-                # candidates ascend in revlex, so expo leads
-                elements.append(HomogPoly(terms=((expo, 1), (tail, minus_one)), lead=expo))
-                lts.append(expo)
-        counts[d] = len(standard)
-        if stable_at is None and len(standard) == len(X):
-            stable_at = d
-    elements.sort(key=lambda g: (g.degree, tuple(reversed(g.lead))))
-    return ReducedGB(field=F, s=s, elements=elements, standard_counts=counts)
+    counts: dict[int, int] = {}
+    for d, (std, leads, tails) in enumerate(_walk(X)):
+        counts[d] = len(std)
+        for lead, tail in zip(leads[::-1].tolist(), tails[::-1].tolist()):
+            lead = tuple(lead)
+            elements.append(HomogPoly(terms=((lead, 1), (tuple(tail), minus_one)), lead=lead))
+        if counts.get(d - 1) == len(X):
+            return ReducedGB(field=F, s=X.s, elements=elements, standard_counts=counts)
+    raise AssertionError("interpolation ran past the regularity bound")
 
 
 def degree_complexity(G: ReducedGB) -> int:
@@ -152,12 +120,6 @@ def degree_complexity(G: ReducedGB) -> int:
     if not G.elements:
         raise ValueError("empty basis")
     return max(g.degree for g in G.elements)
-
-
-def standard_monomial_count(G: ReducedGB, d: int) -> int:
-    """Number of degree-d monomials outside the leading-term ideal."""
-    E = exponent_matrix(G.s, d)
-    return _filter_multiples(E, G.leading_terms).shape[0]
 
 
 def evaluate_poly(g: HomogPoly, X: ToricSet) -> np.ndarray:
@@ -255,7 +217,8 @@ def hilbert_IA(C: Clutter, d: int, budget: int = 5 * 10 ** 6) -> int:
         raise BudgetExceededError(
             f"degree {d} needs {count} multisets > budget {budget}"
         )
-    # no entry of a sum of d 0/1 vectors reaches d + 1, so the walk's
-    # reduction mod d + 1 changes nothing
+    # the key of t^e is the sum of its edge vectors: no entry of a sum of d
+    # 0/1 vectors reaches d + 1, so reducing it mod d + 1 changes nothing
     V = np.array(C.vectors, dtype=np.int64)
-    return len(next(islice(_sumset_walk(V, d + 1), d, None)))
+    std, _, _ = next(islice(standard_walk(V, d + 1, d), d, None))
+    return len(std)

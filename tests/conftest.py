@@ -21,8 +21,7 @@ from hypothesis import strategies as st
 
 from toriccode import Clutter, parse_clutter
 from toriccode._linalg import rank, rref
-from toriccode.eval_code import evaluate_rows, exponent_matrix
-from toriccode.vanishing_ideal import _filter_multiples
+from toriccode.eval_code import evaluate_rows
 
 # ---------------------------------------------------------------------------
 # clutter battery: small graphs with known structure
@@ -259,6 +258,24 @@ def oracle_min_weight(F, G) -> int:
     return best
 
 
+def oracle_one_form_isd(p: int, G) -> int:
+    """What information-set search with the transitive bound returns on
+    the systematic matrix G = [I_k | A] over the prime field GF(p) = Z/p:
+    with M(w) the least weight of a message with at most w nonzeros, M(w)
+    for the first w with ceil(n(w+1)/k) >= M(w), or M(k).  Every one of
+    the p^k - 1 messages is weighed by integer arithmetic mod p."""
+    G = np.asarray(G, dtype=np.int64)
+    k, n = G.shape
+    messages = np.array(list(itertools.product(range(p), repeat=k))[1:], dtype=np.int64)
+    weights = np.count_nonzero(messages @ G % p, axis=1)
+    support = np.count_nonzero(messages, axis=1)
+    for w in range(1, k + 1):
+        best = int(weights[support <= w].min())
+        if -(-n * (w + 1) // k) >= best:
+            break
+    return best
+
+
 def oracle_hilbert_IA(C: Clutter, d: int) -> int:
     """Distinct degree-d sums of edge incidence vectors."""
     cols = [tuple(col) for col in np.array(C.vectors, dtype=int)]
@@ -275,6 +292,34 @@ def oracle_torus_h_vector(s: int, q: int) -> list[int]:
     for _ in range(s - 1):
         out = np.polymul(out, block)
     return [int(c) for c in out]
+
+
+def exponent_matrix(s: int, d: int) -> np.ndarray:
+    """Exponent vectors of all degree-d monomials in s variables, as rows,
+    in descending reverse-lexicographic order (t1^d first, ts^d last)."""
+    if d == 0:
+        return np.zeros((1, s), dtype=np.int64)
+    rows = []
+    # stars and bars: bar positions inside d + s - 1 slots
+    for bars in itertools.combinations(range(d + s - 1), s - 1):
+        cuts = (-1, *bars, d + s - 1)
+        rows.append(tuple(b - a - 1 for a, b in zip(cuts, cuts[1:])))
+    rows.sort(key=lambda e: tuple(reversed(e)))
+    return np.array(rows, dtype=np.int64)
+
+
+def outside_leads(E: np.ndarray, lts) -> np.ndarray:
+    """The rows of E that no leading term in lts divides."""
+    if not len(lts) or E.size == 0:
+        return E
+    L = np.array(lts, dtype=np.int64)
+    divisible = (E[:, None, :] >= L[None, :, :]).all(axis=2).any(axis=1)
+    return E[~divisible]
+
+
+def oracle_standard_count(G, d) -> int:
+    """Number of degree-d monomials outside the leading-term ideal of G."""
+    return len(outside_leads(exponent_matrix(G.s, d), G.leading_terms))
 
 
 def _residue_rows(X, d):
@@ -315,7 +360,7 @@ def oracle_interpolate_gb(X):
     d = 0
     while stable_at is None or d <= stable_at:
         d += 1
-        cands = _filter_multiples(exponent_matrix(s, d)[::-1], lts)
+        cands = outside_leads(exponent_matrix(s, d)[::-1], lts)
         R, pivots = rref(F, evaluate_rows(X, cands).T)
         counts[d] = len(pivots)
         cand_tuples = [tuple(int(x) for x in row) for row in cands]

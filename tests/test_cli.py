@@ -139,19 +139,20 @@ class TestMindist:
 
     def test_stopped_search_prints_interval(self, run, k4_file):
         # K4/GF(5) d=3 is [64, 44]; stopped before weight 1, only
-        # ceil(64/44) = 2 is proven
+        # ceil(64/44) = 2 is proven, and the lightest row of the systematic
+        # form (weight 4) is the best codeword known
         argv = ["--clutter", k4_file, "--q", "5", "--d", "3",
                 "--method", "isd", "--time-budget", "0"]
         rc, out, _ = run("mindist", *argv, "--format", "json")
         body = json.loads(out)
         assert rc == EXIT_OK and body["delta_exact"] is False
-        assert (body["delta_lower"], body["delta"]) == (2, 64)
+        assert (body["delta_lower"], body["delta"]) == (2, 4)
         rc, out, _ = run("mindist", *argv)
-        assert rc == EXIT_OK and "delta: [2, 64]" in out.splitlines()
+        assert rc == EXIT_OK and "delta: [2, 4]" in out.splitlines()
         rc, out, _ = run("params", *argv)
-        assert rc == EXIT_OK and out.splitlines()[1].split()[3:5] == ["[2,", "64]"]
+        assert rc == EXIT_OK and out.splitlines()[1].split()[3:5] == ["[2,", "4]"]
         rc, out, _ = run("params", *argv, "--format", "csv")
-        assert out.splitlines()[1] == "3,64,44,64,2,isd,16,21"
+        assert out.splitlines()[1] == "3,64,44,4,2,isd,16,21"
 
     def test_torus_report(self, run):
         rc, out, _ = run("mindist", "--torus", "3", "--q", "4", "--d", "2", "--format", "json")
@@ -210,6 +211,14 @@ class TestGroebner:
         # coefficient of the lead is 1, serialized as index 1
         assert first["terms"][0]["coeff_index"] == 1
         assert body["structure"]["pure_powers_present"] is True
+
+    def test_k6_gf5(self, run, tmp_path):
+        f = tmp_path / "k6.json"
+        edges = [[a, b] for a in range(1, 7) for b in range(a + 1, 7)]
+        f.write_text(json.dumps({"n": 6, "edges": edges}))
+        rc, out, _ = run("groebner", "--clutter", str(f), "--q", "5")
+        assert rc == EXIT_OK
+        assert out.splitlines()[-1] == "# 365 elements, degree complexity 5"
 
     def test_no_degree_bound_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,44 +1,54 @@
 """Code construction, Hilbert data, degree bounds."""
 
+from itertools import islice
+from math import comb
+
+import numpy as np
 import pytest
 
 from conftest import oracle_torus_h_vector
 from toriccode import (
     code,
     enumerate_X,
-    evaluation_matrix,
     field_from_q,
     h_vector,
     hilbert_function,
     make_field,
-    monomials,
     projective_torus,
     regularity,
-    singleton_bound,
 )
-from toriccode.eval_code import exponent_matrix, monomial_count
+from toriccode.eval_code import evaluate_rows, standard_walk
+from toriccode.vanishing_ideal import _mono_str
+
+
+def _torus_standard(s, q, d):
+    """Delta_d of the torus in P^(s-1) over GF(q): every degree-d monomial
+    when d <= q-2, as I(T) starts in degree q-1."""
+    T = projective_torus(s, field_from_q(q))
+    std, _, _ = next(islice(standard_walk(T.gens, q - 1, d), d, None))
+    return std
 
 
 class TestMonomialOrder:
     def test_s3_d2_descending_revlex(self):
-        names = [str(m) for m in monomials(3, 2)]
+        names = [_mono_str(e) for e in _torus_standard(3, 5, 2)[::-1]]
         assert names == ["t1^2", "t1*t2", "t2^2", "t1*t3", "t2*t3", "t3^2"]
 
     def test_t1_first_ts_last(self):
-        E = exponent_matrix(4, 3)
-        assert list(E[0]) == [3, 0, 0, 0]
-        assert list(E[-1]) == [0, 0, 0, 3]
+        E = _torus_standard(4, 5, 3)  # ascending revlex
+        assert list(E[0]) == [0, 0, 0, 3]
+        assert list(E[-1]) == [3, 0, 0, 0]
 
     def test_counts(self):
         for s, d in [(2, 5), (3, 4), (5, 2)]:
-            assert len(exponent_matrix(s, d)) == monomial_count(s, d)
+            assert len(_torus_standard(s, 7, d)) == comb(s + d - 1, d)
 
     def test_degree_zero(self):
-        E = exponent_matrix(3, 0)
+        E = _torus_standard(3, 5, 0)
         assert E.shape == (1, 3) and not E.any()
 
     def test_str_of_constant(self):
-        assert str(monomials(2, 0)[0]) == "1"
+        assert _mono_str((0, 0)) == "1"
 
 
 class TestEvaluation:
@@ -46,7 +56,7 @@ class TestEvaluation:
         # T = {(1:1), (1:2)}; degree-1 monomials t1, t2
         F = make_field(3, 1)
         T = projective_torus(2, F)
-        M = evaluation_matrix(T, 1)
+        M = evaluate_rows(T, np.eye(2, dtype=np.int64))
         assert M.shape == (2, 2)
         cols = sorted(tuple(int(x) for x in col) for col in M.T)
         assert cols == [(1, 1), (1, 2)]
@@ -118,16 +128,20 @@ class TestRegularityAndHVector:
         assert hilbert_function(X, r - 1) < len(X)
 
 
+def _singleton(X, d):
+    return len(X) - hilbert_function(X, d) + 1
+
+
 class TestSingleton:
     def test_k4_gf3_values(self, k4):
         X = enumerate_X(k4, make_field(3, 1))
-        assert [singleton_bound(X, d) for d in (1, 2, 3)] == [3, 1, 1]
+        assert [_singleton(X, d) for d in (1, 2, 3)] == [3, 1, 1]
 
     def test_k4_gf4_values(self, k4):
         X = enumerate_X(k4, make_field(2, 2))
-        assert [singleton_bound(X, d) for d in range(1, 7)] == [22, 9, 1, 1, 1, 1]
+        assert [_singleton(X, d) for d in range(1, 7)] == [22, 9, 1, 1, 1, 1]
 
     def test_triangle_gf9_values(self, triangle):
         X = enumerate_X(triangle, make_field(3, 2))
         expect = [62, 59, 55, 50, 44, 37, 29, 22, 16, 11, 7, 4, 2, 1]
-        assert [singleton_bound(X, d) for d in range(1, 15)] == expect
+        assert [_singleton(X, d) for d in range(1, 15)] == expect

@@ -7,8 +7,9 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from conftest import BATTERY, clutters_over_fields, oracle_min_weight
+from conftest import BATTERY, clutters_over_fields, oracle_min_weight, oracle_one_form_isd
 from toriccode import (
     BudgetExceededError,
     code,
@@ -352,6 +353,45 @@ def test_every_class_can_be_the_unique_lightest(q, k):
                 assert min_distance_isd(cd).value == q ** (k - 1)
 
 
+@st.composite
+def systematic_codes(draw):
+    """[I_k | A] over GF(3) or GF(5), whose encodings are the residues mod
+    p, with a random k x r matrix A, r from k to 100k.  A long A keeps the
+    light messages heavy against the bound, so the search often goes on to
+    weight 3 or 4, where middle coefficients and pattern blocks come in;
+    with n <= 2k nearly every search stops after weight 1."""
+    q = draw(st.sampled_from([3, 5]))
+    k = draw(st.integers(4, {3: 8, 5: 6}[q]))
+    r = draw(st.integers(k, 100 * k))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    F = field_from_q(q)
+    A = rng.integers(0, q, size=(k, r))
+    G = np.concatenate([np.eye(k, dtype=np.int64), A], axis=1).astype(F.dtype)
+    return LinearCode(
+        generator=G, length=k + r, dimension=k, d=1, field=F, source="[I|A]",
+        transitive=True,
+    )
+
+
+@_RANDOM_CODES
+@given(systematic_codes())
+def test_one_form_isd_enumerates_every_message(cd):
+    """Marked transitive, [I_k | A] is searched on its one systematic form
+    with the bound ceil(n(w+1)/k), whether or not the code is transitive.
+    The result is then fixed by the messages of each weight alone (see
+    oracle_one_form_isd), so a message the enumeration skips shows up as a
+    heavier result, under the normal cell cap and under a small one."""
+    F = cd.field
+    expected = oracle_one_form_isd(F.q, cd.generator)
+    R, pivots = rref(F, cd.generator)
+    for cap in (mindist._CELL_CAP, _small_blocks(F.q, cd.length)):
+        with mock.patch.object(mindist, "_CELL_CAP", cap):
+            r = min_distance_isd(cd)
+        assert r.exact and r.value == expected
+        assert int(np.count_nonzero(r.witness)) == expected
+        assert row_space_contains(F, R, pivots, r.witness)
+
+
 @pytest.mark.parametrize("q", [3, 4, 5])
 @pytest.mark.parametrize("name", sorted(BATTERY))
 def test_isd_matches_bruteforce_on_battery(name, q):
@@ -378,9 +418,11 @@ class TestIntervals:
     def test_isd_stopped_reports_interval(self, k4):
         cd = code(enumerate_X(k4, field_from_q(5)), 3)
         r = min_distance_isd(cd, time_budget=0.0)
-        # nothing enumerated yet: only ceil(n/k) = ceil(64/44) is proven
-        assert not r.exact and (r.lower, r.value) == (2, 64)
-        assert repr(r) == "DistanceResult([2, 64], isd)"
+        # nothing enumerated yet: only ceil(n/k) = ceil(64/44) is proven,
+        # and the lightest systematic row is the witness
+        assert not r.exact and (r.lower, r.value) == (2, 4)
+        assert repr(r) == "DistanceResult([2, 4], isd)"
+        assert int(np.count_nonzero(r.witness)) == 4
 
     def test_exact_lower_equals_value(self, k4):
         r = min_distance_isd(code(enumerate_X(k4, field_from_q(5)), 3))

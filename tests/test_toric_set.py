@@ -25,13 +25,12 @@ from toriccode import (
     projective_torus,
 )
 from toriccode.intlattice import smith_normal_form
-from toriccode.toric_set import ProjectivePoint, points_csv
+from toriccode.toric_set import points_csv
 
 
 def _as_enc_set(X):
     """Canonical coordinate tuples of X, via the log -> unit map."""
-    F = X.field
-    M = X.coordinate_matrix()
+    M = X.field.exp[X.logs]
     return frozenset(tuple(int(v) for v in row) for row in M)
 
 
@@ -161,26 +160,6 @@ class TestTorus:
             assert all(tuple(r) in tset for r in X.logs)
 
 
-class TestProjectivePoint:
-    def test_canonicalization(self):
-        F = make_field(3, 1)
-        p = ProjectivePoint([F.element(2), F.element(1)])
-        q = ProjectivePoint([F.element(1), F.element(2)])
-        assert p == q  # (2:1) = (1:2) after scaling by 2^(-1) = 2
-        assert hash(p) == hash(q)
-
-    def test_zero_vector_rejected(self):
-        F = make_field(3, 1)
-        with pytest.raises(ValueError):
-            ProjectivePoint([F.zero, F.zero])
-
-    def test_mixed_fields_rejected(self):
-        a = make_field(3, 1).element(1)
-        b = make_field(5, 1).element(1)
-        with pytest.raises(ValueError):
-            ProjectivePoint([a, b])
-
-
 class TestProfileAndCsv:
     def test_profile_k4(self, k4):
         body = profile(k4, enumerate_X(k4, make_field(2, 2)))
@@ -197,8 +176,8 @@ class TestProfileAndCsv:
         lines = text.strip().splitlines()
         assert lines[0] == "t1,t2,t3"
         assert len(lines) == 1 + len(X)
-        # indices decode back to the coordinate matrix
-        M = X.coordinate_matrix()
+        # indices decode back to the canonical coordinates
+        M = F.exp[X.logs]
         for line, row in zip(lines[1:], M):
             decoded = [F.from_index(int(tok)) for tok in line.split(",")]
             assert decoded == [int(v) for v in row]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import oracle_hilbert_IA
+from conftest import _complete, oracle_hilbert_IA, oracle_standard_count
 from toriccode import (
     binomial_in_IX,
     degree_complexity,
@@ -16,7 +16,6 @@ from toriccode import (
     parse_clutter,
     projective_torus,
     regularity,
-    standard_monomial_count,
     vanishing_defect,
     verify_gb_structure,
 )
@@ -90,7 +89,7 @@ class TestInterpolationContracts:
         X = enumerate_X(battery[name], F)
         G = interpolate_gb(X)
         for d in range(degree_complexity(G) + 2):
-            assert standard_monomial_count(G, d) == hilbert_function(X, d)
+            assert oracle_standard_count(G, d) == hilbert_function(X, d)
 
     def test_standard_counts_recorded_during_walk(self, k4):
         F = make_field(3, 1)
@@ -120,6 +119,22 @@ class TestInterpolationContracts:
                 assert not divisors
             # the leading term itself is divisible only by itself
             assert sum(lt == g.terms[0][0] for lt in lts) == 1
+
+
+class TestCompleteGraphs:
+    @pytest.mark.parametrize("n,q,size", [(6, 5, 365), (7, 4, 430)])
+    def test_basis_of_complete_graph(self, n, q, size):
+        # |X| = 1024 and 729, s = 15 and 21: listing every monomial of each
+        # degree against every leading term would take gigabytes
+        F = field_from_q(q)
+        X = enumerate_X(parse_clutter({"n": n, "edges": _complete(n)}), F)
+        G = interpolate_gb(X)
+        assert len(G) == size
+        assert vanishing_defect(G, X) == 0
+        checks = verify_gb_structure(G, q)
+        assert checks["pure_powers_present"]
+        assert checks["per_variable_degree_le_q_minus_1"]
+        assert checks["homogeneous_binomials_disjoint_support"]
 
 
 class TestBinomialMembership:
