@@ -33,7 +33,7 @@ from .mindist import (
     min_distance_isd,
     torus_distance,
 )
-from .toric_set import ToricSet, enumerate_X, equals_torus, profile, projective_torus
+from .toric_set import ToricSet, enumerate_X, equals_torus, profile, projective_torus, size_of_X
 from .vanishing_ideal import (
     ReducedGB,
     binomial_in_IX,
@@ -83,6 +83,7 @@ __all__ = [
     "projective_torus",
     "rank_rational",
     "regularity",
+    "size_of_X",
     "smith_normal_form",
     "torus_distance",
     "uniformity",

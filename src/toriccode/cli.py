@@ -27,10 +27,10 @@ from .mindist import (
 from .toric_set import (
     DEFAULT_ENUM_BUDGET,
     enumerate_X,
-    equals_torus,
     points_csv,
     profile,
     projective_torus,
+    size_of_X,
 )
 from .vanishing_ideal import degree_complexity, interpolate_gb, verify_gb_structure
 
@@ -112,20 +112,35 @@ def _resolve_field(args) -> FiniteField:
     raise _InputError("a field is required: --q Q or --p P [--k K]")
 
 
-def _resolve_inputs(args):
+def _enum_budget(args) -> int:
+    if args.budget is not None:
+        return args.budget
+    return int(os.environ.get("TORICCODE_ENUM_BUDGET", DEFAULT_ENUM_BUDGET))
+
+
+def _resolve_inputs(args, points: bool = True):
+    """(C, F, X), C being None for --torus.  With points=False the third
+    item is |X| from its closed form, and no point is built.  Either way
+    BudgetExceededError is raised when |X| > --budget."""
     F = _resolve_field(args)
-    budget = args.budget
-    if budget is None:
-        budget = int(os.environ.get("TORICCODE_ENUM_BUDGET", DEFAULT_ENUM_BUDGET))
+    budget = _enum_budget(args)
     if args.torus is not None:
         if args.torus < 2:
             raise _InputError("--torus needs S >= 2")
-        return None, F, projective_torus(args.torus, F, budget=budget)
-    try:
-        C = load_clutter(args.clutter)
-    except OSError as exc:
-        raise _InputError(f"cannot read clutter file: {exc}")
-    return C, F, enumerate_X(C, F, budget=budget)
+        if points:
+            return None, F, projective_torus(args.torus, F, budget=budget)
+        C, size = None, (F.q - 1) ** (args.torus - 1)
+    else:
+        try:
+            C = load_clutter(args.clutter)
+        except OSError as exc:
+            raise _InputError(f"cannot read clutter file: {exc}")
+        if points:
+            return C, F, enumerate_X(C, F, budget=budget)
+        size = size_of_X(C, F.q)
+    if size > budget:
+        raise BudgetExceededError(f"|X| = {size} points > budget {budget}")
+    return C, F, size
 
 
 def _class_budget(args) -> int:
@@ -246,19 +261,20 @@ def _cmd_mindist(args) -> int:
 
 
 def _cmd_ci(args) -> int:
-    C, F, X = _resolve_inputs(args)
+    C, F, size = _resolve_inputs(args, points=False)
     if C is None:
         raise _InputError("ci needs --clutter (the torus is trivially a CI)")
     rep = ci_classify(C, F.q)
+    torus_size = (F.q - 1) ** (C.s - 1)
     body = {
         "applicable": rep.applicable,
         "is_ci": rep.is_ci,
         "vectors_independent": rep.vectors_independent,
         "phi_injective": rep.phi_injective,
         "reason": rep.reason,
-        "advisory_equals_torus": equals_torus(X),
-        "advisory_size_X": len(X),
-        "advisory_torus_size": (F.q - 1) ** (X.s - 1),
+        "advisory_equals_torus": size == torus_size,
+        "advisory_size_X": size,
+        "advisory_torus_size": torus_size,
     }
     if args.fmt == "json":
         sys.stdout.write(json.dumps(body, indent=2) + "\n")
@@ -299,11 +315,12 @@ def _cmd_groebner(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    C, _, X = _resolve_inputs(args)
+    C, F, size = _resolve_inputs(args, points=False)
     if C is None:
         raise _InputError("profile needs --clutter")
-    body = profile(C, X)
+    body = profile(C, F.q, size)
     if args.dump_points:
+        X = enumerate_X(C, F, budget=_enum_budget(args))
         with open(args.dump_points, "w") as fh:
             fh.write(points_csv(X))
     if args.fmt == "json":

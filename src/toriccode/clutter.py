@@ -52,10 +52,8 @@ class IncidenceMatrix:
         A = self.A
         if A.ndim != 2 or not np.isin(A, (0, 1)).all():
             raise ClutterError("incidence entries must be 0/1")
-        for j in range(A.shape[1]):
-            for jj in range(j + 1, A.shape[1]):
-                if np.array_equal(A[:, j], A[:, jj]):
-                    raise ClutterError("incidence columns must be distinct")
+        if np.unique(A, axis=1).shape[1] != A.shape[1]:
+            raise ClutterError("incidence columns must be distinct")
 
 
 def parse_clutter(doc) -> Clutter:

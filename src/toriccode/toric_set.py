@@ -11,18 +11,24 @@ the torus are subgroups of it spanned by the columns of a generator
 matrix: the difference matrix of the clutter, or [0; I].  Both are built
 by one closure over those columns (`_span`), in memory O(|X|) and time
 O(|X|) per column, and the enumeration budget bounds |X| itself.
+
+The size of X needs no points: B = U D W with U, W unimodular and D the
+Smith form diag(d_1, ..., d_r), so X is isomorphic to the image of D on
+(Z/m)^n, m = q-1, and |X| = prod m/gcd(m, d_i) (`size_of_X`).  `profile`
+reads |X| and the comparison with the torus from that closed form;
+`equals_torus` serves callers that already hold the points.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
 from .clutter import Clutter, incidence, uniformity
 from .errors import BudgetExceededError
 from .finite_field import FiniteField
-from .intlattice import rank_rational
+from .intlattice import rank_rational, smith_normal_form
 
 DEFAULT_ENUM_BUDGET = 10 ** 8
 
@@ -96,6 +102,14 @@ def _span(gens: np.ndarray, m: int, budget: int) -> np.ndarray:
     return S[np.lexsort(S.T[::-1])]
 
 
+def size_of_X(C: Clutter, q: int) -> int:
+    """|X| over GF(q) without building X: prod m/gcd(m, d_i), m = q-1, over
+    the Smith invariant factors d_i of the difference matrix."""
+    m = q - 1
+    factors = smith_normal_form(_difference_matrix(C)[1:]).invariant_factors
+    return prod(m // gcd(m, d) for d in factors)
+
+
 def enumerate_X(C: Clutter, F: FiniteField, budget: int = DEFAULT_ENUM_BUDGET) -> ToricSet:
     """All points [ (x^v1 : ... : x^vs) ] for x in the affine torus (K*)^n.
 
@@ -131,29 +145,31 @@ def equals_torus(X: ToricSet) -> bool:
     return len(X) == (X.field.q - 1) ** (X.s - 1)
 
 
-def profile(C: Clutter, X: ToricSet) -> dict:
-    """Size/rank report of X = enumerate_X(C, F), used to judge
-    applicability of the torus bounds.
+def profile(C: Clutter, q: int, size: int | None = None) -> dict:
+    """Size/rank report of X over GF(q), used to judge applicability of
+    the torus bounds.  No point is built: |X| is ``size`` when the caller
+    has it already, and size_of_X(C, q) otherwise.
 
     Normality of the edge subring is asserted by the caller, never verified
     here; the note in the report says so.
     """
-    F = X.field
+    if size is None:
+        size = size_of_X(C, q)
     A = incidence(C).A
     r = rank_rational(A)
     uniform, _ = uniformity(C)
-    expected = (F.q - 1) ** (C.n - 1)
+    expected = (q - 1) ** (C.n - 1)
     return {
         "n": C.n,
         "s": C.s,
-        "q": F.q,
-        "points": len(X),
+        "q": q,
+        "points": size,
         "rank": r,
         "rank_is_n": r == C.n,
         "uniform": uniform,
         "torus_bound_degree": expected,
-        "degree_matches_torus_bound": len(X) == expected,
-        "equals_ambient_torus": equals_torus(X),
+        "degree_matches_torus_bound": size == expected,
+        "equals_ambient_torus": size == (q - 1) ** (C.s - 1),
         "note": "normality of the edge subring is user-asserted, not verified",
     }
 

@@ -18,8 +18,6 @@ no reduced-basis element lives beyond degree r+1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import islice
-from math import comb
 
 import numpy as np
 
@@ -209,16 +207,23 @@ def binomial_in_IX(a_plus, a_minus, C: Clutter, q: int, X: ToricSet | None = Non
 
 def hilbert_IA(C: Clutter, d: int, budget: int = 5 * 10 ** 6) -> int:
     """Hilbert function of the toric quotient S/I_A in degree d: the number
-    of distinct sums of d characteristic vectors (with repetition)."""
+    of distinct sums of d characteristic vectors (with repetition).
+
+    The budget bounds the walk's work, the |Delta_(j-1)| * s candidates of
+    each degree j summed over j <= d: BudgetExceededError is raised before
+    a degree would pass it."""
     if d < 0:
         raise ValueError("need d >= 0")
-    count = comb(C.s + d - 1, d)
-    if count > budget:
-        raise BudgetExceededError(
-            f"degree {d} needs {count} multisets > budget {budget}"
-        )
     # the key of t^e is the sum of its edge vectors: no entry of a sum of d
     # 0/1 vectors reaches d + 1, so reducing it mod d + 1 changes nothing
     V = np.array(C.vectors, dtype=np.int64)
-    std, _, _ = next(islice(standard_walk(V, d + 1, d), d, None))
-    return len(std)
+    work = 0
+    for j, (std, _, _) in enumerate(standard_walk(V, d + 1, d)):
+        if j == d:
+            return len(std)
+        work += len(std) * C.s
+        if work > budget:
+            raise BudgetExceededError(
+                f"degree {j + 1} of the walk to degree {d} brings its candidates "
+                f"to {work} > budget {budget}"
+            )

@@ -221,18 +221,23 @@ def oracle_toric_points(C: Clutter, F) -> frozenset:
 
 def oracle_enumerate_X(C: Clutter, F) -> np.ndarray:
     """Exponent rows of X, sorted: the images of all (q-1)^n unit tuples
-    under the difference matrix, deduplicated chunk by chunk."""
+    under the difference matrix, deduplicated at once as base-(q-1)
+    numbers, first coordinate most significant, so that numeric order is
+    the lexicographic order of rows."""
     m = F.q - 1
     V = np.array(C.vectors, dtype=np.int64)
     B = V - V[0]
+    assert m ** C.s < 2 ** 63
     total = m ** C.n
     radix = m ** np.arange(C.n, dtype=np.int64)
-    chunks = []
+    place = m ** np.arange(C.s - 1, -1, -1, dtype=np.int64)
+    codes = np.empty(total, dtype=np.int64)
     for start in range(0, total, 1 << 16):
         ids = np.arange(start, min(start + (1 << 16), total), dtype=np.int64)
         a = (ids[:, None] // radix[None, :]) % m
-        chunks.append(np.unique((a @ B.T) % m, axis=0))
-    return np.unique(np.concatenate(chunks), axis=0)
+        codes[start:start + len(ids)] = ((a @ B.T) % m) @ place
+    codes = np.unique(codes)
+    return (codes[:, None] // place[None, :]) % m
 
 
 def oracle_min_weight(F, G) -> int:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from toriccode import enumerate_X
 from toriccode.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, main
 
 K4_DOC = '{"n": 4, "edges": [[1,2],[1,3],[1,4],[2,3],[2,4],[3,4]]}'
@@ -246,6 +247,76 @@ class TestProfile:
         assert rc == EXIT_OK
         body = json.loads(out)
         assert body["points"] == 512 and body["equals_ambient_torus"] is True
+
+
+class TestClosedFormSize:
+    """ci and profile read |X| from the Smith form and build no points,
+    unless profile is asked for them with --dump-points."""
+
+    ARGVS = [
+        ("ci", "--q", "3", "--format", "json"),
+        ("ci", "--q", "4"),
+        ("profile", "--q", "3", "--format", "json"),
+        ("profile", "--q", "9"),
+    ]
+
+    def test_no_points_built(self, run, k4_file, monkeypatch):
+        import toriccode.cli as cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("no point of X may be built")
+
+        cases = [(cmd, "--clutter", k4_file, *rest) for cmd, *rest in self.ARGVS]
+        cases += [(cmd, "--torus", "3", "--q", "4") for cmd in ("ci", "profile")]
+        before = [run(*argv) for argv in cases]
+        monkeypatch.setattr(cli, "enumerate_X", refuse)
+        monkeypatch.setattr(cli, "projective_torus", refuse)
+        after = [run(*argv) for argv in cases]
+        assert after == before
+        assert [rc for rc, _, _ in after] == [EXIT_OK] * 4 + [EXIT_INPUT] * 2
+        assert json.loads(after[2][1])["points"] == 8
+
+    def test_dump_points_builds_X(self, run, k4_file, tmp_path, monkeypatch):
+        import toriccode.cli as cli
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return enumerate_X(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "enumerate_X", counted)
+        dump = tmp_path / "pts.csv"
+        argv = ("profile", "--clutter", k4_file, "--q", "4", "--format", "json")
+        plain = run(*argv)
+        dumped = run(*argv, "--dump-points", str(dump))
+        assert dumped == plain and len(calls) == 1
+        assert len(dump.read_text().strip().splitlines()) == 1 + 27
+
+    @pytest.mark.parametrize("command", ["ci", "profile"])
+    def test_budget_caps_size(self, run, k4_file, command):
+        # |X| = 8 for K4 over GF(3), |T| = 9 in P^2 over GF(4)
+        rc, _, err = run(command, "--clutter", k4_file, "--q", "3", "--budget", "7")
+        assert rc == EXIT_BUDGET and "budget 7" in err
+        rc, _, _ = run(command, "--clutter", k4_file, "--q", "3", "--budget", "8")
+        assert rc == EXIT_OK
+        rc, _, err = run(command, "--torus", "3", "--q", "4", "--budget", "8")
+        assert rc == EXIT_BUDGET and "budget 8" in err
+        rc, _, _ = run(command, "--torus", "3", "--q", "4", "--budget", "9")
+        assert rc == EXIT_INPUT
+
+    def test_k10_gf9_profile(self, run, tmp_path):
+        # 8^9 points, far too many to build: only the Smith form is read
+        f = tmp_path / "k10.json"
+        edges = [[a, b] for a in range(1, 11) for b in range(a + 1, 11)]
+        f.write_text(json.dumps({"n": 10, "edges": edges}))
+        rc, out, _ = run(
+            "profile", "--clutter", str(f), "--q", "9", "--budget", "1000000000",
+            "--format", "json",
+        )
+        assert rc == EXIT_OK
+        body = json.loads(out)
+        assert body["points"] == 134217728 and body["degree_matches_torus_bound"] is True
 
 
 class TestErrors:

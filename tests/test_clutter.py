@@ -100,6 +100,18 @@ class TestIncidence:
         with pytest.raises(ValueError):
             IncidenceMatrix(np.array([[0, 2], [1, 1]]))
 
+    def test_distant_duplicate_columns(self):
+        # K10 has s = 45 distinct columns; repeating column 0 as the last
+        # one leaves the other 43 columns between the two copies
+        from toriccode import IncidenceMatrix
+
+        edges = [[a, b] for a in range(1, 11) for b in range(a + 1, 11)]
+        A = incidence(parse_clutter({"n": 10, "edges": edges})).A.copy()
+        assert A.shape == (10, 45)
+        A[:, 44] = A[:, 0]
+        with pytest.raises(ClutterError, match="distinct"):
+            IncidenceMatrix(A)
+
     def test_uniformity(self, battery):
         uni, size = uniformity(battery["K4"])
         assert uni and size == 2

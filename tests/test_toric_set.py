@@ -1,7 +1,6 @@
 """Point set enumeration: canonical form, sizes, torus comparison."""
 
 import itertools
-from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -10,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from conftest import (
     BATTERY,
     NON_BIPARTITE,
+    _complete,
     clutters_over_fields,
     oracle_enumerate_X,
     oracle_toric_points,
@@ -23,8 +23,9 @@ from toriccode import (
     parse_clutter,
     profile,
     projective_torus,
+    size_of_X,
+    smith_normal_form,
 )
-from toriccode.intlattice import smith_normal_form
 from toriccode.toric_set import points_csv
 
 
@@ -109,19 +110,32 @@ class TestEnumerate:
 
 
 def _check_against_tuple_walk(C, q):
-    # the subgroup closure against the walk over all (q-1)^n tuples, and
-    # |X| against the Smith invariant factors d_i of the difference matrix
+    # the subgroup closure, and the closed form prod m/gcd(m, d_i) over the
+    # Smith invariant factors d_i of the difference matrix, against the
+    # walk over all (q-1)^n tuples
     X = enumerate_X(C, field_from_q(q))
-    assert np.array_equal(X.logs, oracle_enumerate_X(C, X.field))
-    m = q - 1
-    factors = smith_normal_form(X.gens).invariant_factors
-    assert len(X) == prod(m // gcd(m, d) for d in factors)
+    walked = oracle_enumerate_X(C, X.field)
+    assert np.array_equal(X.logs, walked)
+    assert size_of_X(C, q) == len(walked)
 
 
 @pytest.mark.parametrize("name", sorted(BATTERY))
-@pytest.mark.parametrize("q", [3, 4, 5])
+@pytest.mark.parametrize("q", [3, 4, 5, 9])
 def test_battery_matches_tuple_walk(name, q):
     _check_against_tuple_walk(BATTERY[name], q)
+
+
+# B has Smith invariant factors (1, 1, 2), and no clutter of the battery
+# has a factor above 1: over GF(4), m = 3, the factor 2 still contributes
+# m/gcd(m, 2) = 3, where m // 2 would give 1
+TORSION = parse_clutter({"n": 5, "edges": [[1, 2, 3], [2, 4], [1, 5], [3, 4, 5]]})
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 9])
+def test_torsion_matches_tuple_walk(q):
+    X = enumerate_X(TORSION, field_from_q(q))
+    assert smith_normal_form(X.gens).invariant_factors == [1, 1, 2]
+    _check_against_tuple_walk(TORSION, q)
 
 
 @settings(
@@ -162,12 +176,29 @@ class TestTorus:
 
 class TestProfileAndCsv:
     def test_profile_k4(self, k4):
-        body = profile(k4, enumerate_X(k4, make_field(2, 2)))
+        body = profile(k4, 4)
         assert body["points"] == 27
         assert body["rank_is_n"] is True
         assert body["uniform"] is True
         assert body["degree_matches_torus_bound"] is True
         assert body["equals_ambient_torus"] is False
+
+    @pytest.mark.parametrize("q", [3, 4, 5])
+    def test_profile_agrees_with_points(self, battery, q):
+        for C in battery.values():
+            X = enumerate_X(C, field_from_q(q))
+            body = profile(C, q)
+            assert body["points"] == len(X)
+            assert body["equals_ambient_torus"] == equals_torus(X)
+            assert body["degree_matches_torus_bound"] == (len(X) == (q - 1) ** (C.n - 1))
+
+    def test_size_without_points(self):
+        # K10 over GF(9): the difference lattice is primitive, so |X| is the
+        # torus bound 8^9, read off the Smith form with no point built
+        C = parse_clutter({"n": 10, "edges": _complete(10)})
+        assert size_of_X(C, 9) == 8 ** 9
+        body = profile(C, 9)
+        assert body["points"] == 8 ** 9 and body["equals_ambient_torus"] is False
 
     def test_points_csv_round_trip(self, triangle):
         F = make_field(3, 1)

@@ -1,10 +1,13 @@
 """Groebner interpolation of I(X) and the binomial membership test."""
 
+import time
+
 import numpy as np
 import pytest
 
 from conftest import _complete, oracle_hilbert_IA, oracle_standard_count
 from toriccode import (
+    BudgetExceededError,
     binomial_in_IX,
     degree_complexity,
     enumerate_X,
@@ -200,3 +203,17 @@ class TestHilbertIA:
     def test_budget(self, k4):
         with pytest.raises(Exception):
             hilbert_IA(k4, 40, budget=10)
+
+    def test_budget_bounds_the_walk(self):
+        # the path with two edges has d + 1 multisets in degree d, but the
+        # walk weighs |Delta_(j-1)| * 2 = 2j candidates in each degree j
+        # <= d: their sum d(d + 1) passes the default 5 * 10^6 near
+        # d = 2236, long before the walk to d = 20000 would end
+        P = parse_clutter({"n": 3, "edges": [[1, 2], [2, 3]]})
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError):
+            hilbert_IA(P, 20000)
+        assert time.perf_counter() - start < 30
+        assert hilbert_IA(P, 100, budget=100 * 101) == 101
+        with pytest.raises(BudgetExceededError):
+            hilbert_IA(P, 100, budget=100 * 101 - 1)
