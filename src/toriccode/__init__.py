@@ -20,7 +20,6 @@ from .finite_field import FieldElement, FiniteField, field_from_q, make_field
 from .intlattice import (
     CiReport,
     ci_classify,
-    multiplication_injective,
     phi_injective,
     rank_rational,
     smith_normal_form,
@@ -76,7 +75,6 @@ __all__ = [
     "min_distance",
     "min_distance_bruteforce",
     "min_distance_isd",
-    "multiplication_injective",
     "parse_clutter",
     "phi_injective",
     "profile",

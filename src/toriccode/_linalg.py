@@ -71,12 +71,3 @@ def rank(field, M) -> int:
         r += 1
     return r
 
-
-def row_space_contains(field, R, pivots, v) -> bool:
-    """Whether v lies in the row space described by an rref (R, pivots)."""
-    w = np.array(v, dtype=field.dtype, copy=True)
-    for i, c in enumerate(pivots):
-        f = int(w[c])
-        if f:
-            w = field.sub(w, field.mul(np.asarray(f), R[i]))
-    return not np.any(w)

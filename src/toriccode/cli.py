@@ -8,6 +8,7 @@ failures.  All output is deterministic for a fixed invocation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -48,7 +49,9 @@ class _InputError(ValueError):
     pass
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on the first call of main and reused."""
     top = argparse.ArgumentParser(
         prog="toriccode",
         description="Parameterized codes from clutters over finite fields",
@@ -243,8 +246,7 @@ def _cmd_mindist(args) -> int:
     if args.d < 1:
         raise _InputError("need d >= 1")
     report = distance_report(
-        C, F, args.d, args.method, X=X,
-        class_budget=_class_budget(args), time_budget=_time_budget(args),
+        C, X, args.d, args.method, _class_budget(args), _time_budget(args)
     )
     if args.fmt == "json":
         sys.stdout.write(json.dumps(report, indent=2) + "\n")
@@ -315,10 +317,10 @@ def _cmd_groebner(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    C, F, size = _resolve_inputs(args, points=False)
+    C, F, _ = _resolve_inputs(args, points=False)
     if C is None:
         raise _InputError("profile needs --clutter")
-    body = profile(C, F.q, size)
+    body = profile(C, F.q)
     if args.dump_points:
         X = enumerate_X(C, F, budget=_enum_budget(args))
         with open(args.dump_points, "w") as fh:

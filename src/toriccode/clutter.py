@@ -138,6 +138,15 @@ def incidence(C: Clutter) -> IncidenceMatrix:
     return IncidenceMatrix(A)
 
 
+def difference_matrix(C: Clutter) -> np.ndarray:
+    """The s x n matrix B = V - V[0] of differences v_i - v_1; row 0 is zero.
+
+    Its columns generate X in exponent space, and its Smith invariant
+    factors give |X| and the complete-intersection test."""
+    V = np.array(C.vectors, dtype=np.int64)
+    return V - V[0]
+
+
 def uniformity(C: Clutter):
     """(True, d) if every edge has the same size d, else (False, None)."""
     sizes = {len(e) for e in C.edges}

@@ -100,7 +100,7 @@ def _first_irreducible(p: int, k: int) -> tuple[int, ...]:
 class FiniteField:
     """GF(p^k) with deterministic modulus, primitive element and tables."""
 
-    def __init__(self, p: int, k: int, max_q: int = DEFAULT_MAX_Q):
+    def __init__(self, p: int, k: int):
         if not isinstance(p, int) or not isinstance(k, int):
             raise ValueError("p and k must be integers")
         if not _is_prime(p):
@@ -110,8 +110,8 @@ class FiniteField:
         q = p ** k
         if q < 3:
             raise ValueError("GF(2) is not supported; need q >= 3")
-        if q > max_q:
-            raise ValueError(f"q = {q} exceeds the cardinality cap {max_q}")
+        if q > DEFAULT_MAX_Q:
+            raise ValueError(f"q = {q} exceeds the cardinality cap {DEFAULT_MAX_Q}")
         self.p = p
         self.k = k
         self.q = q
@@ -188,10 +188,7 @@ class FiniteField:
     # -- formula kernels (any q) --
 
     def _add_formula(self, a, b):
-        if self.p == 2:
-            return np.bitwise_xor(a, b)
-        if self.k == 1:
-            return (np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64)) % self.p
+        # odd extension fields only: add handles p == 2 and k == 1 itself
         d = (self._digits[a] + self._digits[b]) % self.p
         return d @ self._pows
 
@@ -444,12 +441,12 @@ class FieldElement:
         return f"{body}#GF({self.field.q})"
 
 
-def make_field(p: int, k: int, max_q: int = DEFAULT_MAX_Q) -> FiniteField:
+def make_field(p: int, k: int) -> FiniteField:
     """Construct GF(p^k). Raises ValueError for non-prime p, q < 3, or q > cap."""
-    return FiniteField(p, k, max_q=max_q)
+    return FiniteField(p, k)
 
 
-def field_from_q(q: int, max_q: int = DEFAULT_MAX_Q) -> FiniteField:
+def field_from_q(q: int) -> FiniteField:
     """Construct GF(q) from the shorthand q = p^k; q must be a prime power."""
     if not isinstance(q, int) or q < 2:
         raise ValueError(f"q = {q} is not a prime power >= 3")
@@ -465,4 +462,4 @@ def field_from_q(q: int, max_q: int = DEFAULT_MAX_Q) -> FiniteField:
         k += 1
     if rest != 1:
         raise ValueError(f"q = {q} is not a prime power")
-    return make_field(p, k, max_q=max_q)
+    return make_field(p, k)

@@ -1,4 +1,13 @@
-"""Exact integer linear algebra for the complete-intersection test.
+"""Exact integer linear algebra behind the complete-intersection test and |X|.
+
+Two lattice facts of a clutter are computed once each, and memoized on
+the frozen, hashable Clutter: the Smith invariant factors d_i of the
+difference matrix B = V - V[0] (`difference_factors`), and the rank over Q
+of the incidence matrix A (`incidence_rank`).  The CI verdict reads both:
+the edge vectors are independent when rank A = s, and multiplication by
+q-1 is injective on Z^n / <v_i - v_1> when gcd(q-1, d_i) = 1 for every i.
+|X| = prod (q-1)/gcd(q-1, d_i) (`toric_set.size_of_X`) reads the same
+factors, and delta'_d and `toric_set.profile` the same rank.
 
 Everything here runs on arbitrary-precision Python ints, so there is no
 overflow to signal.  The Smith normal form uses the pivot rule "smallest
@@ -8,9 +17,10 @@ nonzero absolute value, ties broken row-major".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
-from .clutter import Clutter, incidence, uniformity
+from .clutter import Clutter, difference_matrix, incidence, uniformity
 
 
 def _to_int_rows(M) -> list[list[int]]:
@@ -50,66 +60,28 @@ class SnfResult:
     invariant_factors: list[int]
     rank: int
     shape: tuple[int, int]
-    U: list[list[int]] | None = None  # M = U @ D @ V when transforms kept
-    V: list[list[int]] | None = None
-
-    def diagonal(self) -> list[list[int]]:
-        m, n = self.shape
-        D = [[0] * n for _ in range(m)]
-        for i, d in enumerate(self.invariant_factors):
-            D[i][i] = d
-        return D
 
 
-def _identity(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def smith_normal_form(M, keep_transforms: bool = False) -> SnfResult:
-    """Smith normal form with positive invariant factors d1 | d2 | ...
-
-    When keep_transforms is set, unimodular U, V with M = U @ D @ V are
-    returned alongside the factors.
-    """
+def smith_normal_form(M) -> SnfResult:
+    """Smith normal form: the positive invariant factors d1 | d2 | ..."""
     D = _to_int_rows(M)
     m = len(D)
     n = len(D[0]) if D else 0
-    U = _identity(m) if keep_transforms else None
-    V = _identity(n) if keep_transforms else None
 
     def swap_rows(i, j):
         D[i], D[j] = D[j], D[i]
-        if U is not None:
-            for r in range(m):
-                U[r][i], U[r][j] = U[r][j], U[r][i]
 
     def swap_cols(i, j):
         for r in range(m):
             D[r][i], D[r][j] = D[r][j], D[r][i]
-        if V is not None:
-            V[i], V[j] = V[j], V[i]
 
     def add_row(src, dst, factor):
-        # row_dst += factor * row_src; U gets the inverse column op
         for c in range(n):
             D[dst][c] += factor * D[src][c]
-        if U is not None:
-            for r in range(m):
-                U[r][src] -= factor * U[r][dst]
 
     def add_col(src, dst, factor):
         for r in range(m):
             D[r][dst] += factor * D[r][src]
-        if V is not None:
-            for c in range(n):
-                V[src][c] -= factor * V[dst][c]
-
-    def negate_row(i):
-        for c in range(n):
-            D[i][c] = -D[i][c]
-        if U is not None:
-            for r in range(m):
-                U[r][i] = -U[r][i]
 
     def find_pivot(t):
         best = None
@@ -148,8 +120,7 @@ def smith_normal_form(M, keep_transforms: bool = False) -> SnfResult:
                     if D[t][j]:
                         swap_cols(t, j)
                         dirty = True
-        if D[t][t] < 0:
-            negate_row(t)
+        D[t][t] = abs(D[t][t])
         # divisibility: pull a bad entry into column t and redo
         bad = None
         for i in range(t + 1, m):
@@ -165,36 +136,29 @@ def smith_normal_form(M, keep_transforms: bool = False) -> SnfResult:
         t += 1
 
     factors = [D[i][i] for i in range(min(m, n)) if D[i][i] != 0]
-    return SnfResult(
-        invariant_factors=factors,
-        rank=len(factors),
-        shape=(m, n),
-        U=U,
-        V=V,
-    )
+    return SnfResult(invariant_factors=factors, rank=len(factors), shape=(m, n))
 
 
-def multiplication_injective(relation_rows, factor: int) -> bool:
-    """Is multiplication by ``factor`` injective on Z^n / L, where L is the
-    lattice spanned by the given integer rows?"""
-    if factor == 0:
-        raise ValueError("factor must be nonzero")
-    rows = _to_int_rows(relation_rows)
-    if not rows:
-        return True
-    snf = smith_normal_form(rows)
-    return all(gcd(factor, d) == 1 for d in snf.invariant_factors)
+@lru_cache(maxsize=256)
+def difference_factors(C: Clutter) -> tuple[int, ...]:
+    """The Smith invariant factors of the difference matrix B = V - V[0]:
+    Z^n / <v_i - v_1> is Z^(n-r) + sum Z/d_i, and X is the image of
+    (Z/(q-1))^n under B."""
+    return tuple(smith_normal_form(difference_matrix(C)).invariant_factors)
+
+
+@lru_cache(maxsize=256)
+def incidence_rank(C: Clutter) -> int:
+    """The rank over Q of the incidence matrix A, that of the edge vectors."""
+    return rank_rational(incidence(C).A)
 
 
 def phi_injective(C: Clutter, q: int) -> bool:
-    """Injectivity of multiplication by q-1 on Z^n / Z{v_i - v_1}."""
+    """Injectivity of multiplication by q-1 on Z^n / Z{v_i - v_1}: no
+    torsion factor of the quotient shares a prime with q-1."""
     if q < 3:
         raise ValueError("need q >= 3")
-    vecs = C.vectors
-    rows = [
-        [vi - v1 for vi, v1 in zip(vecs[i], vecs[0])] for i in range(1, len(vecs))
-    ]
-    return multiplication_injective(rows, q - 1)
+    return all(gcd(q - 1, d) == 1 for d in difference_factors(C))
 
 
 @dataclass
@@ -207,7 +171,9 @@ class CiReport:
 
 
 def ci_classify(C: Clutter, q: int) -> CiReport:
-    """Complete-intersection classification for uniform clutters, q >= 3.
+    """Complete-intersection classification for uniform clutters, q >= 3:
+    I(X) is a complete intersection when the edge vectors are independent
+    (incidence_rank) and phi_injective holds (difference_factors).
 
     For non-uniform clutters the algebraic test is out of scope and the
     report says so (applicable = False).
@@ -223,29 +189,18 @@ def ci_classify(C: Clutter, q: int) -> CiReport:
             phi_injective=None,
             reason="clutter is not uniform; algebraic CI test not applicable",
         )
-    A = incidence(C).A
-    independent = rank_rational(A.T.tolist()) == C.s
+    independent = incidence_rank(C) == C.s
+    injective = phi_injective(C, q) if independent else None
     if not independent:
-        return CiReport(
-            applicable=True,
-            is_ci=False,
-            vectors_independent=False,
-            phi_injective=None,
-            reason="characteristic vectors are linearly dependent",
-        )
-    injective = phi_injective(C, q)
-    if not injective:
-        return CiReport(
-            applicable=True,
-            is_ci=False,
-            vectors_independent=True,
-            phi_injective=False,
-            reason="multiplication by q-1 has a kernel on Z^n/L (torsion shares a factor with q-1)",
-        )
+        reason = "characteristic vectors are linearly dependent"
+    elif not injective:
+        reason = "multiplication by q-1 has a kernel on Z^n/L (torsion shares a factor with q-1)"
+    else:
+        reason = "vectors independent and multiplication by q-1 injective: X is the projective torus"
     return CiReport(
         applicable=True,
-        is_ci=True,
-        vectors_independent=True,
-        phi_injective=True,
-        reason="vectors independent and multiplication by q-1 injective: X is the projective torus",
+        is_ci=independent and injective,
+        vectors_independent=independent,
+        phi_injective=injective,
+        reason=reason,
     )

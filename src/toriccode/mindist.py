@@ -39,12 +39,12 @@ from itertools import combinations, islice
 import numpy as np
 
 from . import _linalg
-from .clutter import Clutter, incidence, uniformity
+from .clutter import Clutter, uniformity
 from .errors import BudgetExceededError
 from .eval_code import LinearCode, _hilbert_counts, code
 from .finite_field import FiniteField
-from .intlattice import rank_rational
-from .toric_set import ToricSet, enumerate_X, equals_torus
+from .intlattice import incidence_rank
+from .toric_set import ToricSet, equals_torus
 
 DEFAULT_CLASS_BUDGET = 10 ** 7
 METHODS = ("auto", "bruteforce", "isd", "formula")
@@ -283,7 +283,7 @@ def delta_prime(C: Clutter | None, X: ToricSet, d: int) -> int | None:
     if C is None:
         return torus_distance(X.field.q, X.s, d)
     uniform, _ = uniformity(C)
-    if uniform and rank_rational(incidence(C).A) == C.n:
+    if uniform and incidence_rank(C) == C.n:
         return torus_distance(X.field.q, C.n, d)
     return None
 
@@ -330,20 +330,15 @@ def min_distance(
 
 def distance_report(
     C: Clutter | None,
-    F: FiniteField,
+    X: ToricSet,
     d: int,
     method: str = "auto",
-    X: ToricSet | None = None,
-    enum_budget: int | None = None,
     class_budget: int = DEFAULT_CLASS_BUDGET,
     time_budget: float | None = None,
 ) -> dict:
     """Assemble delta_d together with every applicable bound for one degree.
 
-    C None means X is the projective torus, which must then be given."""
-    if X is None:
-        kwargs = {} if enum_budget is None else {"budget": enum_budget}
-        X = enumerate_X(C, F, **kwargs)
+    X is the set of C, or the projective torus when C is None."""
     counts = _hilbert_counts(X)
     reg = len(counts) - 1
     dim = counts[min(d, reg)]

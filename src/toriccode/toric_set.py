@@ -14,9 +14,12 @@ O(|X|) per column, and the enumeration budget bounds |X| itself.
 
 The size of X needs no points: B = U D W with U, W unimodular and D the
 Smith form diag(d_1, ..., d_r), so X is isomorphic to the image of D on
-(Z/m)^n, m = q-1, and |X| = prod m/gcd(m, d_i) (`size_of_X`).  `profile`
-reads |X| and the comparison with the torus from that closed form;
-`equals_torus` serves callers that already hold the points.
+(Z/m)^n, m = q-1, and |X| = prod m/gcd(m, d_i) (`size_of_X`).  The
+factors d_i are `intlattice.difference_factors(C)`, the same ones the
+complete-intersection verdict reads, computed once per clutter.  `profile`
+reads |X| and the comparison with the torus from that closed form, and
+the rank from `intlattice.incidence_rank`; `equals_torus` serves callers
+that already hold the points.
 """
 
 from __future__ import annotations
@@ -25,10 +28,10 @@ from math import gcd, prod
 
 import numpy as np
 
-from .clutter import Clutter, incidence, uniformity
+from .clutter import Clutter, difference_matrix, uniformity
 from .errors import BudgetExceededError
 from .finite_field import FiniteField
-from .intlattice import rank_rational, smith_normal_form
+from .intlattice import difference_factors, incidence_rank
 
 DEFAULT_ENUM_BUDGET = 10 ** 8
 
@@ -71,11 +74,6 @@ class ToricSet:
         return f"ToricSet({len(self)} points in P^{self.s - 1} over {self.field!r}, {self.source})"
 
 
-def _difference_matrix(C: Clutter) -> np.ndarray:
-    V = np.array(C.vectors, dtype=np.int64)  # s x n
-    return V - V[0]
-
-
 def _span(gens: np.ndarray, m: int, budget: int) -> np.ndarray:
     """Rows of the subgroup of (Z/m)^s spanned by the columns of gens,
     sorted lexicographically.
@@ -106,8 +104,7 @@ def size_of_X(C: Clutter, q: int) -> int:
     """|X| over GF(q) without building X: prod m/gcd(m, d_i), m = q-1, over
     the Smith invariant factors d_i of the difference matrix."""
     m = q - 1
-    factors = smith_normal_form(_difference_matrix(C)[1:]).invariant_factors
-    return prod(m // gcd(m, d) for d in factors)
+    return prod(m // gcd(m, d) for d in difference_factors(C))
 
 
 def enumerate_X(C: Clutter, F: FiniteField, budget: int = DEFAULT_ENUM_BUDGET) -> ToricSet:
@@ -120,7 +117,7 @@ def enumerate_X(C: Clutter, F: FiniteField, budget: int = DEFAULT_ENUM_BUDGET) -
     (q-1)^n tuples; raises BudgetExceededError before |X| would pass the
     budget.
     """
-    B = _difference_matrix(C)  # s x n; row 0 is zero, giving the canonical 0 column
+    B = difference_matrix(C)  # s x n; row 0 is zero, giving the canonical 0 column
     return ToricSet(F, _span(B, F.q - 1, budget), B, source=f"X({C})")
 
 
@@ -145,18 +142,16 @@ def equals_torus(X: ToricSet) -> bool:
     return len(X) == (X.field.q - 1) ** (X.s - 1)
 
 
-def profile(C: Clutter, q: int, size: int | None = None) -> dict:
+def profile(C: Clutter, q: int) -> dict:
     """Size/rank report of X over GF(q), used to judge applicability of
-    the torus bounds.  No point is built: |X| is ``size`` when the caller
-    has it already, and size_of_X(C, q) otherwise.
+    the torus bounds.  No point is built: |X| is size_of_X(C, q), and the
+    rank is incidence_rank(C).
 
     Normality of the edge subring is asserted by the caller, never verified
     here; the note in the report says so.
     """
-    if size is None:
-        size = size_of_X(C, q)
-    A = incidence(C).A
-    r = rank_rational(A)
+    size = size_of_X(C, q)
+    r = incidence_rank(C)
     uniform, _ = uniformity(C)
     expected = (q - 1) ** (C.n - 1)
     return {

@@ -6,6 +6,10 @@ loops so that test expectations are derived by a second, simpler route.
 The GF(q) oracles for H_X, the generator matrix and the reduced basis
 instead do the linear algebra that the package replaces by integer
 character keys: rank and reduced row echelon form of evaluation matrices.
+The lattice oracles for the complete-intersection verdict and delta'_d
+recompute the rank and the Smith form on every call, from matrices built
+here, where the package reads one memoized Smith form and one rank per
+clutter.
 """
 
 from __future__ import annotations
@@ -19,8 +23,9 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from toriccode import Clutter, parse_clutter
+from toriccode import Clutter, incidence, parse_clutter, torus_distance, uniformity
 from toriccode._linalg import rank, rref
+from toriccode.intlattice import rank_rational, smith_normal_form
 from toriccode.eval_code import evaluate_rows
 
 # ---------------------------------------------------------------------------
@@ -136,9 +141,97 @@ def clutters_over_fields(draw, max_torus):
     return parse_clutter(doc), q
 
 
+@st.composite
+def uniform_clutters_over_fields(draw, max_torus):
+    """(clutter, q) whose edges all have one size k in {2, 3}: a disjoint
+    union of up to three blocks of k+1 to k+3 vertices, with at most
+    max_torus torus points in P^(s-1).  A block's edges are random
+    k-subsets, or the k-windows {i, ..., i+k-1} mod its size: a cycle for
+    k = 2.  Two blocks with independent edge vectors and nonzero
+    determinants above 1 (two odd cycles, say) give the difference lattice
+    torsion, so that multiplication by q-1 can fail to be injective."""
+    q = draw(st.sampled_from(FIELD_SIZES))
+    s_max = _largest(q - 1, max_torus) + 1
+    k = draw(st.integers(2, 3))
+    edges, n = [], 0
+    for _ in range(draw(st.integers(1, 3))):
+        room = s_max - len(edges)
+        if room < 1:
+            break
+        size = draw(st.integers(k + 1, k + 3))
+        if size <= room and draw(st.booleans()):
+            block = [sorted((i + j) % size + 1 for j in range(k)) for i in range(size)]
+        else:
+            subsets = list(itertools.combinations(range(1, size + 1), k))
+            block = draw(
+                st.lists(st.sampled_from(subsets), min_size=1, max_size=min(room, 4), unique=True)
+            )
+        edges += [[n + v for v in e] for e in block]
+        n += size
+    assume(len(edges) >= 2)
+    used = sorted(set().union(*edges))
+    label = {v: i + 1 for i, v in enumerate(used)}
+    doc = {"n": len(used), "edges": [[label[v] for v in e] for e in edges]}
+    return parse_clutter(doc), q
+
+
 # ---------------------------------------------------------------------------
 # oracles
 # ---------------------------------------------------------------------------
+
+def row_space_contains(field, R, pivots, v) -> bool:
+    """Whether v lies in the row space described by an rref (R, pivots)."""
+    w = np.array(v, dtype=field.dtype, copy=True)
+    for i, c in enumerate(pivots):
+        f = int(w[c])
+        if f:
+            w = field.sub(w, field.mul(np.asarray(f), R[i]))
+    return not np.any(w)
+
+
+def multiplication_injective(relation_rows, factor: int) -> bool:
+    """Is multiplication by ``factor`` injective on Z^n / L, where L is the
+    lattice spanned by the given integer rows?"""
+    if factor == 0:
+        raise ValueError("factor must be nonzero")
+    rows = [[int(x) for x in row] for row in relation_rows]
+    if not rows:
+        return True
+    snf = smith_normal_form(rows)
+    return all(gcd(factor, d) == 1 for d in snf.invariant_factors)
+
+
+def difference_rows(C: Clutter) -> list[list[int]]:
+    vecs = C.vectors
+    return [[vi - v1 for vi, v1 in zip(vecs[i], vecs[0])] for i in range(1, len(vecs))]
+
+
+def oracle_phi_injective(C: Clutter, q: int) -> bool:
+    """Multiplication by q-1 on Z^n / Z{v_i - v_1}, from a fresh Smith form."""
+    return multiplication_injective(difference_rows(C), q - 1)
+
+
+def oracle_ci_classify(C: Clutter, q: int) -> tuple:
+    """(applicable, is_ci, vectors_independent, phi_injective) of the CI
+    test for uniform clutters: the rank of A^T, then the injectivity of
+    multiplication by q-1 on the difference rows, each computed afresh."""
+    uniform, _ = uniformity(C)
+    if not uniform:
+        return False, None, None, None
+    if rank_rational(incidence(C).A.T.tolist()) != C.s:
+        return True, False, False, None
+    injective = oracle_phi_injective(C, q)
+    return True, injective, True, injective
+
+
+def oracle_delta_prime(C: Clutter, q: int, d: int):
+    """delta'_d of a clutter: the torus formula in P^(n-1) when C is
+    uniform and rank A = n, from a fresh rank; None otherwise."""
+    uniform, _ = uniformity(C)
+    if uniform and rank_rational(incidence(C).A) == C.n:
+        return torus_distance(q, C.n, d)
+    return None
+
 
 def oracle_rank_fraction(M) -> int:
     """Rank over the rationals via plain Fraction elimination."""

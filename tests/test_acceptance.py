@@ -18,6 +18,7 @@ from conftest import (
     exponent_matrix,
     oracle_standard_count,
     oracle_torus_h_vector,
+    row_space_contains,
 )
 from toriccode import (
     binomial_in_IX,
@@ -40,7 +41,7 @@ from toriccode import (
     vanishing_defect,
     verify_gb_structure,
 )
-from toriccode._linalg import row_space_contains, rref
+from toriccode._linalg import rref
 
 
 @contextmanager

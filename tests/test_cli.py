@@ -1,11 +1,15 @@
 """End-to-end CLI behavior through main(argv)."""
 
+import argparse
 import json
+import sys
+from collections import Counter
 
 import pytest
 
-from toriccode import enumerate_X
-from toriccode.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, main
+from conftest import BATTERY_DOCS
+from toriccode import enumerate_X, intlattice
+from toriccode.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, _build_parser, main
 
 K4_DOC = '{"n": 4, "edges": [[1,2],[1,3],[1,4],[2,3],[2,4],[3,4]]}'
 
@@ -384,3 +388,70 @@ class TestEnvBudgets:
             "--format", "csv",
         )
         assert rc == EXIT_OK
+
+
+class TestParserOnce:
+    def test_error_then_valid_call_builds_once(self, run, k4_file, monkeypatch, capsys):
+        argv = ("ci", "--clutter", k4_file, "--q", "3", "--format", "json")
+        fresh = run(*argv)
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            if kwargs.get("prog") == "toriccode":
+                built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        _build_parser.cache_clear()
+        with pytest.raises(SystemExit) as exc:
+            main(["ci", "--clutter", k4_file, "--q", "3", "--no-such-flag"])
+        assert exc.value.code == EXIT_INPUT
+        assert "--no-such-flag" in capsys.readouterr().err
+        assert run(*argv) == fresh and fresh[0] == EXIT_OK
+        assert len(built) == 1
+
+
+class TestLatticeFactsOnce:
+    """A CLI job computes at most one Smith form and one rational rank."""
+
+    JOBS = [
+        ("ci", "U6", "9"),
+        ("ci", "C4", "3"),
+        ("ci", "TWO_TRIANGLES", "5"),
+        ("profile", "U6", "9"),
+        ("profile", "K5", "4"),
+        ("params", "C5", "5", "--method", "formula"),
+        ("params", "K4", "3"),
+        ("params", "K5", "4", "--method", "formula", "--full"),
+        ("mindist", "K4", "3", "--d", "1"),
+        ("mindist", "C5", "4", "--d", "2", "--method", "formula"),
+    ]
+
+    @pytest.mark.parametrize("job", JOBS, ids=lambda job: "-".join(job[:3]))
+    def test_at_most_one_of_each(self, run, tmp_path, monkeypatch, job):
+        command, name, q, *rest = job
+        docs = {**BATTERY_DOCS, "TWO_TRIANGLES": {
+            "n": 6, "edges": [[1, 2], [2, 3], [1, 3], [4, 5], [5, 6], [4, 6]]
+        }}
+        f = tmp_path / f"{name}.json"
+        f.write_text(json.dumps(docs[name]))
+        calls = Counter()
+        for attr in ("smith_normal_form", "rank_rational"):
+            original = getattr(intlattice, attr)
+
+            def counted(*args, _attr=attr, _original=original, **kwargs):
+                calls[_attr] += 1
+                return _original(*args, **kwargs)
+
+            # every toriccode namespace that holds the function
+            for mod in [m for k, m in sys.modules.items() if k.startswith("toriccode")]:
+                if getattr(mod, attr, None) is original:
+                    monkeypatch.setattr(mod, attr, counted)
+        intlattice.difference_factors.cache_clear()
+        intlattice.incidence_rank.cache_clear()
+        rc, out, _ = run(command, "--clutter", str(f), "--q", q, "--format", "json", *rest)
+        assert rc == EXIT_OK and out
+        assert calls["smith_normal_form"] <= 1 and calls["rank_rational"] <= 1
+        if command in ("ci", "profile"):
+            assert calls["smith_normal_form"] == 1

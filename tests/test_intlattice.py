@@ -2,22 +2,34 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from conftest import oracle_det_fraction, oracle_rank_fraction, oracle_snf_minor_gcd
+from conftest import (
+    BATTERY,
+    FIELD_SIZES,
+    difference_rows,
+    clutters_over_fields,
+    multiplication_injective,
+    oracle_ci_classify,
+    oracle_delta_prime,
+    oracle_det_fraction,
+    oracle_phi_injective,
+    oracle_rank_fraction,
+    oracle_snf_minor_gcd,
+    uniform_clutters_over_fields,
+)
 from toriccode import (
     ci_classify,
+    enumerate_X,
+    field_from_q,
     incidence,
-    multiplication_injective,
     parse_clutter,
     rank_rational,
     smith_normal_form,
 )
-from toriccode.intlattice import phi_injective
-
-
-def _difference_rows(C):
-    V = np.array(C.vectors, dtype=object)
-    return [list(V[i] - V[0]) for i in range(1, len(V))]
+from toriccode.intlattice import difference_factors, incidence_rank, phi_injective
+from toriccode.mindist import delta_prime
 
 
 class TestRank:
@@ -71,25 +83,13 @@ class TestSmithNormalForm:
             M = rng.integers(-5, 6, size=(m, n))
             assert smith_normal_form(M).invariant_factors == oracle_snf_minor_gcd(M)
 
-    def test_transforms_reconstruct(self):
-        rng = np.random.default_rng(7)
-        for _ in range(30):
-            m, n = rng.integers(1, 5, size=2)
-            M = rng.integers(-9, 10, size=(m, n))
-            r = smith_normal_form(M, keep_transforms=True)
-            U, V = np.array(r.U, dtype=object), np.array(r.V, dtype=object)
-            D = np.array(r.diagonal(), dtype=object)
-            assert np.array_equal(U @ D @ V, np.array(M, dtype=object))
-            assert abs(oracle_det_fraction(U)) == 1
-            assert abs(oracle_det_fraction(V)) == 1
-
     def test_zero_matrix(self):
         r = smith_normal_form(np.zeros((2, 3), dtype=np.int64))
         assert r.invariant_factors == []
         assert r.rank == 0
 
     def test_triangle_difference_lattice_is_primitive(self, triangle):
-        rows = _difference_rows(triangle)
+        rows = difference_rows(triangle)
         assert smith_normal_form(rows).invariant_factors == [1, 1]
         assert oracle_snf_minor_gcd(rows) == [1, 1]
 
@@ -148,3 +148,59 @@ class TestCiClassify:
     def test_phi_injective_helper(self, triangle):
         assert phi_injective(triangle, 3) is True
         assert phi_injective(triangle, 9) is True
+
+
+def _verdict(rep):
+    return rep.applicable, rep.is_ci, rep.vectors_independent, rep.phi_injective
+
+
+def _check_lattice_facts(C, q):
+    # the memoized Smith form and rank against a fresh route for each of
+    # the CI verdict, phi and delta'_d
+    assert _verdict(ci_classify(C, q)) == oracle_ci_classify(C, q)
+    assert phi_injective(C, q) == oracle_phi_injective(C, q)
+    X = enumerate_X(C, field_from_q(q))
+    for d in (1, 2, 3):
+        assert delta_prime(C, X, d) == oracle_delta_prime(C, q, d)
+
+
+# uniform, with independent edge vectors and a difference lattice with
+# torsion (Smith factors end in 2): phi fails for odd q
+TWO_TRIANGLES = parse_clutter(
+    {"n": 6, "edges": [[1, 2], [2, 3], [1, 3], [4, 5], [5, 6], [4, 6]]}
+)
+TRIPLES = parse_clutter(
+    {"n": 6, "edges": [[3, 5, 6], [1, 4, 5], [1, 3, 4], [1, 2, 3], [2, 4, 6]]}
+)
+
+
+class TestLatticeFacts:
+    @pytest.mark.parametrize("name", sorted(BATTERY))
+    @pytest.mark.parametrize("q", FIELD_SIZES)
+    def test_battery_matches_oracle(self, name, q):
+        _check_lattice_facts(BATTERY[name], q)
+
+    @pytest.mark.parametrize("C", [TWO_TRIANGLES, TRIPLES], ids=["two_triangles", "triples"])
+    def test_torsion_reaches_phi(self, C):
+        assert difference_factors(C)[-1] == 2 and incidence_rank(C) == C.s
+        for q in (3, 4, 5, 9):
+            rep = ci_classify(C, q)
+            assert rep.vectors_independent and rep.phi_injective == (q % 2 == 0)
+            assert rep.is_ci == rep.phi_injective
+            _check_lattice_facts(C, q)
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+    )
+    @given(
+        st.one_of(
+            clutters_over_fields(max_torus=4096),
+            uniform_clutters_over_fields(max_torus=4096),
+        )
+    )
+    def test_random_clutters_match_oracle(self, case):
+        _check_lattice_facts(*case)
+

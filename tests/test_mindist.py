@@ -9,7 +9,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import BATTERY, clutters_over_fields, oracle_min_weight, oracle_one_form_isd
+from conftest import (
+    BATTERY,
+    clutters_over_fields,
+    oracle_min_weight,
+    oracle_one_form_isd,
+    row_space_contains,
+)
 from toriccode import (
     BudgetExceededError,
     code,
@@ -26,7 +32,7 @@ from toriccode import (
     torus_distance,
 )
 from toriccode import mindist
-from toriccode._linalg import row_space_contains, rref
+from toriccode._linalg import rref
 from toriccode.eval_code import LinearCode, _hilbert_counts
 
 
@@ -160,23 +166,23 @@ class TestDistanceReport:
     def test_torus_uses_formula(self, triangle):
         F = make_field(3, 2)
         X = enumerate_X(triangle, F)
-        rep = distance_report(triangle, F, 5, method="auto", X=X)
+        rep = distance_report(triangle, X, 5, method="auto")
         assert rep["delta"] == 24
         assert rep["delta_method"] == "formula" and rep["delta_exact"]
         assert rep["equals_torus"] is True
         assert rep["delta_prime"] == 24
 
     def test_non_torus_auto_small_uses_bruteforce(self, k4):
-        F = make_field(3, 1)
-        rep = distance_report(k4, F, 1, method="auto")
+        X = enumerate_X(k4, make_field(3, 1))
+        rep = distance_report(k4, X, 1, method="auto")
         assert rep["delta"] == 2
         assert rep["delta_method"] == "bruteforce"
         assert rep["delta_prime"] == 4
         assert rep["singleton"] == 3
 
     def test_forced_formula_on_non_torus_is_bound_only(self, k4):
-        F = make_field(3, 1)
-        rep = distance_report(k4, F, 1, method="formula")
+        X = enumerate_X(k4, make_field(3, 1))
+        rep = distance_report(k4, X, 1, method="formula")
         assert rep["delta"] == 4 and rep["delta_exact"] is False
         assert rep["delta_method"] == "bound-only"
 
@@ -184,21 +190,22 @@ class TestDistanceReport:
         # P3 is a tree: rank(A) = n - 1, X = torus though, so formula applies
         C = parse_clutter({"n": 3, "edges": [[1, 2], [2, 3]]})
         F = make_field(3, 1)
-        rep = distance_report(C, F, 1, method="formula")
+        rep = distance_report(C, enumerate_X(C, F), 1, method="formula")
         assert rep["delta_exact"] is True  # torus route
         # non-uniform, non-torus: no formula route at all
         C2 = parse_clutter(
             {"n": 5, "edges": [[1, 2], [2, 3], [3, 4], [1, 4], [5]]}
         )
-        from toriccode import enumerate_X as enum, equals_torus as eqt
+        from toriccode import equals_torus
 
-        assert not eqt(enum(C2, F))
+        X2 = enumerate_X(C2, F)
+        assert not equals_torus(X2)
         with pytest.raises(ValueError):
-            distance_report(C2, F, 1, method="formula")
+            distance_report(C2, X2, 1, method="formula")
 
     def test_bad_method(self, k4):
         with pytest.raises(ValueError):
-            distance_report(k4, make_field(3, 1), 1, method="magic")
+            distance_report(k4, enumerate_X(k4, make_field(3, 1)), 1, method="magic")
 
 
 def _translate(X, G, i):
@@ -445,7 +452,7 @@ class TestMinDistance:
         assert (r.value, r.method, r.exact) == (1, "formula", True)
 
     def test_regularity_shortcut(self, k4):
-        rep = distance_report(k4, make_field(3, 1), 2)
+        rep = distance_report(k4, enumerate_X(k4, make_field(3, 1)), 2)
         assert rep["delta"] == 1 and rep["delta_method"] == "regularity"
         assert rep["delta_exact"] and rep["delta_one_shortcut"]
 
