@@ -15,7 +15,7 @@ import sys
 
 from .clutter import ClutterError, load_clutter
 from .errors import BudgetExceededError
-from .eval_code import _hilbert_counts
+from .eval_code import StandardWalk
 from .finite_field import FiniteField, field_from_q, make_field
 from .intlattice import ci_classify
 from .mindist import (
@@ -124,26 +124,27 @@ def _enum_budget(args) -> int:
 def _resolve_inputs(args, points: bool = True):
     """(C, F, X), C being None for --torus.  With points=False the third
     item is |X| from its closed form, and no point is built.  Either way
-    BudgetExceededError is raised when |X| > --budget."""
+    |X| is read from the closed form first, and BudgetExceededError is
+    raised when it exceeds --budget, before any point is built."""
     F = _resolve_field(args)
     budget = _enum_budget(args)
     if args.torus is not None:
         if args.torus < 2:
             raise _InputError("--torus needs S >= 2")
-        if points:
-            return None, F, projective_torus(args.torus, F, budget=budget)
         C, size = None, (F.q - 1) ** (args.torus - 1)
     else:
         try:
             C = load_clutter(args.clutter)
         except OSError as exc:
             raise _InputError(f"cannot read clutter file: {exc}")
-        if points:
-            return C, F, enumerate_X(C, F, budget=budget)
         size = size_of_X(C, F.q)
     if size > budget:
         raise BudgetExceededError(f"|X| = {size} points > budget {budget}")
-    return C, F, size
+    if not points:
+        return C, F, size
+    if C is None:
+        return None, F, projective_torus(args.torus, F, budget=budget)
+    return C, F, enumerate_X(C, F, budget=budget)
 
 
 def _class_budget(args) -> int:
@@ -159,11 +160,11 @@ def _time_budget(args):
     return float(env) if env else None
 
 
-def _delta_for(args, C, X, d, reg):
+def _delta_for(args, C, X, d, reg, walk):
     """(DistanceResult, delta_prime) for one degree."""
     prime = delta_prime(C, X, d)
     res = min_distance(
-        X, d, reg, args.method, prime, _class_budget(args), _time_budget(args)
+        X, d, reg, args.method, prime, _class_budget(args), _time_budget(args), walk
     )
     return res, prime
 
@@ -177,7 +178,10 @@ def _delta_text(report) -> str:
 
 def _cmd_params(args) -> int:
     C, F, X = _resolve_inputs(args)
-    counts = _hilbert_counts(X)
+    # one walk to the regularity, and at most one more that the searches
+    # advance degree by degree
+    walk = StandardWalk(X)
+    counts = walk.hilbert_counts()
     reg = len(counts) - 1
     if args.d is not None:
         dmin = dmax = args.d
@@ -193,7 +197,7 @@ def _cmd_params(args) -> int:
         raise _InputError(f"bad degree range [{dmin}, {dmax}]")
     rows = []
     for d in range(dmin, dmax + 1):
-        res, prime = _delta_for(args, C, X, d, reg)
+        res, prime = _delta_for(args, C, X, d, reg, walk)
         dim = counts[min(d, reg)]
         rows.append(
             {

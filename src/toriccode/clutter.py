@@ -52,7 +52,8 @@ class IncidenceMatrix:
         A = self.A
         if A.ndim != 2 or not np.isin(A, (0, 1)).all():
             raise ClutterError("incidence entries must be 0/1")
-        if np.unique(A, axis=1).shape[1] != A.shape[1]:
+        # a set of column tuples: np.unique(axis=) imports numpy.ma
+        if len({tuple(col) for col in A.T.tolist()}) != A.shape[1]:
             raise ClutterError("incidence columns must be distinct")
 
 

@@ -112,16 +112,60 @@ def _walk(X: ToricSet):
     return standard_walk(X.gens, q - 1, (q - 2) * (X.s - 1) + 1)
 
 
-def _standard(X: ToricSet, d: int) -> np.ndarray:
-    """Delta_d, or Delta_r for d past the regularity r: its size |X| is
-    H_X(d) from r on (t1 has the zero key), and the walk is not continued."""
-    for e, (std, _, _) in enumerate(_walk(X)):
-        if e == d or len(std) == len(X):
-            return std
+class StandardWalk:
+    """The standard monomials of X, degree by degree, from one walk that
+    starts on the first request and only moves forward.
+
+    `standard(d)` walks on to degree d and keeps Delta_d; `hilbert_counts`
+    walks on to the regularity.  A caller that asks for ascending degrees
+    and then for the counts makes one walk.  A degree the walk has passed,
+    other than the one last asked for, starts a new walk, which serves the
+    ascending degrees after it.  At most two Delta are held: O(|X| s)
+    integers.
+    """
+
+    def __init__(self, X: ToricSet):
+        self.X = X
+        self._steps = None  # the running standard_walk
+        self._counts: list[int] = []  # H_X(0), ..., H_X(e) of the degrees passed
+        self._std = None  # Delta_e
+        self._kept = None  # (d, Delta_d) of the degree last asked for
+
+    def _regular(self) -> bool:
+        return bool(self._counts) and self._counts[-1] == len(self.X)
+
+    def _step(self):
+        if self._steps is None:
+            self._steps = _walk(self.X)
+        step = next(self._steps, None)
+        if step is None:
+            raise AssertionError("Hilbert function failed to reach |X| by (q-2)(s-1)")
+        self._std = step[0]
+        self._counts.append(len(self._std))
+
+    def standard(self, d: int) -> np.ndarray:
+        """Delta_d, or Delta_r for d past the regularity r: its size |X| is
+        H_X(d) from r on (t1 has the zero key), and the walk is not
+        continued."""
+        if self._kept is not None and self._kept[0] == d:
+            return self._kept[1]
+        if d < len(self._counts) - 1:
+            self._steps, self._counts = None, []
+        while len(self._counts) <= d and not self._regular():
+            self._step()
+        self._kept = (d, self._std)
+        return self._std
+
+    def hilbert_counts(self) -> list[int]:
+        """[H_X(0), ..., H_X(r)] through the regularity r <= (q-2)(s-1)."""
+        while not self._regular():
+            self._step()
+        return list(self._counts)
 
 
-def code(X: ToricSet, d: int) -> LinearCode:
-    """The parameterized code C_X(d) with its canonical generator matrix.
+def code(X: ToricSet, d: int, walk: StandardWalk | None = None) -> LinearCode:
+    """The parameterized code C_X(d) with its canonical generator matrix,
+    from Delta_d of `walk` (a StandardWalk of X) or of a walk of its own.
 
     The code is transitive: x in X moves the point p to x*p, which
     permutes the coordinates regularly and only rescales the evaluation row
@@ -129,7 +173,7 @@ def code(X: ToricSet, d: int) -> LinearCode:
     """
     if d < 1:
         raise ValueError("need d >= 1")
-    std = _standard(X, d)
+    std = (walk or StandardWalk(X)).standard(d)
     if len(std) == len(X):
         # d >= regularity: the code is all of GF(q)^|X|, whose RREF basis
         # is the identity; elimination would cost O(|X|^3)
@@ -152,17 +196,12 @@ def hilbert_function(X: ToricSet, d: int) -> int:
     """H_X(d) = dim of the degree-d piece of the homogeneous coordinate ring."""
     if d < 0:
         raise ValueError("need d >= 0")
-    return len(_standard(X, d))
+    return len(StandardWalk(X).standard(d))
 
 
 def _hilbert_counts(X: ToricSet) -> list[int]:
     """[H_X(0), ..., H_X(r)] through the regularity r <= (q-2)(s-1)."""
-    counts = []
-    for std, _, _ in _walk(X):
-        counts.append(len(std))
-        if counts[-1] == len(X):
-            return counts
-    raise AssertionError("Hilbert function failed to reach |X| by (q-2)(s-1)")
+    return StandardWalk(X).hilbert_counts()
 
 
 def regularity(X: ToricSet) -> int:

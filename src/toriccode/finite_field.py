@@ -12,6 +12,16 @@ encoding are the coordinates in the power basis 1, x, ..., x^(k-1).
 Besides scalar elements the field exposes vectorized kernels (add, mul,
 inv, ...) that act on numpy arrays of encodings; the rest of the package
 does its linear algebra through these.
+
+For many additions in a row there is a packed form (`pack`, `add_packed`,
+`unpack`).  Each base-p digit sits in its own field of b+1 bits,
+b = bit_length(2p-2), of one unsigned word; in characteristic 2 a digit
+takes one bit and the word is the encoding.  A digit sum is at most
+2p-2 < 2^b, so adding two words adds every digit without a carry into the
+next field; adding 2^b - p to each field then sets its top bit exactly
+where the digit sum reached p, and that bit, shifted down and times p, is
+what to subtract.  Packing is one-to-one and maps 0 to 0, so two elements
+are equal, or one is zero, exactly when their words are.
 """
 
 from __future__ import annotations
@@ -138,6 +148,7 @@ class FiniteField:
         self._add_table = self._mul_table = None
         if q <= _TABLE_LIMIT:
             self._build_tables()
+        self._build_packing()
 
     # -- construction-time scalar arithmetic (slow, exact) --
 
@@ -184,6 +195,28 @@ class FiniteField:
         nz = np.arange(1, q, dtype=np.int64)
         inv[1:] = self.exp[(self.q - 1 - self.log[nz]) % (self.q - 1)]
         self._inv_table = inv
+
+    def _build_packing(self):
+        p, k = self.p, self.k
+        width = 1 if p == 2 else (2 * p - 2).bit_length() + 1
+        self.packed_dtype = next(
+            np.dtype(t) for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+            if np.dtype(t).itemsize * 8 >= k * width
+        )
+        shifts = width * np.arange(k, dtype=np.uint64)
+        self._shifts = shifts.astype(self.packed_dtype)
+        self._pack_table = (
+            (self._digits.astype(np.uint64) << shifts).sum(axis=1).astype(self.packed_dtype)
+        )
+        if p == 2:
+            return
+        word = self.packed_dtype.type
+        ones = sum(1 << int(t) for t in shifts)
+        self._top = word(width - 1)  # b, the top bit of a field
+        self._ones = word(ones)  # bit 0 of every field
+        self._guard = word((2 ** (width - 1) - p) * ones)  # 2^b - p in every field
+        self._digit_mask = word(2 ** width - 1)
+        self._p_word = word(p)
 
     # -- formula kernels (any q) --
 
@@ -273,6 +306,34 @@ class FiniteField:
             return (a.astype(np.int64).sum(axis=axis) % self.p).astype(self.dtype)
         d = self._digits[a].sum(axis=axis) % self.p
         return (d @ self._pows).astype(self.dtype)
+
+    # -- packed form (see the module docstring) --
+
+    def pack(self, a):
+        """The packed words, of dtype packed_dtype, of encodings a."""
+        return self._pack_table[a]
+
+    def add_packed(self, x, y):
+        """Field sum of packed words, packed."""
+        if self.p == 2:
+            return np.bitwise_xor(x, y)
+        s = np.add(x, y)
+        fix = np.add(s, self._guard)
+        fix >>= self._top
+        fix &= self._ones
+        fix *= self._p_word
+        s -= fix
+        return s
+
+    def unpack(self, x):
+        """The encodings of packed words x."""
+        x = np.asarray(x, dtype=self.packed_dtype)
+        if self.p == 2:
+            return x.astype(self.dtype)
+        enc = np.zeros(x.shape, dtype=np.int64)
+        for shift, weight in zip(self._shifts, self._pows):
+            enc += ((x >> shift) & self._digit_mask).astype(np.int64) * weight
+        return enc.astype(self.dtype)
 
     # -- elements and serialization --
 

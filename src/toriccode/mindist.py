@@ -20,13 +20,16 @@ structure (`LinearCode.transitive` false) is searched Brouwer-Zimmermann
 style, on systematic forms over disjoint information sets with the bound
 sum_j max(0, w+1 - deficit_j).
 
-Both searches weigh words by comparison, not field arithmetic:
-wt(a + c*r) = #{j : a_j != (-c*r)_j}.  They share the table
-S[u, i] = g^u * row_i of every unit multiple of every row, built once per
-generator matrix.  Brute force compares each head word with the
-whole span of the tail rows at once; information-set search compares the
-sum of w-1 scaled rows with the negated unit multiples of the w-th.  Apart
-from S and tables of its size made from it, no array either search
+Both searches run on the packed words of `FiniteField.pack`: they share
+the table S[u, i] = pack(g^u * row_i) of every unit multiple of every row,
+built once per generator matrix, add with `FiniteField.add_packed`, and
+unpack only the witness.  They weigh words by comparison, not field
+arithmetic: wt(a - b) = #{j : a_j != b_j}.  The span of some rows is closed
+under negation, and so is the set of unit multiples of one row, so
+comparing a with every word b of such a set weighs every a + b as well.
+Brute force compares each head word with the whole span of the tail rows
+at once; information-set search compares the sum of w-1 scaled rows with
+the unit multiples of the w-th.  Apart from S, no array either search
 allocates exceeds max(_CELL_CAP, (q-1)n) cells.
 """
 
@@ -41,7 +44,7 @@ import numpy as np
 from . import _linalg
 from .clutter import Clutter, uniformity
 from .errors import BudgetExceededError
-from .eval_code import LinearCode, _hilbert_counts, code
+from .eval_code import LinearCode, StandardWalk, code
 from .finite_field import FiniteField
 from .intlattice import incidence_rank
 from .toric_set import ToricSet, equals_torus
@@ -72,18 +75,29 @@ class DistanceResult:
 
 
 def _scaled_rows(F: FiniteField, G: np.ndarray) -> np.ndarray:
-    """S[u, i] = g^u * G[i] for every unit g^u, shape (q-1, k, n)."""
-    return F.mul(F.exp[:, None, None], G[None, :, :])
+    """S[u, i] = pack(g^u * G[i]) for every unit g^u, shape (q-1, k, n)."""
+    return F.pack(F.mul(F.exp[:, None, None], G[None, :, :]))
+
+
+def _weights(a: np.ndarray, b: np.ndarray, axis: int) -> np.ndarray:
+    """wt(a - b) along axis: the places where the words differ, for packed
+    words and encodings alike."""
+    return (a != b).sum(axis=axis, dtype=np.int32)
 
 
 def _span(F: FiniteField, S: np.ndarray) -> np.ndarray:
-    """All q^m combinations of the m rows that S (q-1, m, n) scales, one per
-    row of the result, the zero word first."""
+    """All q^m combinations of the m rows that S (q-1, m, n) scales, packed,
+    one per row of the result, the zero word first."""
     n = S.shape[2]
-    B = np.zeros((1, n), dtype=F.dtype)
+    B = np.zeros((1, n), dtype=S.dtype)
     for i in range(S.shape[1]):
-        B = np.concatenate([B, F.add(S[:, i, None, :], B[None]).reshape(-1, n)])
+        B = np.concatenate([B, F.add_packed(S[:, i, None, :], B[None]).reshape(-1, n)])
     return B
+
+
+def _difference(F: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a - b for packed words, as encodings."""
+    return F.sub(F.unpack(a), F.unpack(b))
 
 
 def min_distance_bruteforce(
@@ -96,10 +110,11 @@ def min_distance_bruteforce(
     The message splits into head and tail coordinates.  The span B of the
     last k2 rows is built once, k2 < k as large as q^k2 * n <= _CELL_CAP
     allows.  Each head word a (first nonzero coefficient 1) is weighed
-    against all of B at once: wt(a + b) = #{j : a_j != -b_j}.  The nonzero
-    rows of B are the words with a zero head.  The time budget is checked
-    before each block of head words; on expiry the lightest codeword so far
-    is returned with exact=False and lower 1.
+    against all of B at once: as b runs over B so does -b, and
+    wt(a - b) = #{j : a_j != b_j}.  The nonzero rows of B are the words
+    with a zero head.  The time budget is checked before each block of head
+    words; on expiry the lightest codeword so far is returned with
+    exact=False and lower 1.
     """
     F = C.field
     q = F.q
@@ -118,13 +133,12 @@ def min_distance_bruteforce(
         k2 += 1
     k1 = k - k2
     B = _span(F, S[:, k1:])
-    neg_B = F.neg(B)
     best, witness = None, None
     if k2:
-        weights = np.count_nonzero(B[1:], axis=1)
+        weights = _weights(B[1:], 0, axis=1)
         i = int(np.argmin(weights))
-        best, witness = int(weights[i]), B[1 + i]
-    Z = np.zeros((q, k, n), dtype=F.dtype)  # Z[c, i] = c * G[i], c an encoding
+        best, witness = int(weights[i]), F.unpack(B[1 + i])
+    Z = np.zeros((q, k, n), dtype=S.dtype)  # Z[c, i] = pack(c * G[i]), c an encoding
     Z[F.exp] = S
     block = max(1, _CELL_CAP // (len(B) * n))
     for pivot in range(k1):
@@ -139,13 +153,13 @@ def min_distance_bruteforce(
                 return DistanceResult(best, "bruteforce", exact=False, witness=witness)
             ids = np.arange(first, min(first + block, q ** free), dtype=np.int64)
             digits = (ids[:, None] // radix[None, :]) % q
-            heads = np.broadcast_to(C.generator[pivot], (ids.size, n))
+            heads = np.broadcast_to(S[0, pivot], (ids.size, n))
             for j in range(free):
-                heads = F.add(heads, Z[digits[:, j], pivot + 1 + j])
-            weights = np.count_nonzero(heads[:, None, :] != neg_B[None], axis=2)
+                heads = F.add_packed(heads, Z[digits[:, j], pivot + 1 + j])
+            weights = _weights(heads[:, None, :], B[None], axis=2)
             h, t = divmod(int(np.argmin(weights)), len(B))
             if best is None or weights[h, t] < best:
-                best, witness = int(weights[h, t]), F.add(heads[h], B[t])
+                best, witness = int(weights[h, t]), _difference(F, heads[h], B[t])
     return DistanceResult(value=best, method="bruteforce", exact=True, witness=witness)
 
 
@@ -182,9 +196,9 @@ def min_distance_isd(
     Brouwer-Zimmermann forms and bound.  A message is w rows with
     coefficients, the first 1: the first w-1 scaled rows are gathered from
     S and added, and the last is weighed against every unit at once by
-    comparison with -S.  Stops as soon as the bound after weight w reaches
-    the lightest codeword seen, which starts as the lightest row of the
-    first form.  On time budget exhaustion that weight is returned with
+    comparison with its unit multiples in S.  Stops as soon as the bound
+    after weight w reaches the lightest codeword seen, which starts as the
+    lightest row of the first form.  On time budget exhaustion that weight is returned with
     exact=False, and `lower` is the bound after the last completed weight.
     """
     F = C.field
@@ -203,11 +217,11 @@ def min_distance_isd(
         def bound(w):
             return sum(max(0, w + 1 - d) for d in deficits)
 
-    tables = [(S, F.neg(S)) for S in (_scaled_rows(F, G_sys) for G_sys in forms)]
+    tables = [_scaled_rows(F, G_sys) for G_sys in forms]
     units = F.q - 1
     # a systematic row has at most n-k+1 nonzeros: the lightest one bounds
     # delta before any message is weighed
-    row_weights = np.count_nonzero(forms[0], axis=1)
+    row_weights = _weights(forms[0], 0, axis=1)
     upper = int(row_weights.min())
     witness = forms[0][int(np.argmin(row_weights))]
     for w in range(1, k + 1):
@@ -219,14 +233,14 @@ def min_distance_isd(
         per_support = last.size * n
         pattern_block = min(middles, max(1, _CELL_CAP // per_support))
         support_block = max(1, _CELL_CAP // (pattern_block * per_support))
-        for S, neg_S in tables:
+        for S in tables:
             combos = combinations(range(k), w)
             while True:
                 batch = list(islice(combos, support_block))
                 if not batch:
                     break
                 sel = np.array(batch, dtype=np.int64)  # (b, w) row indices
-                neg_last = neg_S[last[None, :], sel[:, -1, None]]  # (b, L, n)
+                lasts = S[last[None, :], sel[:, -1, None]]  # (b, L, n)
                 for first in range(0, middles, pattern_block):
                     if time_budget is not None and time.monotonic() - start > time_budget:
                         return DistanceResult(
@@ -239,20 +253,20 @@ def min_distance_isd(
                     ids = np.arange(first, min(first + pattern_block, middles), dtype=np.int64)
                     mid = (ids[:, None] // radix[None, :]) % units  # (P, w-2)
                     if w == 1:
-                        partial = np.zeros((sel.shape[0], 1, n), dtype=F.dtype)
+                        partial = np.zeros((sel.shape[0], 1, n), dtype=S.dtype)
                     else:
                         partial = np.broadcast_to(
                             S[0, sel[:, 0]][:, None, :], (sel.shape[0], ids.size, n)
                         )
                     for t in range(1, w - 1):
-                        partial = F.add(partial, S[mid[None, :, t - 1], sel[:, t, None]])
-                    weights = np.count_nonzero(
-                        partial[:, :, None, :] != neg_last[:, None], axis=3
-                    )  # (b, P, L)
+                        partial = F.add_packed(
+                            partial, S[mid[None, :, t - 1], sel[:, t, None]]
+                        )
+                    weights = _weights(partial[:, :, None, :], lasts[:, None], axis=3)
                     bi, pi, li = np.unravel_index(int(np.argmin(weights)), weights.shape)
                     if weights[bi, pi, li] < upper:
                         upper = int(weights[bi, pi, li])
-                        witness = F.add(partial[bi, pi], S[last[li], sel[bi, -1]])
+                        witness = _difference(F, partial[bi, pi], lasts[bi, li])
         if bound(w) >= upper:
             break
     return DistanceResult(value=upper, method="isd", exact=True, witness=witness)
@@ -296,6 +310,7 @@ def min_distance(
     prime: int | None = None,
     class_budget: int = DEFAULT_CLASS_BUDGET,
     time_budget: float | None = None,
+    walk: StandardWalk | None = None,
 ) -> DistanceResult:
     """delta_d of C_X(d) by `method`, for X of regularity reg.
 
@@ -303,6 +318,8 @@ def min_distance(
     for d >= reg, where the code is all of GF(q)^|X|; brute force within
     the class budget; information-set search.  formula is the torus formula
     when X is the torus, else `prime` (delta'_d) as an upper bound only.
+    A search builds the code from Delta_d of `walk`, a StandardWalk of X
+    the caller holds, or of a walk of its own.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -319,7 +336,7 @@ def min_distance(
         return DistanceResult(prime, "bound-only", exact=False)
     if method == "auto" and d >= reg:
         return DistanceResult(1, "regularity", exact=True)
-    cd = code(X, d)
+    cd = code(X, d, walk)
     if method == "auto":
         classes = (q ** cd.dimension - 1) // (q - 1)
         method = "bruteforce" if classes <= class_budget else "isd"
@@ -338,12 +355,15 @@ def distance_report(
 ) -> dict:
     """Assemble delta_d together with every applicable bound for one degree.
 
-    X is the set of C, or the projective torus when C is None."""
-    counts = _hilbert_counts(X)
+    X is the set of C, or the projective torus when C is None.  One walk
+    gives the Hilbert function and, kept on the way, Delta_d for a search."""
+    walk = StandardWalk(X)
+    walk.standard(d)
+    counts = walk.hilbert_counts()
     reg = len(counts) - 1
     dim = counts[min(d, reg)]
     prime = delta_prime(C, X, d)
-    result = min_distance(X, d, reg, method, prime, class_budget, time_budget)
+    result = min_distance(X, d, reg, method, prime, class_budget, time_budget, walk)
     if C is None:
         note = "the torus formula"
     elif prime is not None:

@@ -2,8 +2,15 @@
 
 import argparse
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 import pytest
 
@@ -455,3 +462,102 @@ class TestLatticeFactsOnce:
         assert calls["smith_normal_form"] <= 1 and calls["rank_rational"] <= 1
         if command in ("ci", "profile"):
             assert calls["smith_normal_form"] == 1
+
+
+def _child_env():
+    """The environment of a child interpreter that imports this toriccode."""
+    import toriccode
+
+    src = os.path.dirname(os.path.dirname(toriccode.__file__))
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else ""),
+            "OPENBLAS_NUM_THREADS": "1"}
+
+
+class TestWalksPerJob:
+    """mindist walks the standard monomials once; a params table walks once
+    for H_X and the regularity, and at most once more for its searches."""
+
+    JOBS = [
+        (("mindist", "U6", "4", "--d", "1"), 1),
+        (("mindist", "K4", "5", "--d", "3", "--method", "isd"), 1),
+        (("mindist", "K4", "3", "--d", "5", "--method", "bruteforce"), 1),
+        (("mindist", "C5", "4", "--d", "2", "--method", "formula"), 1),
+        (("params", "K4", "5", "--method", "isd"), 2),
+        (("params", "K4", "5", "--method", "formula"), 1),
+        (("params", "K4", "5", "--dmin", "2", "--dmax", "3", "--method", "isd"), 2),
+        (("params", "K4", "3", "--full", "--method", "bruteforce"), 2),
+        (("params", "K4", "3", "--dmin", "3", "--dmax", "4", "--method", "isd"), 1),
+    ]
+
+    @pytest.mark.parametrize(
+        "job,walks", JOBS, ids=[f"{'-'.join(job[:3])}-{i}" for i, (job, _) in enumerate(JOBS)]
+    )
+    def test_walk_count(self, run, tmp_path, monkeypatch, job, walks):
+        from toriccode import eval_code
+
+        command, name, q, *rest = job
+        f = tmp_path / f"{name}.json"
+        f.write_text(json.dumps(BATTERY_DOCS[name]))
+        argv = (command, "--clutter", str(f), "--q", q, "--format", "json", *rest)
+        plain = run(*argv)
+        calls = []
+        original = eval_code.standard_walk
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(eval_code, "standard_walk", counted)
+        assert run(*argv) == plain and plain[0] == EXIT_OK
+        assert len(calls) == walks
+
+
+def test_no_numpy_ma_import(tmp_path):
+    """No subcommand imports numpy.ma (np.unique with axis= would)."""
+    f = tmp_path / "c4.json"
+    f.write_text(json.dumps(BATTERY_DOCS["C4"]))
+    script = (
+        "import contextlib, io, sys\n"
+        "from toriccode.cli import main\n"
+        "for argv in sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv.split()) == 0, argv\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    common = f"--clutter {f} --q 5"
+    jobs = [f"ci {common}", f"profile {common}", f"params {common}",
+            f"mindist {common} --d 1 --method isd", f"groebner {common}"]
+    out = subprocess.run(
+        [sys.executable, "-c", script, *jobs], env=_child_env(),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
+def _limit_address_space():
+    # set in the child only, between fork and exec
+    resource.setrlimit(resource.RLIMIT_AS, (2_000_000 * 1024, 2_000_000 * 1024))
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+def test_budget_checked_before_points(tmp_path):
+    """K10 over GF(9) has 8^9 points, past the default budget: every
+    subcommand exits 3 with the message of ci, before building a point,
+    even where building them would exhaust a 2 GB address space."""
+    f = tmp_path / "k10.json"
+    edges = [[a, b] for a in range(1, 11) for b in range(a + 1, 11)]
+    f.write_text(json.dumps({"n": 10, "edges": edges}))
+    results = []
+    for command in (["ci"], ["params", "--method", "formula"], ["mindist", "--d", "1"],
+                    ["groebner"]):
+        out = subprocess.run(
+            [sys.executable, "-m", "toriccode", command[0], "--clutter", str(f), "--q", "9",
+             *command[1:]],
+            env=_child_env(), capture_output=True, text=True, timeout=120,
+            preexec_fn=_limit_address_space,
+        )
+        results.append((out.returncode, out.stdout, out.stderr))
+    message = "budget exhausted: |X| = 134217728 points > budget 100000000\n"
+    assert results == [(EXIT_BUDGET, "", message)] * 4

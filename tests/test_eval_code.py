@@ -17,7 +17,7 @@ from toriccode import (
     projective_torus,
     regularity,
 )
-from toriccode.eval_code import evaluate_rows, standard_walk
+from toriccode.eval_code import StandardWalk, evaluate_rows, standard_walk
 from toriccode.vanishing_ideal import _mono_str
 
 
@@ -130,6 +130,21 @@ class TestRegularityAndHVector:
 
 def _singleton(X, d):
     return len(X) - hilbert_function(X, d) + 1
+
+
+def test_standard_walk_in_any_order(k4):
+    """One StandardWalk asked for degrees in any order, around its counts,
+    gives what a walk from degree 0 to each degree gives."""
+    X = enumerate_X(k4, field_from_q(5))
+    fresh = {d: StandardWalk(X).standard(d) for d in range(8)}
+    walk = StandardWalk(X)
+    counts = None
+    for d in (2, 2, 3, 1, 7, 0, 4, 5, 5, 6):
+        if d == 4:
+            counts = walk.hilbert_counts()
+        assert np.array_equal(walk.standard(d), fresh[d])
+    assert counts == [len(fresh[d]) for d in range(len(counts))]
+    assert counts[-1] == len(X) and len(counts) - 1 == regularity(X)
 
 
 class TestSingleton:

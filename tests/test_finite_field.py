@@ -242,6 +242,63 @@ class TestKernels:
         assert list(F.sum_axis(M, axis=1)) == expect
 
 
+def _is_prime_power(q):
+    p = next(f for f in range(2, q + 1) if q % f == 0)
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
+class TestPackedForm:
+    """pack / add_packed / unpack: digits in fields of b+1 bits,
+    b = bit_length(2p-2), or the encoding itself in characteristic 2."""
+
+    @staticmethod
+    def _check_packing(F, a):
+        packed = F.pack(a)
+        assert packed.dtype == F.packed_dtype
+        assert np.array_equal(F.unpack(packed), a)
+        assert F.unpack(packed).dtype == F.dtype
+
+    @pytest.mark.parametrize("q", [q for q in range(3, 257) if _is_prime_power(q)])
+    def test_every_small_field_exhaustive(self, q):
+        """Every element and every pair; p = 131..251 has digit sums past
+        255, so its words are uint16."""
+        F = field_from_q(q)
+        elems = np.arange(q)
+        self._check_packing(F, elems)
+        packed = F.pack(elems)
+        assert packed[0] == 0 and len(np.unique(packed)) == q
+        a, b = (x.ravel() for x in np.meshgrid(elems, elems))
+        assert np.array_equal(F.add_packed(F.pack(a), F.pack(b)), F.pack(F.add(a, b)))
+        width = 1 if F.p == 2 else (2 * F.p - 2).bit_length() + 1
+        assert F.packed_dtype.itemsize * 8 >= F.k * width
+        assert F.packed_dtype.itemsize == 1 or F.packed_dtype.itemsize * 4 < F.k * width
+
+    @pytest.mark.parametrize("q", [3 ** 10, 5 ** 6, 65521, 2 ** 16])
+    def test_large_fields_sampled(self, q):
+        F = field_from_q(q)
+        elems = np.arange(q)
+        self._check_packing(F, elems)
+        packed = F.pack(elems)
+        assert packed[0] == 0 and len(np.unique(packed)) == q
+        rng = np.random.default_rng(q)
+        a = rng.integers(0, q, size=50_000)
+        b = rng.integers(0, q, size=50_000)
+        b[:1000] = (q - 1) - a[:1000]  # the digitwise complement: every digit sum p - 1
+        b[1000:2000] = a[1000:2000]
+        assert np.array_equal(F.add_packed(F.pack(a), F.pack(b)), F.pack(F.add(a, b)))
+
+    def test_scalars_and_broadcasting(self):
+        F = field_from_q(9)
+        x = F.pack(np.array(8))
+        assert F.unpack(F.add_packed(x, x)) == F.add(8, 8)
+        rows = F.pack(np.arange(9)[:, None])
+        cols = F.pack(np.arange(9)[None, :])
+        table = F.unpack(F.add_packed(rows, cols))
+        assert np.array_equal(table, F.add(np.arange(9)[:, None], np.arange(9)[None, :]))
+
+
 class TestElements:
     def test_repr_and_coeffs(self):
         F = make_field(3, 2)

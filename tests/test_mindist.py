@@ -334,7 +334,36 @@ def test_searches_in_small_blocks_match_exhaustive_weight(case):
         _check_searches(cd, _small_blocks)
 
 
-@pytest.mark.parametrize("q,k", [(3, 3), (3, 4), (4, 3)])
+@pytest.mark.parametrize("q", [9, 25, 27])
+def test_searches_over_odd_extension_fields(q):
+    """Packed words of two or three base-p digits: the code of the torus in
+    P^1 and random codes, each search under the normal cell cap and a small
+    one, against the exhaustive weight, with a codeword of that weight as
+    witness."""
+    F = field_from_q(q)
+    codes = [code(projective_torus(2, F), 1)]
+    rng = np.random.default_rng(q)
+    # from k = 3 on, brute force adds words in the span of the tail rows
+    for k, n in [(1, 5), (2, 6), (2, 12), (3, 5)]:
+        R, pivots = rref(F, rng.integers(0, q, size=(k, n)))
+        codes.append(LinearCode(
+            generator=R[: len(pivots)], length=n, dimension=len(pivots), d=1, field=F,
+            source="random",
+        ))
+    for cd in codes:
+        delta = oracle_min_weight(F, cd.generator)
+        R, pivots = rref(F, cd.generator)
+        for cap in (mindist._CELL_CAP, _small_blocks(q, cd.length)):
+            with mock.patch.object(mindist, "_CELL_CAP", cap):
+                results = [min_distance_bruteforce(cd), min_distance_isd(cd)]
+            for r in results:
+                assert r.exact and r.value == delta
+                assert r.witness.dtype == F.dtype
+                assert int(np.count_nonzero(r.witness)) == delta
+                assert row_space_contains(F, R, pivots, r.witness)
+
+
+@pytest.mark.parametrize("q,k", [(3, 3), (3, 4), (4, 3), (9, 3)])
 def test_every_class_can_be_the_unique_lightest(q, k):
     """For each projective message m, a code whose lightest class is m's
     alone, so that a search skipping any block of messages misses it.  Its
