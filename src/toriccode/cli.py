@@ -178,8 +178,7 @@ def _delta_text(report) -> str:
 
 def _cmd_params(args) -> int:
     C, F, X = _resolve_inputs(args)
-    # one walk to the regularity, and at most one more that the searches
-    # advance degree by degree
+    # one walk to the regularity serves the counts and every search
     walk = StandardWalk(X)
     counts = walk.hilbert_counts()
     reg = len(counts) - 1

@@ -8,19 +8,28 @@ On X the monomial t^e is the character with key e @ X.gens mod q-1, and
 distinct characters of a finite group are linearly independent (Artin).
 So two degree-d monomials agree on X exactly when their keys agree, I(X)
 is spanned by the binomials t^e - t^e' of equal keys, and the revlex-least
-monomial of each key is standard.  One walk (`standard_walk`) lists, degree
-by degree, the standard monomials Delta_d in ascending revlex, the new
-leading terms of the reduced revlex Groebner basis and their tails.  H_X(d)
-is |Delta_d|; the regularity, the h-vector, the rows behind C_X(d) and the
-basis in `vanishing_ideal` all come from it, with no field arithmetic.
-Only the generator matrix of C_X(d) is computed over GF(q), as the reduced
-row echelon form of the evaluations of Delta_d; RREF is unique for a row
-space, so the choice of monomials does not show in it.
+monomial of each key is standard.
+
+Every point of X has unit coordinates, so ts is a nonzerodivisor mod I(X),
+and in revlex then mod the initial ideal too (Bayer-Stillman): Delta_d,
+the standard monomials of degree d, is ts Delta_(d-1) together with N_d,
+those of degree d prime to ts, and h_d = |N_d|.  The N_d are the Artinian
+reduction of S/I(X); together they hold one monomial per character of X.
+One walk (`standard_walk`) lists them degree by degree, in ascending
+revlex, with the new leading terms of the reduced revlex Groebner basis
+(all prime to ts) and their tails.  H_X(d) is |N_0| + ... + |N_d|; the
+regularity, the h-vector, the rows behind C_X(d) and the basis in
+`vanishing_ideal` all come from it, with no field arithmetic.  Only the
+generator matrix of C_X(d) is computed over GF(q), as the reduced row
+echelon form of the evaluations of Delta_d; RREF is unique for a row space,
+so the choice of monomials does not show in it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import accumulate
 
 import numpy as np
 
@@ -29,50 +38,98 @@ from .finite_field import FiniteField
 from .toric_set import ToricSet
 
 
-def _rows(a: np.ndarray) -> np.ndarray:
-    """The rows of a 2-d array as opaque byte strings, one element each;
-    np.unique over them is several times faster than with axis=0."""
-    a = np.ascontiguousarray(a)
-    return a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel()
+def standard_walk(gens: np.ndarray, m: int, radices):
+    """Yield (N_d, leading_d) for d = 0, 1, ..., r+1, r the regularity.
 
+    The key of t^e is e @ gens mod m, labelled as in `ToricSet` by the
+    mixed radices of the columns of gens; the ideal is spanned by the
+    binomials of equal degree and key.  N_d holds the degree-d standard
+    monomials prime to ts, in ascending revlex.  leading_d() returns the
+    leading terms of degree d of the reduced revlex basis, in ascending
+    revlex, and, row by row, their tails: the standard monomial of the
+    same key; it reads only rows the walk has finished, so it may be called
+    after the walk has moved on.
 
-def standard_walk(gens: np.ndarray, m: int, max_degree: int):
-    """Yield (Delta_d, leads_d, tails_d) for d = 0, 1, ..., max_degree.
-
-    The key of t^e is e @ gens mod m, and the ideal is spanned by the
-    binomials of equal degree and key.  Delta_d holds the degree-d standard
-    monomials of its revlex Groebner basis, in ascending revlex, one per
-    key; leads_d the basis's leading terms of degree d, in ascending revlex,
-    and tails_d, row by row, the standard monomial of the same key.
-
-    Standard monomials form an order ideal, so the candidates of degree d
-    are Delta_(d-1) times t_1..t_s.  A candidate c lies outside the ideal
-    of the lower leading terms exactly when all its degree-(d-1) divisors
-    are standard, that is when c occurs nnz(c) times among the products.
-    Of those, the first in ascending revlex for its key is standard and
-    every later one is a leading term whose tail is that first one.  Rows
-    are sorted as the bytes of top - e[::-1] in big-endian words wide
-    enough for max_degree, which ascend as e does in revlex.
+    A monomial u of degree d prime to ts is standard when no degree-d
+    monomial of its key is divisible by ts, that is when no standard
+    monomial n of degree j < d has the key of u ts^(j-d), and u is the
+    least of its key in revlex.  So each standard monomial n owns the label
+    of key(n) - deg(n) key(ts), and u is standard when it is the first of
+    its such label in degree d and the label has no owner yet.  Candidates
+    are the products p t_i of p in N_(d-1) and i < s with i at least the
+    last variable of p: each monomial prime to ts arises once, from its
+    own parent, and taking the variables from the last down lists them in
+    ascending revlex.  A candidate p t_i that is not standard is a leading
+    term when each divisor (p / t_k) t_i, k < i, is standard, which two
+    tables of rows answer: n / t_k and n t_i for every standard n.  Its
+    tail is ts^(d-j) times the owner of its label, of degree j.  The walk
+    ends after the first empty N_d, at d = r+1.
     """
     s = gens.shape[0]
-    width = next(b for b in (1, 2, 4, 8) if 256 ** b > max_degree)
-    word = np.dtype(f">u{width}")
-    top = np.iinfo(word).max
-    std = np.zeros((1, s), dtype=np.int64)
-    yield std, std[:0], std[:0]
-    step = np.eye(s, dtype=np.int64)
-    for _ in range(max_degree):
-        cand = (std[:, None, :] + step[None, :, :]).reshape(-1, s)
-        flipped = (top - cand[:, ::-1]).astype(word)
-        _, index, hits = np.unique(_rows(flipped), return_index=True, return_counts=True)
-        cand = cand[index[hits == np.count_nonzero(cand[index], axis=1)]]
-        _, first, group = np.unique(
-            _rows((cand @ gens) % m), return_index=True, return_inverse=True
-        )
-        standard = np.zeros(len(cand), dtype=bool)
-        standard[first] = True
-        std = cand[standard]
-        yield std, cand[~standard], cand[first[group[~standard]]]
+    kept = [j for j, r in enumerate(radices) if r > 1]
+    radix = np.array([radices[j] for j in kept], dtype=np.int64)
+    size = int(np.prod(radix))
+    unit = m // radix  # digit j of a key k is k_j // unit_j
+    weight = np.cumprod(np.concatenate(([1], radix)))[:-1]
+    cols = np.asarray(gens, dtype=np.int64)[:, kept] % m
+    step = (cols[:-1] - cols[-1]) % m  # key(u t_i / ts) - key(u)
+
+    owner = np.full(size, -1, dtype=np.int64)  # label -> row
+    first = np.full(size, size * s, dtype=np.int64)  # label -> first candidate, within a degree
+    rows = np.zeros((size, s), dtype=np.int64)  # N_0, N_1, ... one after another
+    keys = np.zeros((size, len(kept)), dtype=np.int64)  # label keys of the rows
+    last = np.zeros(size, dtype=np.int64)  # last variable of each row (0 for 1)
+    child = np.full((size, s - 1), -1, dtype=np.int64)  # row of n t_i, if standard
+    divisor = np.full((size, s - 1), -1, dtype=np.int64)  # row of n / t_k, if any
+    starts = [0, 1]  # N_d is rows[starts[d]:starts[d + 1]]
+    owner[0] = 0
+    descending = np.arange(s - 2, -1, -1)[:, None]
+
+    def leading(d, parent, var, label, standard):
+        other = np.flatnonzero(~standard)
+        below = divisor[parent[other]]  # the rows p / t_k
+        proper = (below < 0) | (child[below, var[other, None]] >= 0)
+        lead = other[proper.all(axis=1)]
+        leads = rows[parent[lead]]
+        leads[np.arange(len(lead)), var[lead]] += 1
+        o = owner[label[lead]]
+        tails = rows[o]
+        tails[:, -1] += d - (np.searchsorted(starts, o, side="right") - 1)
+        return leads, tails
+
+    yield rows[:1], lambda: (rows[:0], rows[:0])
+    d = 0
+    while starts[-1] > starts[-2]:
+        d += 1
+        lo, hi = starts[-2], starts[-1]
+        v, parent = np.nonzero(last[lo:hi] <= descending)
+        parent += lo
+        var = descending[v, 0]
+        key = (keys[parent] + step[var]) % m
+        label = (key // unit) @ weight
+        free = np.flatnonzero(owner[label] < 0)
+        np.minimum.at(first, label[free], free)
+        new = free[first[label[free]] == free]
+        first[label[free]] = size * s
+        standard = np.zeros(len(label), dtype=bool)
+        standard[new] = True
+
+        end = hi + len(new)
+        index = np.arange(hi, end)
+        p, i = parent[new], var[new]
+        rows[hi:end] = rows[p]
+        rows[index, i] += 1
+        keys[hi:end] = key[new]
+        last[hi:end] = i
+        owner[label[new]] = index
+        # (p / t_k) t_i is standard when p t_i is, since standard monomials
+        # are closed under division
+        below = divisor[p]
+        divisor[hi:end] = np.where(below < 0, -1, child[below, i[:, None]])
+        divisor[index, i] = p
+        child[p, i] = index
+        starts.append(end)
+        yield rows[hi:end], partial(leading, d, parent, var, label, standard)
 
 
 def evaluate_rows(X: ToricSet, E: np.ndarray) -> np.ndarray:
@@ -106,61 +163,55 @@ class LinearCode:
 
 
 def _walk(X: ToricSet):
-    """standard_walk over the keys of X, up to (q-2)(s-1)+1: one past the
-    bound on the regularity, the last degree of a reduced-basis element."""
-    q = X.field.q
-    return standard_walk(X.gens, q - 1, (q - 2) * (X.s - 1) + 1)
+    """standard_walk over the keys of X."""
+    return standard_walk(X.gens, X.field.q - 1, X.radices)
 
 
 class StandardWalk:
     """The standard monomials of X, degree by degree, from one walk that
     starts on the first request and only moves forward.
 
-    `standard(d)` walks on to degree d and keeps Delta_d; `hilbert_counts`
-    walks on to the regularity.  A caller that asks for ascending degrees
-    and then for the counts makes one walk.  A degree the walk has passed,
-    other than the one last asked for, starts a new walk, which serves the
-    ascending degrees after it.  At most two Delta are held: O(|X| s)
-    integers.
+    It keeps every N_d it passes, |X| monomials in all once it reaches
+    the regularity r, and assembles Delta_d = ts^d N_0, ts^(d-1) N_1, ...,
+    N_d on request; N_d is empty past r.  Any order of requests makes one
+    walk.
     """
 
     def __init__(self, X: ToricSet):
         self.X = X
         self._steps = None  # the running standard_walk
-        self._counts: list[int] = []  # H_X(0), ..., H_X(e) of the degrees passed
-        self._std = None  # Delta_e
-        self._kept = None  # (d, Delta_d) of the degree last asked for
+        self._artinian: list[np.ndarray] = []  # N_0, ..., N_e of the degrees passed
+        self._total = 0  # |N_0| + ... + |N_e|
 
-    def _regular(self) -> bool:
-        return bool(self._counts) and self._counts[-1] == len(self.X)
-
-    def _step(self):
+    def _walk_to(self, d: int) -> None:
+        """Walk on to degree d, or to the regularity if that comes first."""
         if self._steps is None:
             self._steps = _walk(self.X)
-        step = next(self._steps, None)
-        if step is None:
-            raise AssertionError("Hilbert function failed to reach |X| by (q-2)(s-1)")
-        self._std = step[0]
-        self._counts.append(len(self._std))
+        while len(self._artinian) <= d and self._total < len(self.X):
+            self._artinian.append(next(self._steps)[0])
+            self._total += len(self._artinian[-1])
 
     def standard(self, d: int) -> np.ndarray:
-        """Delta_d, or Delta_r for d past the regularity r: its size |X| is
-        H_X(d) from r on (t1 has the zero key), and the walk is not
-        continued."""
-        if self._kept is not None and self._kept[0] == d:
-            return self._kept[1]
-        if d < len(self._counts) - 1:
-            self._steps, self._counts = None, []
-        while len(self._counts) <= d and not self._regular():
-            self._step()
-        self._kept = (d, self._std)
-        return self._std
+        """Delta_d in ascending revlex."""
+        self._walk_to(d)
+        blocks = [N.copy() for N in self._artinian[: d + 1]]
+        for j, N in enumerate(blocks):
+            N[:, -1] += d - j
+        return np.concatenate(blocks)
+
+    def hilbert(self, d: int) -> int:
+        """H_X(d) = |N_0| + ... + |N_d|."""
+        self._walk_to(d)
+        return sum(len(N) for N in self._artinian[: d + 1])
+
+    def h_vector(self) -> list[int]:
+        """[h_0, ..., h_r] with h_d = |N_d|, through the regularity r."""
+        self._walk_to(len(self.X))  # r < |X|
+        return [len(N) for N in self._artinian]
 
     def hilbert_counts(self) -> list[int]:
         """[H_X(0), ..., H_X(r)] through the regularity r <= (q-2)(s-1)."""
-        while not self._regular():
-            self._step()
-        return list(self._counts)
+        return list(accumulate(self.h_vector()))
 
 
 def code(X: ToricSet, d: int, walk: StandardWalk | None = None) -> LinearCode:
@@ -196,21 +247,15 @@ def hilbert_function(X: ToricSet, d: int) -> int:
     """H_X(d) = dim of the degree-d piece of the homogeneous coordinate ring."""
     if d < 0:
         raise ValueError("need d >= 0")
-    return len(StandardWalk(X).standard(d))
-
-
-def _hilbert_counts(X: ToricSet) -> list[int]:
-    """[H_X(0), ..., H_X(r)] through the regularity r <= (q-2)(s-1)."""
-    return StandardWalk(X).hilbert_counts()
+    return StandardWalk(X).hilbert(d)
 
 
 def regularity(X: ToricSet) -> int:
     """Least d with H_X(d) = |X|; bounded above by (q-2)(s-1)."""
-    return len(_hilbert_counts(X)) - 1
+    return len(StandardWalk(X).h_vector()) - 1
 
 
 def h_vector(X: ToricSet) -> list[int]:
-    """First differences of H_X through the regularity; entries are positive
-    and sum to |X|."""
-    counts = _hilbert_counts(X)
-    return [counts[0]] + [b - a for a, b in zip(counts, counts[1:])]
+    """h_d = |N_d|, the standard monomials of degree d prime to ts, through
+    the regularity; entries are positive and sum to |X|."""
+    return StandardWalk(X).h_vector()

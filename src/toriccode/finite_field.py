@@ -128,20 +128,14 @@ class FiniteField:
         self.modulus = _first_irreducible(p, k)
         self.dtype = np.uint8 if q <= 256 else np.uint16
 
-        self._pows = np.array([p ** i for i in range(k)], dtype=np.int64)
-        self._digits = np.zeros((q, k), dtype=np.int64)
-        for e in range(q):
-            self._digits[e] = _digits_of(e, p, k)
+        self._pows = p ** np.arange(k, dtype=np.int64)
+        self._digits = np.arange(q, dtype=np.int64)[:, None] // self._pows % p
 
         prim = self._find_primitive()
-        self.exp = np.zeros(q - 1, dtype=self.dtype)
+        self.exp = self._powers(prim).astype(self.dtype)
         self.log = np.full(q, -1, dtype=np.int64)
-        e = 1
-        for i in range(q - 1):
-            self.exp[i] = e
-            self.log[e] = i
-            e = self._mul_enc(e, prim)
-        if e != 1:
+        self.log[self.exp] = np.arange(q - 1)
+        if (self.log[1:] < 0).any():
             raise AssertionError("primitive element order mismatch")
         self._primitive_enc = prim
 
@@ -165,6 +159,19 @@ class FiniteField:
         for i, c in enumerate(rem):
             enc += c * self.p ** i
         return enc
+
+    def _powers(self, g: int) -> np.ndarray:
+        """g^0, ..., g^(q-2).  Multiplication by g is GF(p)-linear on digit
+        vectors, with the matrix whose row j holds the digits of g x^j: one
+        product gives g*e for every encoding e, and the powers follow that
+        map from 1."""
+        p = self.p
+        M = self._digits[[self._mul_enc(g, p ** j) for j in range(self.k)]]
+        times = (self._digits @ M % p @ self._pows).tolist()
+        powers = [1]
+        for _ in range(self.q - 2):
+            powers.append(times[powers[-1]])
+        return np.array(powers)
 
     def _pow_enc(self, a: int, e: int) -> int:
         r = 1

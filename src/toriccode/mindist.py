@@ -207,7 +207,7 @@ def min_distance_isd(
         raise ValueError("zero code has no minimum distance")
     start = time.monotonic()
     if C.transitive:
-        forms = [_linalg.rref(F, C.generator)[0]]
+        forms = [C.generator]  # already in RREF, a systematic form
 
         def bound(w):
             return -(-n * (w + 1) // k)
@@ -356,9 +356,8 @@ def distance_report(
     """Assemble delta_d together with every applicable bound for one degree.
 
     X is the set of C, or the projective torus when C is None.  One walk
-    gives the Hilbert function and, kept on the way, Delta_d for a search."""
+    gives the Hilbert function and Delta_d for a search."""
     walk = StandardWalk(X)
-    walk.standard(d)
     counts = walk.hilbert_counts()
     reg = len(counts) - 1
     dim = counts[min(d, reg)]

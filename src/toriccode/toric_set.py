@@ -10,7 +10,10 @@ In exponent space the projective torus is (Z/(q-1))^(s-1), and both X and
 the torus are subgroups of it spanned by the columns of a generator
 matrix: the difference matrix of the clutter, or [0; I].  Both are built
 by one closure over those columns (`_span`), in memory O(|X|) and time
-O(|X|) per column, and the enumeration budget bounds |X| itself.
+O(|X|) per column, and the enumeration budget bounds |X| itself.  The
+closure also records, for each column b_j, the index r_j of the span of
+b_1..b_(j-1) in that of b_1..b_j; with these mixed radices every character
+of X gets an integer label in [0, |X|) (`ToricSet.radices`).
 
 The size of X needs no points: B = U D W with U, W unimodular and D the
 Smith form diag(d_1, ..., d_r), so X is isomorphic to the image of D on
@@ -45,9 +48,24 @@ class ToricSet:
     image of (Z/(q-1))^g under a -> gens @ a mod q-1, so the monomial t^e
     takes the value g^(a . (e @ gens)) at the point of a.  Immutable after
     construction.
+
+    ``radices`` holds, for each column b_j of gens, the least r_j >= 1 with
+    r_j b_j in the span S_(j-1) of the columns before it, so that |X| is
+    their product.  A character of X is fixed by its key k = e @ gens mod
+    m, m = q-1, and k_j = chi(b_j) ranges over one coset of (m/r_j)Z/m once
+    chi is fixed on S_(j-1): the digit floor(k_j / (m/r_j)) picks it out of
+    [0, r_j).  The label sum_j floor(k_j / (m/r_j)) prod_(i<j) r_i is
+    therefore a bijection from the characters of X onto [0, |X|).
     """
 
-    def __init__(self, field: FiniteField, logs: np.ndarray, gens: np.ndarray, source: str):
+    def __init__(
+        self,
+        field: FiniteField,
+        logs: np.ndarray,
+        gens: np.ndarray,
+        radices: tuple[int, ...],
+        source: str,
+    ):
         logs = np.asarray(logs, dtype=np.int64)
         gens = np.array(gens, dtype=np.int64)
         if logs.ndim != 2 or gens.ndim != 2:
@@ -56,11 +74,14 @@ class ToricSet:
             raise ValueError("gens needs one row per coordinate")
         if logs.size and (logs.min() < 0 or logs.max() >= field.q - 1):
             raise ValueError("exponents out of range")
+        if len(radices) != gens.shape[1] or prod(radices) != logs.shape[0]:
+            raise ValueError("radices need one entry per column of gens, with product |X|")
         self.field = field
         self.logs = logs
         self.logs.setflags(write=False)
         self.gens = gens
         self.gens.setflags(write=False)
+        self.radices = tuple(int(r) for r in radices)
         self.source = source
 
     @property
@@ -74,9 +95,9 @@ class ToricSet:
         return f"ToricSet({len(self)} points in P^{self.s - 1} over {self.field!r}, {self.source})"
 
 
-def _span(gens: np.ndarray, m: int, budget: int) -> np.ndarray:
+def _span(gens: np.ndarray, m: int, budget: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """Rows of the subgroup of (Z/m)^s spanned by the columns of gens,
-    sorted lexicographically.
+    sorted lexicographically, and the r of each column (see below).
 
     S starts as {0}.  For each column b, r is the least r >= 1 with r*b in
     S; it divides the order of b, since {k : k*b in S} is a subgroup of Z
@@ -86,6 +107,7 @@ def _span(gens: np.ndarray, m: int, budget: int) -> np.ndarray:
     """
     s = gens.shape[0]
     S = np.zeros((1, s), dtype=np.int64)
+    radices = []
     for b in gens.T % m:
         order = m // gcd(m, *(int(x) for x in b))
         for r in range(1, order + 1):
@@ -97,7 +119,8 @@ def _span(gens: np.ndarray, m: int, budget: int) -> np.ndarray:
             )
         steps = np.arange(r, dtype=np.int64)[:, None] * b % m  # r x s
         S = ((steps[:, None, :] + S[None, :, :]) % m).reshape(-1, s)
-    return S[np.lexsort(S.T[::-1])]
+        radices.append(r)
+    return S[np.lexsort(S.T[::-1])], tuple(radices)
 
 
 def size_of_X(C: Clutter, q: int) -> int:
@@ -118,7 +141,8 @@ def enumerate_X(C: Clutter, F: FiniteField, budget: int = DEFAULT_ENUM_BUDGET) -
     budget.
     """
     B = difference_matrix(C)  # s x n; row 0 is zero, giving the canonical 0 column
-    return ToricSet(F, _span(B, F.q - 1, budget), B, source=f"X({C})")
+    logs, radices = _span(B, F.q - 1, budget)
+    return ToricSet(F, logs, B, radices, source=f"X({C})")
 
 
 def projective_torus(s: int, F: FiniteField, budget: int = DEFAULT_ENUM_BUDGET) -> ToricSet:
@@ -130,7 +154,8 @@ def projective_torus(s: int, F: FiniteField, budget: int = DEFAULT_ENUM_BUDGET) 
     if s < 2:
         raise ValueError("need s >= 2")
     gens = np.eye(s, s - 1, k=-1, dtype=np.int64)  # [0; I_(s-1)]
-    return ToricSet(F, _span(gens, F.q - 1, budget), gens, source=f"T(s={s})")
+    logs, radices = _span(gens, F.q - 1, budget)
+    return ToricSet(F, logs, gens, radices, source=f"T(s={s})")
 
 
 def equals_torus(X: ToricSet) -> bool:

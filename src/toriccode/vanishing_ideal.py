@@ -3,16 +3,16 @@
 On X the monomial t^e is the character with key e @ X.gens mod q-1, and
 distinct characters are linearly independent (Artin).  So I(X) is spanned
 by the binomials t^e - t^e' of equal degree and key: it is a lattice ideal,
-and its reduced revlex basis consists of such binomials.  The basis comes
-from the standard-monomial walk of `eval_code.standard_walk`, with no field
-elimination: in degree d the candidates are the standard monomials of
-degree d-1 times each variable, kept when all their divisors of degree d-1
-are standard; the revlex-least candidate of each key is standard, and
-every other one is a leading term t^e whose basis element is t^e minus
-the standard monomial of its key.  The walk stops after degree r+1, where
-r is the regularity (the least degree with |X| standard monomials): every
-point of X has unit coordinates, so ts is a nonzerodivisor mod I(X) and
-no reduced-basis element lives beyond degree r+1.
+and its reduced revlex basis consists of such binomials.  Every point of X
+has unit coordinates, so ts is a nonzerodivisor mod I(X) and mod its
+revlex initial ideal: no leading term is divisible by ts.  The basis
+comes from the walk of `eval_code.standard_walk` over the Artinian
+reduction, with no field elimination: in degree d it lists N_d, the
+standard monomials prime to ts, and the leading terms t^e of that degree,
+each with the standard monomial of its key as the tail of its basis
+element t^e - tail.  The walk stops after degree r+1, where r is the
+regularity (the least degree with |X| standard monomials): N_(r+1) is
+empty, and no reduced-basis element lives beyond degree r+1.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .clutter import Clutter, incidence
 from .errors import BudgetExceededError
-from .eval_code import _walk, evaluate_rows, standard_walk
+from .eval_code import _walk, evaluate_rows
 from .finite_field import FiniteField, field_from_q
 from .toric_set import ToricSet, enumerate_X
 
@@ -103,14 +103,15 @@ def interpolate_gb(X: ToricSet) -> ReducedGB:
     minus_one = int(F.neg(1))
     elements: list[HomogPoly] = []
     counts: dict[int, int] = {}
-    for d, (std, leads, tails) in enumerate(_walk(X)):
-        counts[d] = len(std)
+    total = 0
+    for d, (artinian, leading) in enumerate(_walk(X)):
+        total += len(artinian)
+        counts[d] = total
+        leads, tails = leading()
         for lead, tail in zip(leads[::-1].tolist(), tails[::-1].tolist()):
             lead = tuple(lead)
             elements.append(HomogPoly(terms=((lead, 1), (tuple(tail), minus_one)), lead=lead))
-        if counts.get(d - 1) == len(X):
-            return ReducedGB(field=F, s=X.s, elements=elements, standard_counts=counts)
-    raise AssertionError("interpolation ran past the regularity bound")
+    return ReducedGB(field=F, s=X.s, elements=elements, standard_counts=counts)
 
 
 def degree_complexity(G: ReducedGB) -> int:
@@ -209,21 +210,23 @@ def hilbert_IA(C: Clutter, d: int, budget: int = 5 * 10 ** 6) -> int:
     """Hilbert function of the toric quotient S/I_A in degree d: the number
     of distinct sums of d characteristic vectors (with repetition).
 
-    The budget bounds the walk's work, the |Delta_(j-1)| * s candidates of
-    each degree j summed over j <= d: BudgetExceededError is raised before
-    a degree would pass it."""
+    The sums of degree j are those of degree j-1 plus each edge vector.
+    The budget bounds that work, the |A_(j-1)| * s candidate sums of each
+    degree j summed over j <= d: BudgetExceededError is raised before a
+    degree would pass it."""
     if d < 0:
         raise ValueError("need d >= 0")
-    # the key of t^e is the sum of its edge vectors: no entry of a sum of d
-    # 0/1 vectors reaches d + 1, so reducing it mod d + 1 changes nothing
     V = np.array(C.vectors, dtype=np.int64)
+    sums = np.zeros((1, V.shape[1]), dtype=np.int64)
     work = 0
-    for j, (std, _, _) in enumerate(standard_walk(V, d + 1, d)):
-        if j == d:
-            return len(std)
-        work += len(std) * C.s
+    for j in range(1, d + 1):
+        work += len(sums) * C.s
         if work > budget:
             raise BudgetExceededError(
-                f"degree {j + 1} of the walk to degree {d} brings its candidates "
+                f"degree {j} of the sums to degree {d} brings their candidates "
                 f"to {work} > budget {budget}"
             )
+        sums = (sums[:, None, :] + V[None, :, :]).reshape(-1, V.shape[1])
+        sums = sums[np.lexsort(sums.T)]
+        sums = sums[np.concatenate(([True], (sums[1:] != sums[:-1]).any(axis=1)))]
+    return len(sums)

@@ -333,6 +333,41 @@ def oracle_enumerate_X(C: Clutter, F) -> np.ndarray:
     return (codes[:, None] // place[None, :]) % m
 
 
+def oracle_field_tables(p: int, k: int, modulus, primitive: int):
+    """(digits, exp, log) of GF(p^k) with the given monic modulus (constant
+    first) and primitive element, by scalar loops: the base-p digits of
+    every encoding by repeated division, and the powers of the primitive
+    element one after another, each the previous digit polynomial times
+    that of the primitive element, reduced by the modulus from the top."""
+    q = p ** k
+    digits = []
+    for e in range(q):
+        row = []
+        for _ in range(k):
+            e, r = divmod(e, p)
+            row.append(r)
+        digits.append(row)
+    factor = [(j, c) for j, c in enumerate(digits[primitive]) if c]
+    exp, log = [], [-1] * q
+    power = [1] + [0] * (k - 1)
+    for i in range(q - 1):
+        enc = sum(c * p ** j for j, c in enumerate(power))
+        exp.append(enc)
+        log[enc] = i
+        prod = [0] * (2 * k)
+        for j, a in enumerate(power):
+            if a:
+                for l, c in factor:
+                    prod[j + l] += a * c
+        for top in range(2 * k - 1, k - 1, -1):
+            lead = prod[top] % p
+            if lead:
+                for j in range(k):
+                    prod[top - k + j] -= lead * modulus[j]
+        power = [c % p for c in prod[:k]]
+    return digits, exp, log
+
+
 def oracle_min_weight(F, G) -> int:
     """Exhaustive minimum weight over all nonzero messages, scalar loop.
     Only usable for q**k up to a few thousand."""
@@ -372,6 +407,44 @@ def oracle_one_form_isd(p: int, G) -> int:
         if -(-n * (w + 1) // k) >= best:
             break
     return best
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """The rows of a 2-d array as opaque byte strings, one element each."""
+    a = np.ascontiguousarray(a)
+    return a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel()
+
+
+def oracle_standard_walk(gens: np.ndarray, m: int, max_degree: int):
+    """Yield (Delta_d, leads_d, tails_d) for d = 0, 1, ..., max_degree by
+    a walk over all standard monomials, with no use of ts.
+
+    The candidates of degree d are Delta_(d-1) times t_1..t_s, sorted and
+    deduplicated as the bytes of top - e[::-1] in big-endian words (which
+    ascend as e does in revlex).  A candidate lies outside the ideal of the
+    lower leading terms when it occurs nnz(c) times among the products;
+    of those, the first in ascending revlex of each key is standard, and
+    every later one is a leading term whose tail is that first one.
+    """
+    s = gens.shape[0]
+    width = next(b for b in (1, 2, 4, 8) if 256 ** b > max_degree)
+    word = np.dtype(f">u{width}")
+    top = np.iinfo(word).max
+    std = np.zeros((1, s), dtype=np.int64)
+    yield std, std[:0], std[:0]
+    step = np.eye(s, dtype=np.int64)
+    for _ in range(max_degree):
+        cand = (std[:, None, :] + step[None, :, :]).reshape(-1, s)
+        flipped = (top - cand[:, ::-1]).astype(word)
+        _, index, hits = np.unique(_rows(flipped), return_index=True, return_counts=True)
+        cand = cand[index[hits == np.count_nonzero(cand[index], axis=1)]]
+        _, first, group = np.unique(
+            _rows((cand @ gens) % m), return_index=True, return_inverse=True
+        )
+        standard = np.zeros(len(cand), dtype=bool)
+        standard[first] = True
+        std = cand[standard]
+        yield std, cand[~standard], cand[first[group[~standard]]]
 
 
 def oracle_hilbert_IA(C: Clutter, d: int) -> int:

@@ -475,18 +475,18 @@ def _child_env():
 
 
 class TestWalksPerJob:
-    """mindist walks the standard monomials once; a params table walks once
-    for H_X and the regularity, and at most once more for its searches."""
+    """mindist and a params table each walk the standard monomials once:
+    the walk keeps every N_d, so no degree asked for again restarts it."""
 
     JOBS = [
         (("mindist", "U6", "4", "--d", "1"), 1),
         (("mindist", "K4", "5", "--d", "3", "--method", "isd"), 1),
         (("mindist", "K4", "3", "--d", "5", "--method", "bruteforce"), 1),
         (("mindist", "C5", "4", "--d", "2", "--method", "formula"), 1),
-        (("params", "K4", "5", "--method", "isd"), 2),
+        (("params", "K4", "5", "--method", "isd"), 1),
         (("params", "K4", "5", "--method", "formula"), 1),
-        (("params", "K4", "5", "--dmin", "2", "--dmax", "3", "--method", "isd"), 2),
-        (("params", "K4", "3", "--full", "--method", "bruteforce"), 2),
+        (("params", "K4", "5", "--dmin", "2", "--dmax", "3", "--method", "isd"), 1),
+        (("params", "K4", "3", "--full", "--method", "bruteforce"), 1),
         (("params", "K4", "3", "--dmin", "3", "--dmax", "4", "--method", "isd"), 1),
     ]
 
@@ -511,6 +511,28 @@ class TestWalksPerJob:
         monkeypatch.setattr(eval_code, "standard_walk", counted)
         assert run(*argv) == plain and plain[0] == EXIT_OK
         assert len(calls) == walks
+
+
+@pytest.mark.parametrize("d", ["1", "2", "3"])
+def test_one_rref_per_isd_job(run, tmp_path, monkeypatch, d):
+    """mindist --method isd reduces the evaluations of Delta_d once, in
+    code(); the search takes that RREF as its systematic form."""
+    from toriccode import _linalg
+
+    f = tmp_path / "K4.json"
+    f.write_text(json.dumps(BATTERY_DOCS["K4"]))
+    argv = ("mindist", "--clutter", str(f), "--q", "5", "--d", d, "--method", "isd")
+    plain = run(*argv)
+    calls = []
+    original = _linalg.rref
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(_linalg, "rref", counted)
+    assert run(*argv) == plain and plain[0] == EXIT_OK
+    assert len(calls) == 1
 
 
 def test_no_numpy_ma_import(tmp_path):

@@ -1,6 +1,5 @@
 """Code construction, Hilbert data, degree bounds."""
 
-from itertools import islice
 from math import comb
 
 import numpy as np
@@ -17,16 +16,14 @@ from toriccode import (
     projective_torus,
     regularity,
 )
-from toriccode.eval_code import StandardWalk, evaluate_rows, standard_walk
+from toriccode.eval_code import StandardWalk, evaluate_rows
 from toriccode.vanishing_ideal import _mono_str
 
 
 def _torus_standard(s, q, d):
     """Delta_d of the torus in P^(s-1) over GF(q): every degree-d monomial
     when d <= q-2, as I(T) starts in degree q-1."""
-    T = projective_torus(s, field_from_q(q))
-    std, _, _ = next(islice(standard_walk(T.gens, q - 1, d), d, None))
-    return std
+    return StandardWalk(projective_torus(s, field_from_q(q))).standard(d)
 
 
 class TestMonomialOrder:

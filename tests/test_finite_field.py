@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import oracle_field_tables
 from toriccode import field_from_q, make_field
 from toriccode.finite_field import _is_irreducible, _poly_mod
 
@@ -247,6 +248,21 @@ def _is_prime_power(q):
     while q % p == 0:
         q //= p
     return q == 1
+
+
+@pytest.mark.parametrize(
+    "q", [q for q in range(3, 257) if _is_prime_power(q)] + [3 ** 10, 5 ** 6, 65521, 2 ** 16]
+)
+def test_tables_match_scalar_oracle(q):
+    """The digit, exp and log tables equal those of scalar loops, and the
+    primitive element is the first encoding of order q-1."""
+    F = field_from_q(q)
+    digits, exp, log = oracle_field_tables(F.p, F.k, F.modulus, F._primitive_enc)
+    assert F._digits.tolist() == digits
+    assert F.exp.tolist() == exp
+    assert F.log.tolist() == log
+    orders = (q - 1) // np.gcd(F.log[1:], q - 1)
+    assert F._primitive_enc == 1 + int(np.argmax(orders == q - 1))
 
 
 class TestPackedForm:

@@ -33,7 +33,7 @@ from toriccode import (
 )
 from toriccode import mindist
 from toriccode._linalg import rref
-from toriccode.eval_code import LinearCode, _hilbert_counts
+from toriccode.eval_code import LinearCode, StandardWalk
 
 
 class TestTorusDistanceFormula:
@@ -261,7 +261,7 @@ def test_isd_on_random_codes_matches_exhaustive_weight(case):
     C, q = case
     F = field_from_q(q)
     X = enumerate_X(C, F)
-    counts = _hilbert_counts(X)
+    counts = StandardWalk(X).hilbert_counts()
     for d in range(1, len(counts)):
         if q ** counts[d] > _MAX_MESSAGES:
             break
@@ -280,7 +280,7 @@ def _small_codes(case):
     """Every C_X(d) of a drawn clutter with at most _MAX_MESSAGES messages."""
     C, q = case
     X = enumerate_X(C, field_from_q(q))
-    counts = _hilbert_counts(X)
+    counts = StandardWalk(X).hilbert_counts()
     for d in range(1, len(counts)):
         if q ** counts[d] > _MAX_MESSAGES:
             break
@@ -433,7 +433,7 @@ def test_one_form_isd_enumerates_every_message(cd):
 def test_isd_matches_bruteforce_on_battery(name, q):
     """Every C_X(d) below the regularity with at most 10^4 codeword classes."""
     X = enumerate_X(BATTERY[name], field_from_q(q))
-    counts = _hilbert_counts(X)
+    counts = StandardWalk(X).hilbert_counts()
     for d in range(1, len(counts) - 1):
         if (q ** counts[d] - 1) // (q - 1) > 10 ** 4:
             break
