@@ -16,7 +16,7 @@ import sys
 from .clutter import ClutterError, load_clutter
 from .errors import BudgetExceededError
 from .eval_code import StandardWalk
-from .finite_field import FiniteField, field_from_q, make_field
+from .finite_field import field_from_q, field_order, prime_power
 from .intlattice import ci_classify
 from .mindist import (
     DEFAULT_CLASS_BUDGET,
@@ -105,14 +105,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _resolve_field(args) -> FiniteField:
+def _resolve_q(args) -> int:
+    """q of the field the arguments name, checked as every field is
+    checked; no field is built."""
     if args.q is not None:
         if args.p is not None or args.k is not None:
             raise _InputError("give either --q or --p/--k, not both")
-        return field_from_q(args.q)
-    if args.p is not None:
-        return make_field(args.p, args.k if args.k is not None else 1)
-    raise _InputError("a field is required: --q Q or --p P [--k K]")
+        p, k = prime_power(args.q)
+    elif args.p is not None:
+        p, k = args.p, args.k if args.k is not None else 1
+    else:
+        raise _InputError("a field is required: --q Q or --p P [--k K]")
+    return field_order(p, k)
 
 
 def _enum_budget(args) -> int:
@@ -121,30 +125,34 @@ def _enum_budget(args) -> int:
     return int(os.environ.get("TORICCODE_ENUM_BUDGET", DEFAULT_ENUM_BUDGET))
 
 
-def _resolve_inputs(args, points: bool = True):
-    """(C, F, X), C being None for --torus.  With points=False the third
-    item is |X| from its closed form, and no point is built.  Either way
-    |X| is read from the closed form first, and BudgetExceededError is
-    raised when it exceeds --budget, before any point is built."""
-    F = _resolve_field(args)
+def _lattice_inputs(args):
+    """(C, q, |X|), C being None for --torus, with |X| from its closed form:
+    no field and no point is built.  Raises BudgetExceededError when |X|
+    exceeds --budget."""
+    q = _resolve_q(args)
     budget = _enum_budget(args)
     if args.torus is not None:
         if args.torus < 2:
             raise _InputError("--torus needs S >= 2")
-        C, size = None, (F.q - 1) ** (args.torus - 1)
+        C, size = None, (q - 1) ** (args.torus - 1)
     else:
         try:
             C = load_clutter(args.clutter)
         except OSError as exc:
             raise _InputError(f"cannot read clutter file: {exc}")
-        size = size_of_X(C, F.q)
+        size = size_of_X(C, q)
     if size > budget:
         raise BudgetExceededError(f"|X| = {size} points > budget {budget}")
-    if not points:
-        return C, F, size
+    return C, q, size
+
+
+def _point_inputs(args):
+    """(C, X): _lattice_inputs, then X itself over the shared GF(q)."""
+    C, q, _ = _lattice_inputs(args)
+    F, budget = field_from_q(q), _enum_budget(args)
     if C is None:
-        return None, F, projective_torus(args.torus, F, budget=budget)
-    return C, F, enumerate_X(C, F, budget=budget)
+        return None, projective_torus(args.torus, F, budget=budget)
+    return C, enumerate_X(C, F, budget=budget)
 
 
 def _class_budget(args) -> int:
@@ -177,7 +185,8 @@ def _delta_text(report) -> str:
 
 
 def _cmd_params(args) -> int:
-    C, F, X = _resolve_inputs(args)
+    C, X = _point_inputs(args)
+    F = X.field
     # one walk to the regularity serves the counts and every search
     walk = StandardWalk(X)
     counts = walk.hilbert_counts()
@@ -243,7 +252,7 @@ def _cmd_params(args) -> int:
 
 
 def _cmd_mindist(args) -> int:
-    C, F, X = _resolve_inputs(args)
+    C, X = _point_inputs(args)
     if args.d is None:
         raise _InputError("mindist needs --d")
     if args.d < 1:
@@ -266,11 +275,11 @@ def _cmd_mindist(args) -> int:
 
 
 def _cmd_ci(args) -> int:
-    C, F, size = _resolve_inputs(args, points=False)
+    C, q, size = _lattice_inputs(args)
     if C is None:
         raise _InputError("ci needs --clutter (the torus is trivially a CI)")
-    rep = ci_classify(C, F.q)
-    torus_size = (F.q - 1) ** (C.s - 1)
+    rep = ci_classify(C, q)
+    torus_size = (q - 1) ** (C.s - 1)
     body = {
         "applicable": rep.applicable,
         "is_ci": rep.is_ci,
@@ -290,7 +299,8 @@ def _cmd_ci(args) -> int:
 
 
 def _cmd_groebner(args) -> int:
-    _, F, X = _resolve_inputs(args)
+    _, X = _point_inputs(args)
+    F = X.field
     G = interpolate_gb(X)
     checks = verify_gb_structure(G, F.q)
     if args.fmt == "json":
@@ -320,12 +330,12 @@ def _cmd_groebner(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    C, F, _ = _resolve_inputs(args, points=False)
+    C, q, _ = _lattice_inputs(args)
     if C is None:
         raise _InputError("profile needs --clutter")
-    body = profile(C, F.q)
+    body = profile(C, q)
     if args.dump_points:
-        X = enumerate_X(C, F, budget=_enum_budget(args))
+        X = enumerate_X(C, field_from_q(q), budget=_enum_budget(args))
         with open(args.dump_points, "w") as fh:
             fh.write(points_csv(X))
     if args.fmt == "json":

@@ -22,10 +22,17 @@ next field; adding 2^b - p to each field then sets its top bit exactly
 where the digit sum reached p, and that bit, shifted down and times p, is
 what to subtract.  Packing is one-to-one and maps 0 to 0, so two elements
 are equal, or one is zero, exactly when their words are.
+
+Every field size passes one check, `field_order(p, k)` (after
+`prime_power(q)` for the shorthand q), whether or not a field is built.
+`make_field` and `field_from_q` build GF(p^k) once per process and hand
+out that one instance, so its tables are read-only; `FiniteField(p, k)`
+itself always builds afresh.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -111,17 +118,7 @@ class FiniteField:
     """GF(p^k) with deterministic modulus, primitive element and tables."""
 
     def __init__(self, p: int, k: int):
-        if not isinstance(p, int) or not isinstance(k, int):
-            raise ValueError("p and k must be integers")
-        if not _is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
-        if k < 1:
-            raise ValueError(f"k = {k} must be >= 1")
-        q = p ** k
-        if q < 3:
-            raise ValueError("GF(2) is not supported; need q >= 3")
-        if q > DEFAULT_MAX_Q:
-            raise ValueError(f"q = {q} exceeds the cardinality cap {DEFAULT_MAX_Q}")
+        q = field_order(p, k)
         self.p = p
         self.k = k
         self.q = q
@@ -143,6 +140,10 @@ class FiniteField:
         if q <= _TABLE_LIMIT:
             self._build_tables()
         self._build_packing()
+        # make_field shares one instance per (p, k): no caller may write to it
+        for table in vars(self).values():
+            if isinstance(table, np.ndarray):
+                table.flags.writeable = False
 
     # -- construction-time scalar arithmetic (slow, exact) --
 
@@ -509,13 +510,26 @@ class FieldElement:
         return f"{body}#GF({self.field.q})"
 
 
-def make_field(p: int, k: int) -> FiniteField:
-    """Construct GF(p^k). Raises ValueError for non-prime p, q < 3, or q > cap."""
-    return FiniteField(p, k)
+def field_order(p: int, k: int) -> int:
+    """q = p^k, once p and k pass the checks every field passes: integers,
+    p prime, k >= 1, 3 <= q <= DEFAULT_MAX_Q.  Raises ValueError otherwise."""
+    if not isinstance(p, int) or not isinstance(k, int):
+        raise ValueError("p and k must be integers")
+    if not _is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    if k < 1:
+        raise ValueError(f"k = {k} must be >= 1")
+    q = p ** k
+    if q < 3:
+        raise ValueError("GF(2) is not supported; need q >= 3")
+    if q > DEFAULT_MAX_Q:
+        raise ValueError(f"q = {q} exceeds the cardinality cap {DEFAULT_MAX_Q}")
+    return q
 
 
-def field_from_q(q: int) -> FiniteField:
-    """Construct GF(q) from the shorthand q = p^k; q must be a prime power."""
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, k) with q = p^k; ValueError when q is not a prime power.  The
+    field checks are field_order's."""
     if not isinstance(q, int) or q < 2:
         raise ValueError(f"q = {q} is not a prime power >= 3")
     p = q
@@ -530,4 +544,16 @@ def field_from_q(q: int) -> FiniteField:
         k += 1
     if rest != 1:
         raise ValueError(f"q = {q} is not a prime power")
-    return make_field(p, k)
+    return p, k
+
+
+@functools.lru_cache(maxsize=16, typed=True)
+def make_field(p: int, k: int) -> FiniteField:
+    """GF(p^k), built once per (p, k) and shared: its tables are read-only.
+    Raises ValueError as field_order does."""
+    return FiniteField(p, k)
+
+
+def field_from_q(q: int) -> FiniteField:
+    """make_field for the shorthand q = p^k; q must be a prime power."""
+    return make_field(*prime_power(q))

@@ -20,6 +20,12 @@ structure (`LinearCode.transitive` false) is searched Brouwer-Zimmermann
 style, on systematic forms over disjoint information sets with the bound
 sum_j max(0, w+1 - deficit_j).
 
+The regular action of X also trims brute force to the q^(k-1) messages
+with first coefficient 1.  In RREF the pivot column c* of row 0 is e_1, so a
+message's first coefficient is its codeword's entry at c*.  Every nonzero
+codeword has a translate of the same weight that is nonzero at c*, and a
+scalar multiple of that translate has first coefficient 1.
+
 Both searches run on the packed words of `FiniteField.pack`: they share
 the table S[u, i] = pack(g^u * row_i) of every unit multiple of every row,
 built once per generator matrix, add with `FiniteField.add_packed`, and
@@ -105,16 +111,19 @@ def min_distance_bruteforce(
     class_budget: int = DEFAULT_CLASS_BUDGET,
     time_budget: float | None = None,
 ) -> DistanceResult:
-    """Exhaustive minimum distance over one codeword per scalar class.
+    """Exhaustive minimum distance over one codeword per scalar class, or
+    when C is transitive per class under scalars and translations.
 
     The message splits into head and tail coordinates.  The span B of the
     last k2 rows is built once, k2 < k as large as q^k2 * n <= _CELL_CAP
     allows.  Each head word a (first nonzero coefficient 1) is weighed
     against all of B at once: as b runs over B so does -b, and
     wt(a - b) = #{j : a_j != b_j}.  The nonzero rows of B are the words
-    with a zero head.  The time budget is checked before each block of head
-    words; on expiry the lightest codeword so far is returned with
-    exact=False and lower 1.
+    with a zero head.  A transitive code needs only the messages with first
+    coefficient 1 (see the module docstring), so neither the later heads
+    nor B itself.  The search starts from the lightest generator row; the
+    time budget is checked before each block of head words, and on expiry
+    the lightest codeword so far is returned with exact=False and lower 1.
     """
     F = C.field
     q = F.q
@@ -133,23 +142,22 @@ def min_distance_bruteforce(
         k2 += 1
     k1 = k - k2
     B = _span(F, S[:, k1:])
-    best, witness = None, None
-    if k2:
+    row_weights = _weights(C.generator, 0, axis=1)
+    best = int(row_weights.min())
+    witness = C.generator[int(np.argmin(row_weights))].copy()
+    if k2 and not C.transitive:
         weights = _weights(B[1:], 0, axis=1)
         i = int(np.argmin(weights))
-        best, witness = int(weights[i]), F.unpack(B[1 + i])
+        if weights[i] < best:
+            best, witness = int(weights[i]), F.unpack(B[1 + i])
     Z = np.zeros((q, k, n), dtype=S.dtype)  # Z[c, i] = pack(c * G[i]), c an encoding
     Z[F.exp] = S
     block = max(1, _CELL_CAP // (len(B) * n))
-    for pivot in range(k1):
+    for pivot in range(1 if C.transitive else k1):
         free = k1 - pivot - 1
         radix = q ** np.arange(free, dtype=np.int64)
         for first in range(0, q ** free, block):
-            if (
-                best is not None
-                and time_budget is not None
-                and time.monotonic() - start > time_budget
-            ):
+            if time_budget is not None and time.monotonic() - start > time_budget:
                 return DistanceResult(best, "bruteforce", exact=False, witness=witness)
             ids = np.arange(first, min(first + block, q ** free), dtype=np.int64)
             digits = (ids[:, None] // radix[None, :]) % q
@@ -158,7 +166,7 @@ def min_distance_bruteforce(
                 heads = F.add_packed(heads, Z[digits[:, j], pivot + 1 + j])
             weights = _weights(heads[:, None, :], B[None], axis=2)
             h, t = divmod(int(np.argmin(weights)), len(B))
-            if best is None or weights[h, t] < best:
+            if weights[h, t] < best:
                 best, witness = int(weights[h, t]), _difference(F, heads[h], B[t])
     return DistanceResult(value=best, method="bruteforce", exact=True, witness=witness)
 

@@ -15,7 +15,7 @@ except ImportError:  # not on every platform
 import pytest
 
 from conftest import BATTERY_DOCS
-from toriccode import enumerate_X, intlattice
+from toriccode import FiniteField, enumerate_X, intlattice, make_field
 from toriccode.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, _build_parser, main
 
 K4_DOC = '{"n": 4, "edges": [[1,2],[1,3],[1,4],[2,3],[2,4],[3,4]]}'
@@ -261,48 +261,66 @@ class TestProfile:
 
 
 class TestClosedFormSize:
-    """ci and profile read |X| from the Smith form and build no points,
-    unless profile is asked for them with --dump-points."""
+    """ci and profile read q and |X| from the Smith form and build neither
+    a field nor a point, unless profile is asked for them with
+    --dump-points."""
 
     ARGVS = [
         ("ci", "--q", "3", "--format", "json"),
         ("ci", "--q", "4"),
         ("profile", "--q", "3", "--format", "json"),
         ("profile", "--q", "9"),
+        ("ci", "--p", "5", "--format", "json"),
+        ("profile", "--p", "2", "--k", "3"),
+        ("ci", "--q", "3", "--budget", "7"),
+        ("profile", "--q", "5", "--budget", "7", "--format", "json"),
     ]
 
     def test_no_points_built(self, run, k4_file, monkeypatch):
         import toriccode.cli as cli
 
         def refuse(*args, **kwargs):
-            raise AssertionError("no point of X may be built")
+            raise AssertionError("no field and no point of X may be built")
 
         cases = [(cmd, "--clutter", k4_file, *rest) for cmd, *rest in self.ARGVS]
         cases += [(cmd, "--torus", "3", "--q", "4") for cmd in ("ci", "profile")]
         before = [run(*argv) for argv in cases]
         monkeypatch.setattr(cli, "enumerate_X", refuse)
         monkeypatch.setattr(cli, "projective_torus", refuse)
+        monkeypatch.setattr(FiniteField, "__init__", refuse)
+        make_field.cache_clear()
         after = [run(*argv) for argv in cases]
         assert after == before
-        assert [rc for rc, _, _ in after] == [EXIT_OK] * 4 + [EXIT_INPUT] * 2
+        codes = [EXIT_OK] * 6 + [EXIT_BUDGET] * 2 + [EXIT_INPUT] * 2
+        assert [rc for rc, _, _ in after] == codes
         assert json.loads(after[2][1])["points"] == 8
 
     def test_dump_points_builds_X(self, run, k4_file, tmp_path, monkeypatch):
         import toriccode.cli as cli
 
-        calls = []
+        calls, fields = [], []
+        init = FiniteField.__init__
 
         def counted(*args, **kwargs):
             calls.append(args)
             return enumerate_X(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "enumerate_X", counted)
+        def counted_field(self, p, k):
+            fields.append((p, k))
+            init(self, p, k)
+
         dump = tmp_path / "pts.csv"
         argv = ("profile", "--clutter", k4_file, "--q", "4", "--format", "json")
         plain = run(*argv)
+        run(*argv, "--dump-points", str(dump))
+        points = dump.read_text()
+        monkeypatch.setattr(cli, "enumerate_X", counted)
+        monkeypatch.setattr(FiniteField, "__init__", counted_field)
+        make_field.cache_clear()
         dumped = run(*argv, "--dump-points", str(dump))
-        assert dumped == plain and len(calls) == 1
-        assert len(dump.read_text().strip().splitlines()) == 1 + 27
+        assert dumped == plain and len(calls) == 1 and fields == [(2, 2)]
+        assert dump.read_text() == points
+        assert len(points.strip().splitlines()) == 1 + 27
 
     @pytest.mark.parametrize("command", ["ci", "profile"])
     def test_budget_caps_size(self, run, k4_file, command):
@@ -380,6 +398,32 @@ class TestErrors:
             "params", "--clutter", k4_file, "--q", "3", "--dmin", "3", "--dmax", "1"
         )
         assert rc == EXIT_INPUT
+
+
+FIELD_ERRORS = [
+    (("--q", "1"), "q = 1 is not a prime power >= 3"),
+    (("--q", "2"), "GF(2) is not supported; need q >= 3"),
+    (("--q", "6"), "q = 6 is not a prime power"),
+    (("--q", "12"), "q = 12 is not a prime power"),
+    (("--q", "131072"), "q = 131072 exceeds the cardinality cap 65536"),
+    (("--p", "4"), "p = 4 is not prime"),
+    (("--p", "3", "--k", "0"), "k = 0 must be >= 1"),
+    (("--q", "9", "--p", "3"), "give either --q or --p/--k, not both"),
+    ((), "a field is required: --q Q or --p P [--k K]"),
+]
+
+
+@pytest.mark.parametrize(
+    "field,message", FIELD_ERRORS, ids=[" ".join(f) or "none" for f, _ in FIELD_ERRORS]
+)
+def test_bad_field_same_for_every_command(run, k4_file, field, message):
+    """ci and profile, which build no field, reject a bad field size with
+    the exit code and message of the commands that build one."""
+    for command in ("params", "mindist", "groebner", "ci", "profile"):
+        degree = ("--d", "1") if command == "mindist" else ()
+        for source in (("--clutter", k4_file), ("--torus", "3"), ("--torus", "1")):
+            got = run(command, *source, *field, *degree)
+            assert got == (EXIT_INPUT, "", f"input error: {message}\n"), (command, source)
 
 
 class TestEnvBudgets:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import oracle_field_tables
-from toriccode import field_from_q, make_field
-from toriccode.finite_field import _is_irreducible, _poly_mod
+from toriccode import FiniteField, field_from_q, make_field
+from toriccode.finite_field import _is_irreducible, _poly_mod, field_order, prime_power
 
 
 def _oracle_first_irreducible(p, k):
@@ -98,6 +98,48 @@ class TestConstruction:
         assert make_field(3, 2) == make_field(3, 2)
         assert make_field(3, 1) != make_field(5, 1)
         assert len({make_field(3, 2), make_field(3, 2)}) == 1
+
+
+class TestSharedFields:
+    """make_field and field_from_q hand out one read-only field per (p, k)."""
+
+    def test_one_instance_per_field(self):
+        F = make_field(3, 2)
+        assert field_from_q(9) is F and make_field(3, 2) is F
+        assert make_field(3, 1) is not F
+        fresh = FiniteField(3, 2)
+        assert fresh is not F and fresh == F
+
+    @pytest.mark.parametrize("p,k", [(3, 2), (2, 3), (7, 1), (3, 6), (2, 9)])
+    def test_tables_are_read_only(self, p, k):
+        # with op tables (q <= 256) and without, odd and even characteristic
+        F = make_field(p, k)
+        tables = {name: t for name, t in vars(F).items() if isinstance(t, np.ndarray)}
+        assert {"exp", "log", "_digits", "_pows", "_pack_table"} <= set(tables)
+        if F.q <= 256:
+            assert {"_mul_table", "_neg_table", "_inv_table"} <= set(tables)
+        for table in tables.values():
+            with pytest.raises(ValueError, match="read-only"):
+                table.flat[0] = table.flat[0]
+        assert F.add(F.exp, F.exp).flags.writeable  # results stay writable
+
+    @pytest.mark.parametrize("args", [(4, 1), (3, 0), (2, 1), (2, 17), (3.0, 2), (3, 2.0)])
+    def test_field_order_raises_as_the_constructor(self, args):
+        with pytest.raises(ValueError) as checked:
+            field_order(*args)
+        with pytest.raises(ValueError) as built:
+            make_field(*args)
+        assert str(checked.value) == str(built.value)
+
+    @pytest.mark.parametrize("q,pk", [(3, (3, 1)), (4, (2, 2)), (9, (3, 2)), (65536, (2, 16)),
+                                      (131072, (2, 17)), (65521, (65521, 1))])
+    def test_prime_power(self, q, pk):
+        assert prime_power(q) == pk
+
+    @pytest.mark.parametrize("q", [1, 6, 12, 0, -9, 9.0])
+    def test_not_a_prime_power(self, q):
+        with pytest.raises(ValueError, match="not a prime power"):
+            prime_power(q)
 
 
 class TestPrimitiveAndTables:

@@ -389,6 +389,49 @@ def test_every_class_can_be_the_unique_lightest(q, k):
                 assert min_distance_isd(cd).value == q ** (k - 1)
 
 
+def _weighed_words(cd):
+    """(result, words weighed) of brute force on cd, the k generator rows
+    included."""
+    weighed = []
+    original = mindist._weights
+
+    def counted(a, b, axis):
+        w = original(a, b, axis)
+        weighed.append(w.size)
+        return w
+
+    with mock.patch.object(mindist, "_weights", counted):
+        result = min_distance_bruteforce(cd)
+    return result, sum(weighed)
+
+
+_C9 = parse_clutter({"n": 9, "edges": [[i, i % 9 + 1] for i in range(1, 10)]})
+
+
+@pytest.mark.parametrize("C,q,d", [
+    (BATTERY["U6"], 4, 1), (BATTERY["C6"], 5, 1), (BATTERY["C3"], 9, 2),
+    (BATTERY["C4"], 9, 1), (_C9, 3, 1),
+], ids=["U6-4-1", "C6-5-1", "C3-9-2", "C4-9-1", "C9-3-1"])
+def test_transitive_bruteforce_weighs_first_coefficient_one(C, q, d):
+    """On C_X(d) brute force weighs the q^(k-1) messages with first
+    coefficient 1; the same matrix without the group action weighs every
+    class, the words of the tail span B alone among them, for the same
+    delta."""
+    cd = code(enumerate_X(C, field_from_q(q)), d)
+    k, n = cd.dimension, cd.length
+    k2 = 0
+    while k2 < k - 1 and q ** (k2 + 1) * n <= mindist._CELL_CAP:
+        k2 += 1
+    k1 = k - k2
+    fast, words = _weighed_words(cd)
+    assert words == k + q ** (k - 1)
+    full, all_words = _weighed_words(dataclasses.replace(cd, transitive=False))
+    heads = (q ** k1 - 1) // (q - 1)
+    assert all_words == k + (q ** k2 - 1 if k2 else 0) + heads * q ** k2
+    assert fast.exact and full.exact and fast.value == full.value
+    assert int(np.count_nonzero(fast.witness)) == fast.value
+
+
 @st.composite
 def systematic_codes(draw):
     """[I_k | A] over GF(3) or GF(5), whose encodings are the residues mod
