@@ -15,16 +15,10 @@ import sys
 
 from .clutter import ClutterError, load_clutter
 from .errors import BudgetExceededError
-from .eval_code import StandardWalk
+from .eval_code import regularity
 from .finite_field import field_from_q, field_order, prime_power
 from .intlattice import ci_classify
-from .mindist import (
-    DEFAULT_CLASS_BUDGET,
-    METHODS,
-    delta_prime,
-    distance_report,
-    min_distance,
-)
+from .mindist import DEFAULT_CLASS_BUDGET, METHODS, distance_report
 from .toric_set import (
     DEFAULT_ENUM_BUDGET,
     enumerate_X,
@@ -43,6 +37,12 @@ EXIT_INTERNAL = 4
 PARAMS_COLUMNS = [
     "d", "length", "dim", "delta", "delta_lower", "delta_method", "delta_prime", "singleton"
 ]
+# the distance_report key behind each key of a params row, in row order
+_ROW_KEYS = {
+    "d": "d", "length": "length", "dim": "dimension", "delta": "delta",
+    "delta_lower": "delta_lower", "delta_method": "delta_method",
+    "delta_exact": "delta_exact", "delta_prime": "delta_prime", "singleton": "singleton",
+}
 
 
 class _InputError(ValueError):
@@ -168,13 +168,20 @@ def _time_budget(args):
     return float(env) if env else None
 
 
-def _delta_for(args, C, X, d, reg, walk):
-    """(DistanceResult, delta_prime) for one degree."""
-    prime = delta_prime(C, X, d)
-    res = min_distance(
-        X, d, reg, args.method, prime, _class_budget(args), _time_budget(args), walk
-    )
-    return res, prime
+def _write(body: dict, fmt: str) -> None:
+    """A one-record report on stdout: json, csv (a header and one row, None
+    as an empty field) or text (one "key: value" line per entry)."""
+    if fmt == "json":
+        sys.stdout.write(json.dumps(body, indent=2) + "\n")
+    elif fmt == "csv":
+        import csv
+
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(body)
+        writer.writerow(body.values())
+    else:
+        for k, v in body.items():
+            sys.stdout.write(f"{k}: {v}\n")
 
 
 def _delta_text(report) -> str:
@@ -187,10 +194,7 @@ def _delta_text(report) -> str:
 def _cmd_params(args) -> int:
     C, X = _point_inputs(args)
     F = X.field
-    # one walk to the regularity serves the counts and every search
-    walk = StandardWalk(X)
-    counts = walk.hilbert_counts()
-    reg = len(counts) - 1
+    reg = regularity(X)
     if args.d is not None:
         dmin = dmax = args.d
     else:
@@ -205,21 +209,10 @@ def _cmd_params(args) -> int:
         raise _InputError(f"bad degree range [{dmin}, {dmax}]")
     rows = []
     for d in range(dmin, dmax + 1):
-        res, prime = _delta_for(args, C, X, d, reg, walk)
-        dim = counts[min(d, reg)]
-        rows.append(
-            {
-                "d": d,
-                "length": len(X),
-                "dim": dim,
-                "delta": res.value,
-                "delta_lower": res.lower,
-                "delta_method": res.method,
-                "delta_exact": res.exact,
-                "delta_prime": prime,
-                "singleton": len(X) - dim + 1,
-            }
+        report = distance_report(
+            C, X, d, args.method, _class_budget(args), _time_budget(args)
         )
+        rows.append({key: report[name] for key, name in _ROW_KEYS.items()})
     out = sys.stdout
     if args.fmt == "csv":
         out.write(",".join(PARAMS_COLUMNS) + "\n")
@@ -260,17 +253,9 @@ def _cmd_mindist(args) -> int:
     report = distance_report(
         C, X, args.d, args.method, _class_budget(args), _time_budget(args)
     )
-    if args.fmt == "json":
-        sys.stdout.write(json.dumps(report, indent=2) + "\n")
-    elif args.fmt == "csv":
-        keys = list(report)
-        sys.stdout.write(",".join(keys) + "\n")
-        sys.stdout.write(
-            ",".join("" if report[k] is None else str(report[k]) for k in keys) + "\n"
-        )
-    else:
-        for k, v in report.items():
-            sys.stdout.write(f"{k}: {_delta_text(report) if k == 'delta' else v}\n")
+    if args.fmt == "text":
+        report["delta"] = _delta_text(report)
+    _write(report, args.fmt)
     return EXIT_OK
 
 
@@ -290,11 +275,7 @@ def _cmd_ci(args) -> int:
         "advisory_size_X": size,
         "advisory_torus_size": torus_size,
     }
-    if args.fmt == "json":
-        sys.stdout.write(json.dumps(body, indent=2) + "\n")
-    else:
-        for k, v in body.items():
-            sys.stdout.write(f"{k}: {v}\n")
+    _write(body, args.fmt)
     return EXIT_OK
 
 
@@ -338,11 +319,7 @@ def _cmd_profile(args) -> int:
         X = enumerate_X(C, field_from_q(q), budget=_enum_budget(args))
         with open(args.dump_points, "w") as fh:
             fh.write(points_csv(X))
-    if args.fmt == "json":
-        sys.stdout.write(json.dumps(body, indent=2) + "\n")
-    else:
-        for k, v in body.items():
-            sys.stdout.write(f"{k}: {v}\n")
+    _write(body, args.fmt)
     return EXIT_OK
 
 

@@ -17,9 +17,12 @@ those of degree d prime to ts, and h_d = |N_d|.  The N_d are the Artinian
 reduction of S/I(X); together they hold one monomial per character of X.
 One walk (`standard_walk`) lists them degree by degree, in ascending
 revlex, with the new leading terms of the reduced revlex Groebner basis
-(all prime to ts) and their tails.  H_X(d) is |N_0| + ... + |N_d|; the
-regularity, the h-vector, the rows behind C_X(d) and the basis in
-`vanishing_ideal` all come from it, with no field arithmetic.  Only the
+(all prime to ts) and their tails.  The walk depends on X alone:
+`walk_of(X)` takes it once, through the regularity r, and keeps it while X
+lives.  H_X(d) is |N_0| + ... + |N_d|; the regularity, the h-vector, the
+rows behind C_X(d), the searches of `mindist` and the basis in
+`vanishing_ideal` all read that one walk, with no field arithmetic; the
+basis alone asks it for degree r+1, one step past the regularity.  Only the
 generator matrix of C_X(d) is computed over GF(q), as the reduced row
 echelon form of the evaluations of Delta_d; RREF is unique for a row space,
 so the choice of monomials does not show in it.
@@ -27,6 +30,7 @@ so the choice of monomials does not show in it.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
@@ -162,61 +166,68 @@ class LinearCode:
         )
 
 
-def _walk(X: ToricSet):
-    """standard_walk over the keys of X."""
-    return standard_walk(X.gens, X.field.q - 1, X.radices)
-
-
 class StandardWalk:
-    """The standard monomials of X, degree by degree, from one walk that
-    starts on the first request and only moves forward.
+    """The standard monomials of X from one walk, taken at construction
+    through the regularity r.
 
-    It keeps every N_d it passes, |X| monomials in all once it reaches
-    the regularity r, and assembles Delta_d = ts^d N_0, ts^(d-1) N_1, ...,
-    N_d on request; N_d is empty past r.  Any order of requests makes one
-    walk.
+    ``artinian`` holds N_0, ..., N_r, |X| monomials in all; N_d is empty
+    past r.  ``h_vector`` is (|N_0|, ..., |N_r|) and ``hilbert_counts`` is
+    (H_X(0), ..., H_X(r)).  All are read-only, as `walk_of` hands one walk
+    to every caller that asks about X.
     """
 
     def __init__(self, X: ToricSet):
-        self.X = X
-        self._steps = None  # the running standard_walk
-        self._artinian: list[np.ndarray] = []  # N_0, ..., N_e of the degrees passed
-        self._total = 0  # |N_0| + ... + |N_e|
-
-    def _walk_to(self, d: int) -> None:
-        """Walk on to degree d, or to the regularity if that comes first."""
-        if self._steps is None:
-            self._steps = _walk(self.X)
-        while len(self._artinian) <= d and self._total < len(self.X):
-            self._artinian.append(next(self._steps)[0])
-            self._total += len(self._artinian[-1])
+        # the walk references the arrays of X, never X itself, so the memo
+        # of walk_of does not keep X alive
+        self._steps = standard_walk(X.gens, X.field.q - 1, X.radices)
+        artinian, self._leading = [], []  # N_d and leading_d of each degree walked
+        total = 0
+        while total < len(X):
+            N, leading = next(self._steps)
+            N.setflags(write=False)
+            artinian.append(N)
+            self._leading.append(leading)
+            total += len(N)
+        self.artinian = tuple(artinian)
+        self.h_vector = tuple(len(N) for N in self.artinian)
+        self.hilbert_counts = tuple(accumulate(self.h_vector))
+        self.regularity = len(self.artinian) - 1
 
     def standard(self, d: int) -> np.ndarray:
-        """Delta_d in ascending revlex."""
-        self._walk_to(d)
-        blocks = [N.copy() for N in self._artinian[: d + 1]]
+        """Delta_d = ts^d N_0, ts^(d-1) N_1, ..., N_d in ascending revlex."""
+        blocks = [N.copy() for N in self.artinian[: d + 1]]
         for j, N in enumerate(blocks):
             N[:, -1] += d - j
         return np.concatenate(blocks)
 
     def hilbert(self, d: int) -> int:
         """H_X(d) = |N_0| + ... + |N_d|."""
-        self._walk_to(d)
-        return sum(len(N) for N in self._artinian[: d + 1])
+        return self.hilbert_counts[min(d, self.regularity)]
 
-    def h_vector(self) -> list[int]:
-        """[h_0, ..., h_r] with h_d = |N_d|, through the regularity r."""
-        self._walk_to(len(self.X))  # r < |X|
-        return [len(N) for N in self._artinian]
-
-    def hilbert_counts(self) -> list[int]:
-        """[H_X(0), ..., H_X(r)] through the regularity r <= (q-2)(s-1)."""
-        return list(accumulate(self.h_vector()))
+    def leading(self, d: int):
+        """The leading terms of degree d <= r+1 of the reduced revlex basis
+        and their tails, as standard_walk gives them.  The first request
+        for degree r+1 walks its step."""
+        if d == len(self._leading):
+            self._leading.append(next(self._steps)[1])
+        return self._leading[d]()
 
 
-def code(X: ToricSet, d: int, walk: StandardWalk | None = None) -> LinearCode:
+_WALKS: weakref.WeakKeyDictionary[ToricSet, StandardWalk] = weakref.WeakKeyDictionary()
+
+
+def walk_of(X: ToricSet) -> StandardWalk:
+    """The StandardWalk of X, built on the first request and kept while X
+    lives."""
+    walk = _WALKS.get(X)
+    if walk is None:
+        walk = _WALKS[X] = StandardWalk(X)
+    return walk
+
+
+def code(X: ToricSet, d: int) -> LinearCode:
     """The parameterized code C_X(d) with its canonical generator matrix,
-    from Delta_d of `walk` (a StandardWalk of X) or of a walk of its own.
+    from Delta_d of the walk of X.
 
     The code is transitive: x in X moves the point p to x*p, which
     permutes the coordinates regularly and only rescales the evaluation row
@@ -224,13 +235,13 @@ def code(X: ToricSet, d: int, walk: StandardWalk | None = None) -> LinearCode:
     """
     if d < 1:
         raise ValueError("need d >= 1")
-    std = (walk or StandardWalk(X)).standard(d)
-    if len(std) == len(X):
-        # d >= regularity: the code is all of GF(q)^|X|, whose RREF basis
-        # is the identity; elimination would cost O(|X|^3)
+    walk = walk_of(X)
+    if d >= walk.regularity:
+        # the code is all of GF(q)^|X|, whose RREF basis is the identity;
+        # elimination would cost O(|X|^3)
         G = np.eye(len(X), dtype=X.field.dtype)
     else:
-        R, pivots = _linalg.rref(X.field, evaluate_rows(X, std))
+        R, pivots = _linalg.rref(X.field, evaluate_rows(X, walk.standard(d)))
         G = R[: len(pivots)]
     return LinearCode(
         generator=G,
@@ -247,15 +258,15 @@ def hilbert_function(X: ToricSet, d: int) -> int:
     """H_X(d) = dim of the degree-d piece of the homogeneous coordinate ring."""
     if d < 0:
         raise ValueError("need d >= 0")
-    return StandardWalk(X).hilbert(d)
+    return walk_of(X).hilbert(d)
 
 
 def regularity(X: ToricSet) -> int:
     """Least d with H_X(d) = |X|; bounded above by (q-2)(s-1)."""
-    return len(StandardWalk(X).h_vector()) - 1
+    return walk_of(X).regularity
 
 
 def h_vector(X: ToricSet) -> list[int]:
     """h_d = |N_d|, the standard monomials of degree d prime to ts, through
     the regularity; entries are positive and sum to |X|."""
-    return StandardWalk(X).h_vector()
+    return list(walk_of(X).h_vector)

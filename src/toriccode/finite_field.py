@@ -39,6 +39,7 @@ import numpy as np
 
 DEFAULT_MAX_Q = 2 ** 16
 _TABLE_LIMIT = 256  # build full q x q op tables up to this cardinality
+_DECIMAL_BITS = 14_000  # longest p^k formed, within the 4300 digits Python prints
 
 
 def _is_prime(n: int) -> bool:
@@ -512,13 +513,20 @@ class FieldElement:
 
 def field_order(p: int, k: int) -> int:
     """q = p^k, once p and k pass the checks every field passes: integers,
-    p prime, k >= 1, 3 <= q <= DEFAULT_MAX_Q.  Raises ValueError otherwise."""
+    p prime, k >= 1, 3 <= q <= DEFAULT_MAX_Q.  Raises ValueError otherwise.
+
+    The work is bounded for any p and k: primality is tested only on
+    p <= DEFAULT_MAX_Q, by trial division up to 256 (a larger p fails the
+    cap, prime or not), and p^k is formed only up to _DECIMAL_BITS bits (a
+    longer one is far past the cap and is named "p^k")."""
     if not isinstance(p, int) or not isinstance(k, int):
         raise ValueError("p and k must be integers")
-    if not _is_prime(p):
+    if p < 2 or (p <= DEFAULT_MAX_Q and not _is_prime(p)):
         raise ValueError(f"p = {p} is not prime")
     if k < 1:
         raise ValueError(f"k = {k} must be >= 1")
+    if k * p.bit_length() > _DECIMAL_BITS:
+        raise ValueError(f"q = {p}^{k} exceeds the cardinality cap {DEFAULT_MAX_Q}")
     q = p ** k
     if q < 3:
         raise ValueError("GF(2) is not supported; need q >= 3")
@@ -529,14 +537,16 @@ def field_order(p: int, k: int) -> int:
 
 def prime_power(q: int) -> tuple[int, int]:
     """(p, k) with q = p^k; ValueError when q is not a prime power.  The
-    field checks are field_order's."""
+    field checks are field_order's.
+
+    Trial division stops at 256 = sqrt(DEFAULT_MAX_Q), which finds the
+    prime of every q within the cap; a larger q with no factor up to 256 is
+    rejected for the cap, whether or not it is a prime power."""
     if not isinstance(q, int) or q < 2:
         raise ValueError(f"q = {q} is not a prime power >= 3")
-    p = q
-    for f in range(2, int(math.isqrt(q)) + 1):
-        if q % f == 0:
-            p = f
-            break
+    p = next((f for f in range(2, min(math.isqrt(q), 256) + 1) if q % f == 0), q)
+    if p == q > DEFAULT_MAX_Q:
+        raise ValueError(f"q = {q} exceeds the cardinality cap {DEFAULT_MAX_Q}")
     k = 0
     rest = q
     while rest % p == 0:

@@ -3,8 +3,11 @@
 Three routes: exhaustive search over projective codeword classes, an
 information-set search, and the closed torus formula (exact when X is the
 full torus, an upper bound delta'_d under the rank/normality hypotheses
-otherwise).  `min_distance` chooses among them.  Every result is an
-interval [lower, value] that holds delta; it is a single number when exact.
+otherwise).  `min_distance(X, d, method)` chooses among them, and
+`distance_report` adds the dimension and the bounds of one degree; both
+read the regularity, H_X(d) and Delta_d from the one walk of X
+(`eval_code.walk_of`).  Every result is an interval [lower, value] that
+holds delta; it is a single number when exact.
 
 Information-set search enumerates, for w = 1, 2, ..., every codeword with
 at most w nonzeros on an information set I, and stops as soon as a lower
@@ -50,7 +53,7 @@ import numpy as np
 from . import _linalg
 from .clutter import Clutter, uniformity
 from .errors import BudgetExceededError
-from .eval_code import LinearCode, StandardWalk, code
+from .eval_code import LinearCode, code, walk_of
 from .finite_field import FiniteField
 from .intlattice import incidence_rank
 from .toric_set import ToricSet, equals_torus
@@ -313,21 +316,18 @@ def delta_prime(C: Clutter | None, X: ToricSet, d: int) -> int | None:
 def min_distance(
     X: ToricSet,
     d: int,
-    reg: int,
     method: str = "auto",
     prime: int | None = None,
     class_budget: int = DEFAULT_CLASS_BUDGET,
     time_budget: float | None = None,
-    walk: StandardWalk | None = None,
 ) -> DistanceResult:
-    """delta_d of C_X(d) by `method`, for X of regularity reg.
+    """delta_d of C_X(d) by `method`.
 
     auto takes the first route that applies: the torus formula; delta = 1
-    for d >= reg, where the code is all of GF(q)^|X|; brute force within
-    the class budget; information-set search.  formula is the torus formula
-    when X is the torus, else `prime` (delta'_d) as an upper bound only.
-    A search builds the code from Delta_d of `walk`, a StandardWalk of X
-    the caller holds, or of a walk of its own.
+    for d at or past the regularity of X, where the code is all of
+    GF(q)^|X|; brute force within the class budget; information-set search.
+    formula is the torus formula when X is the torus, else `prime`
+    (delta'_d) as an upper bound only.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -342,9 +342,9 @@ def min_distance(
                 "formula method needs X = torus, or a uniform clutter with rank(A) = n"
             )
         return DistanceResult(prime, "bound-only", exact=False)
-    if method == "auto" and d >= reg:
+    if method == "auto" and d >= walk_of(X).regularity:
         return DistanceResult(1, "regularity", exact=True)
-    cd = code(X, d, walk)
+    cd = code(X, d)
     if method == "auto":
         classes = (q ** cd.dimension - 1) // (q - 1)
         method = "bruteforce" if classes <= class_budget else "isd"
@@ -363,14 +363,11 @@ def distance_report(
 ) -> dict:
     """Assemble delta_d together with every applicable bound for one degree.
 
-    X is the set of C, or the projective torus when C is None.  One walk
-    gives the Hilbert function and Delta_d for a search."""
-    walk = StandardWalk(X)
-    counts = walk.hilbert_counts()
-    reg = len(counts) - 1
-    dim = counts[min(d, reg)]
+    X is the set of C, or the projective torus when C is None."""
+    walk = walk_of(X)
+    reg, dim = walk.regularity, walk.hilbert(d)
     prime = delta_prime(C, X, d)
-    result = min_distance(X, d, reg, method, prime, class_budget, time_budget, walk)
+    result = min_distance(X, d, method, prime, class_budget, time_budget)
     if C is None:
         note = "the torus formula"
     elif prime is not None:

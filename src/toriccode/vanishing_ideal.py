@@ -6,13 +6,13 @@ by the binomials t^e - t^e' of equal degree and key: it is a lattice ideal,
 and its reduced revlex basis consists of such binomials.  Every point of X
 has unit coordinates, so ts is a nonzerodivisor mod I(X) and mod its
 revlex initial ideal: no leading term is divisible by ts.  The basis
-comes from the walk of `eval_code.standard_walk` over the Artinian
-reduction, with no field elimination: in degree d it lists N_d, the
-standard monomials prime to ts, and the leading terms t^e of that degree,
-each with the standard monomial of its key as the tail of its basis
-element t^e - tail.  The walk stops after degree r+1, where r is the
-regularity (the least degree with |X| standard monomials): N_(r+1) is
-empty, and no reduced-basis element lives beyond degree r+1.
+comes from the walk of X over the Artinian reduction (`eval_code.walk_of`),
+with no field elimination: in degree d it lists N_d, the standard
+monomials prime to ts, and the leading terms t^e of that degree, each with
+the standard monomial of its key as the tail of its basis element
+t^e - tail.  The walk of X ends at the regularity r (the least degree with
+|X| standard monomials); the basis asks it for one more degree, r+1, where
+N_(r+1) is empty, and no reduced-basis element lives beyond it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .clutter import Clutter, incidence
 from .errors import BudgetExceededError
-from .eval_code import _walk, evaluate_rows
+from .eval_code import evaluate_rows, walk_of
 from .finite_field import FiniteField, field_from_q
 from .toric_set import ToricSet, enumerate_X
 
@@ -101,16 +101,14 @@ def interpolate_gb(X: ToricSet) -> ReducedGB:
     revlex leading term."""
     F = X.field
     minus_one = int(F.neg(1))
+    walk = walk_of(X)
     elements: list[HomogPoly] = []
-    counts: dict[int, int] = {}
-    total = 0
-    for d, (artinian, leading) in enumerate(_walk(X)):
-        total += len(artinian)
-        counts[d] = total
-        leads, tails = leading()
+    for d in range(walk.regularity + 2):
+        leads, tails = walk.leading(d)
         for lead, tail in zip(leads[::-1].tolist(), tails[::-1].tolist()):
             lead = tuple(lead)
             elements.append(HomogPoly(terms=((lead, 1), (tuple(tail), minus_one)), lead=lead))
+    counts = {d: walk.hilbert(d) for d in range(walk.regularity + 2)}
     return ReducedGB(field=F, s=X.s, elements=elements, standard_counts=counts)
 
 

@@ -35,7 +35,7 @@ from toriccode import (
     projective_torus,
     regularity,
 )
-from toriccode.eval_code import StandardWalk, _walk
+from toriccode.eval_code import StandardWalk, standard_walk
 
 
 _CLUTTERS = settings(
@@ -94,7 +94,7 @@ def _check_walk_against_oracle(X):
     the Delta_d of the sorting walk over all standard monomials, and the
     same leading terms and tails; it stops there, with every N_d past r
     empty and sum |N_d| = |X|."""
-    steps = [(N, *leading()) for N, leading in _walk(X)]
+    steps = [(N, *leading()) for N, leading in standard_walk(X.gens, X.field.q - 1, X.radices)]
     r = len(steps) - 2
     assert len(steps[-1][0]) == 0 and sum(len(N) for N, _, _ in steps) == len(X)
     oracle = oracle_standard_walk(X.gens, X.field.q - 1, r + 1)
@@ -104,8 +104,9 @@ def _check_walk_against_oracle(X):
         assert np.array_equal(N, delta[delta[:, -1] == 0]), d
         assert np.array_equal(got_leads, leads), d
         assert np.array_equal(got_tails, tails), d
+        assert all(map(np.array_equal, walk.leading(d), (leads, tails))), d
         assert not got_leads[:, -1].any(), d
-    assert len(walk.standard(r)) == len(X)
+    assert walk.regularity == r and len(walk.standard(r)) == len(X)
     assert r == 0 or len(walk.standard(r - 1)) < len(X)
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 
 try:
@@ -14,8 +15,9 @@ except ImportError:  # not on every platform
 
 import pytest
 
-from conftest import BATTERY_DOCS
-from toriccode import FiniteField, enumerate_X, intlattice, make_field
+from conftest import BATTERY, BATTERY_DOCS
+from toriccode import FiniteField, enumerate_X, intlattice, make_field, regularity, size_of_X
+from toriccode.finite_field import prime_power
 from toriccode.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, _build_parser, main
 
 K4_DOC = '{"n": 4, "edges": [[1,2],[1,3],[1,4],[2,3],[2,4],[3,4]]}'
@@ -125,6 +127,29 @@ class TestParams:
         assert body["regularity"] == 10 and body["length"] == 1296
 
 
+@pytest.mark.parametrize("q", [3, 4, 5])
+@pytest.mark.parametrize("name", sorted(BATTERY))
+def test_params_rows_are_mindist_reports(run, tmp_path, name, q):
+    """Each params row is the mindist report of its degree restricted to the
+    row's keys, "dimension" read as "dim"; a formula that does not apply
+    fails both alike."""
+    f = tmp_path / f"{name}.json"
+    f.write_text(json.dumps(BATTERY_DOCS[name]))
+    source = ("--clutter", str(f), "--q", str(q), "--format", "json")
+    methods = ["formula"] + (["auto"] if size_of_X(BATTERY[name], q) <= 64 else [])
+    for method in methods:
+        rc, out, err = run("params", *source, "--method", method)
+        if rc == EXIT_INPUT:
+            assert run("mindist", *source, "--method", method, "--d", "1") == (rc, out, err)
+            continue
+        rows = json.loads(out)["rows"]
+        assert rc == EXIT_OK and rows
+        for row in rows:
+            rc, out, _ = run("mindist", *source, "--method", method, "--d", str(row["d"]))
+            report = {"dim" if k == "dimension" else k: v for k, v in json.loads(out).items()}
+            assert rc == EXIT_OK and row == {k: report[k] for k in row}, (method, row["d"])
+
+
 class TestMindist:
     def test_json_report(self, run, k4_file):
         rc, out, _ = run(
@@ -194,6 +219,15 @@ class TestCi:
         assert "is_ci: True" in out
         assert "advisory_equals_torus: True" in out
 
+    def test_k4_csv(self, run, k4_file):
+        rc, out, _ = run("ci", "--clutter", k4_file, "--q", "3", "--format", "csv")
+        assert rc == EXIT_OK
+        assert out == (
+            "applicable,is_ci,vectors_independent,phi_injective,reason,"
+            "advisory_equals_torus,advisory_size_X,advisory_torus_size\n"
+            "True,False,False,,characteristic vectors are linearly dependent,False,8,32\n"
+        )
+
     def test_non_uniform_advisory(self, run, tmp_path):
         f = tmp_path / "mix.txt"
         f.write_text("1 2\n3\n")
@@ -249,6 +283,13 @@ class TestProfile:
         lines = dump.read_text().strip().splitlines()
         assert lines[0] == "t1,t2,t3,t4,t5,t6"
         assert len(lines) == 9
+
+    def test_csv_quotes_the_note(self, run, k4_file):
+        rc, out, _ = run("profile", "--clutter", k4_file, "--q", "3", "--format", "csv")
+        assert rc == EXIT_OK
+        header, row = out.splitlines()
+        assert header.split(",")[-1] == "note" and row.split(",")[:4] == ["4", "6", "3", "8"]
+        assert row.endswith(',"normality of the edge subring is user-asserted, not verified"')
 
     def test_four_disjoint_triangles_gf9(self, run, tmp_path):
         # (q-1)^n = 8^12 tuples, but X is the whole torus of 8^3 points
@@ -426,6 +467,26 @@ def test_bad_field_same_for_every_command(run, k4_file, field, message):
             assert got == (EXIT_INPUT, "", f"input error: {message}\n"), (command, source)
 
 
+HUGE_FIELDS = [
+    (("--p", "3", "--k", "1000000000"), "q = 3^1000000000 exceeds the cardinality cap 65536"),
+    (("--q", "2305843009213693951"), "q = 2305843009213693951 exceeds the cardinality cap 65536"),
+    (("--p", "2305843009213693951"), "q = 2305843009213693951 exceeds the cardinality cap 65536"),
+]
+
+
+@pytest.mark.parametrize("field,message", HUGE_FIELDS, ids=[" ".join(f) for f, _ in HUGE_FIELDS])
+def test_huge_field_rejected_at_once(run, k4_file, field, message):
+    """The size checks form no power past the cap and divide by no trial
+    factor past 256, so a huge p^k, or a prime q or p of 61 bits, exits 2
+    within a second."""
+    for command in ("params", "mindist", "groebner", "ci", "profile"):
+        degree = ("--d", "1") if command == "mindist" else ()
+        start = time.monotonic()
+        got = run(command, "--clutter", k4_file, *field, *degree)
+        assert got == (EXIT_INPUT, "", f"input error: {message}\n"), command
+        assert time.monotonic() - start < 1, command
+
+
 class TestEnvBudgets:
     def test_enum_budget_env(self, run, k4_file, monkeypatch):
         monkeypatch.setenv("TORICCODE_ENUM_BUDGET", "10")
@@ -519,8 +580,10 @@ def _child_env():
 
 
 class TestWalksPerJob:
-    """mindist and a params table each walk the standard monomials once:
-    the walk keeps every N_d, so no degree asked for again restarts it."""
+    """mindist, a params table and groebner each walk the standard
+    monomials once: the walk of X keeps every N_d, so no degree asked for
+    again restarts it.  It takes r+1 steps, N_0 to N_r, r the regularity;
+    only groebner takes step r+2, for the leading terms of degree r+1."""
 
     JOBS = [
         (("mindist", "U6", "4", "--d", "1"), 1),
@@ -532,6 +595,9 @@ class TestWalksPerJob:
         (("params", "K4", "5", "--dmin", "2", "--dmax", "3", "--method", "isd"), 1),
         (("params", "K4", "3", "--full", "--method", "bruteforce"), 1),
         (("params", "K4", "3", "--dmin", "3", "--dmax", "4", "--method", "isd"), 1),
+        (("groebner", "K4", "8"), 1),
+        (("groebner", "U6", "4"), 1),
+        (("groebner", "P3", "3"), 1),
     ]
 
     @pytest.mark.parametrize(
@@ -545,16 +611,20 @@ class TestWalksPerJob:
         f.write_text(json.dumps(BATTERY_DOCS[name]))
         argv = (command, "--clutter", str(f), "--q", q, "--format", "json", *rest)
         plain = run(*argv)
-        calls = []
+        r = regularity(enumerate_X(BATTERY[name], make_field(*prime_power(int(q)))))
+        calls, steps = [], []
         original = eval_code.standard_walk
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return original(*args, **kwargs)
+            for step in original(*args, **kwargs):
+                steps.append(step)
+                yield step
 
         monkeypatch.setattr(eval_code, "standard_walk", counted)
         assert run(*argv) == plain and plain[0] == EXIT_OK
         assert len(calls) == walks
+        assert len(steps) == r + (2 if command == "groebner" else 1)
 
 
 @pytest.mark.parametrize("d", ["1", "2", "3"])

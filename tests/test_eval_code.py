@@ -1,5 +1,7 @@
 """Code construction, Hilbert data, degree bounds."""
 
+import gc
+import weakref
 from math import comb
 
 import numpy as np
@@ -8,15 +10,19 @@ import pytest
 from conftest import oracle_torus_h_vector
 from toriccode import (
     code,
+    distance_report,
     enumerate_X,
     field_from_q,
     h_vector,
     hilbert_function,
+    interpolate_gb,
     make_field,
+    min_distance,
     projective_torus,
     regularity,
 )
-from toriccode.eval_code import StandardWalk, evaluate_rows
+from toriccode import eval_code
+from toriccode.eval_code import StandardWalk, evaluate_rows, walk_of
 from toriccode.vanishing_ideal import _mono_str
 
 
@@ -138,10 +144,38 @@ def test_standard_walk_in_any_order(k4):
     counts = None
     for d in (2, 2, 3, 1, 7, 0, 4, 5, 5, 6):
         if d == 4:
-            counts = walk.hilbert_counts()
+            counts = list(walk.hilbert_counts)
         assert np.array_equal(walk.standard(d), fresh[d])
     assert counts == [len(fresh[d]) for d in range(len(counts))]
     assert counts[-1] == len(X) and len(counts) - 1 == regularity(X)
+
+
+def test_one_walk_per_point_set(k4, monkeypatch):
+    """Every reader of the standard monomials of X shares the one walk of
+    X, and the walk goes when X goes."""
+    calls = []
+    original = eval_code.standard_walk
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(eval_code, "standard_walk", counted)
+    gc.collect()
+    kept = len(eval_code._WALKS)
+    X = enumerate_X(k4, field_from_q(5))
+    r = regularity(X)
+    assert [hilbert_function(X, d) for d in range(r + 2)] == [*walk_of(X).hilbert_counts, len(X)]
+    assert sum(h_vector(X)) == len(X)
+    assert code(X, 1).dimension == hilbert_function(X, 1) and code(X, r).dimension == len(X)
+    assert min_distance(X, 1).exact and min_distance(X, 2, "isd").exact
+    assert distance_report(k4, X, 2)["regularity"] == r
+    assert interpolate_gb(X).standard_counts[r + 1] == len(X)
+    assert len(calls) == 1 and len(eval_code._WALKS) == kept + 1
+    x, walk = weakref.ref(X), weakref.ref(walk_of(X))
+    del X
+    gc.collect()
+    assert x() is None and walk() is None and len(eval_code._WALKS) == kept
 
 
 class TestSingleton:

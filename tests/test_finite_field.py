@@ -136,6 +136,16 @@ class TestSharedFields:
     def test_prime_power(self, q, pk):
         assert prime_power(q) == pk
 
+    @pytest.mark.parametrize("q", [65537, 257 * 263, 2 ** 61 - 1, (2 ** 61 - 1) ** 3])
+    def test_past_the_cap_without_small_factor(self, q):
+        # trial division stops at 256: such a q fails the cap, prime or not
+        with pytest.raises(ValueError, match=f"^q = {q} exceeds the cardinality cap 65536$"):
+            prime_power(q)
+
+    def test_long_power_named_not_formed(self):
+        with pytest.raises(ValueError, match=r"^q = 3\^1000000000 exceeds the cardinality cap"):
+            field_order(3, 10 ** 9)
+
     @pytest.mark.parametrize("q", [1, 6, 12, 0, -9, 9.0])
     def test_not_a_prime_power(self, q):
         with pytest.raises(ValueError, match="not a prime power"):

@@ -33,7 +33,7 @@ from toriccode import (
 )
 from toriccode import mindist
 from toriccode._linalg import rref
-from toriccode.eval_code import LinearCode, StandardWalk
+from toriccode.eval_code import LinearCode, walk_of
 
 
 class TestTorusDistanceFormula:
@@ -261,7 +261,7 @@ def test_isd_on_random_codes_matches_exhaustive_weight(case):
     C, q = case
     F = field_from_q(q)
     X = enumerate_X(C, F)
-    counts = StandardWalk(X).hilbert_counts()
+    counts = walk_of(X).hilbert_counts
     for d in range(1, len(counts)):
         if q ** counts[d] > _MAX_MESSAGES:
             break
@@ -280,7 +280,7 @@ def _small_codes(case):
     """Every C_X(d) of a drawn clutter with at most _MAX_MESSAGES messages."""
     C, q = case
     X = enumerate_X(C, field_from_q(q))
-    counts = StandardWalk(X).hilbert_counts()
+    counts = walk_of(X).hilbert_counts
     for d in range(1, len(counts)):
         if q ** counts[d] > _MAX_MESSAGES:
             break
@@ -476,7 +476,7 @@ def test_one_form_isd_enumerates_every_message(cd):
 def test_isd_matches_bruteforce_on_battery(name, q):
     """Every C_X(d) below the regularity with at most 10^4 codeword classes."""
     X = enumerate_X(BATTERY[name], field_from_q(q))
-    counts = StandardWalk(X).hilbert_counts()
+    counts = walk_of(X).hilbert_counts
     for d in range(1, len(counts) - 1):
         if (q ** counts[d] - 1) // (q - 1) > 10 ** 4:
             break
@@ -520,7 +520,7 @@ class TestIntervals:
 class TestMinDistance:
     def test_torus_formula_first(self, triangle):
         X = enumerate_X(triangle, make_field(3, 2))
-        r = min_distance(X, 20, regularity(X))
+        r = min_distance(X, 20)
         assert (r.value, r.method, r.exact) == (1, "formula", True)
 
     def test_regularity_shortcut(self, k4):
@@ -531,15 +531,15 @@ class TestMinDistance:
     def test_forced_methods_skip_shortcut(self, k4):
         X = enumerate_X(k4, make_field(3, 1))
         for method in ("bruteforce", "isd"):
-            r = min_distance(X, 2, regularity(X), method)
+            r = min_distance(X, 2, method)
             assert (r.value, r.method, r.exact) == (1, method, True)
 
     def test_class_budget_picks_isd(self, k4):
         X = enumerate_X(k4, make_field(3, 1))
-        r = min_distance(X, 1, regularity(X), class_budget=10)
+        r = min_distance(X, 1, class_budget=10)
         assert (r.value, r.method, r.exact) == (2, "isd", True)
 
     def test_rejects_degree_zero(self, k4):
         X = enumerate_X(k4, make_field(3, 1))
         with pytest.raises(ValueError):
-            min_distance(X, 0, regularity(X))
+            min_distance(X, 0)
