@@ -26,6 +26,15 @@ basis alone asks it for degree r+1, one step past the regularity.  Only the
 generator matrix of C_X(d) is computed over GF(q), as the reduced row
 echelon form of the evaluations of Delta_d; RREF is unique for a row space,
 so the choice of monomials does not show in it.
+
+Setting ts = 1 takes the revlex basis to a degree-compatible basis of the
+affine vanishing ideal of X, whose standard monomials are the N_d.  A
+nonzero form of degree d reduces to an affine f of degree at most d with
+leading monomial M in N_0, ..., N_d, and f is nonzero at no fewer points of
+X than there are multiples of M among the N_j: the footprint bound
+(Geil-Hoeholdt 2000; Martinez-Bernal, Pitones and Villarreal 2017).  So
+delta_d is at least the least such count, `StandardWalk.footprint(d)`,
+which `code` records on C_X(d) as the floor of both distance searches.
 """
 
 from __future__ import annotations
@@ -40,6 +49,8 @@ import numpy as np
 from . import _linalg
 from .finite_field import FiniteField
 from .toric_set import ToricSet
+
+_CELL_CAP = 1 << 20  # cells of the largest array a block of a count or search allocates
 
 
 def standard_walk(gens: np.ndarray, m: int, radices):
@@ -158,6 +169,9 @@ class LinearCode:
     # whether a group acts regularly on the coordinates and maps the code to
     # itself; information-set search then needs a single systematic form
     transitive: bool = False
+    # a proven lower bound on the minimum distance; both searches stop once
+    # a codeword reaches it
+    floor: int = 1
 
     def __repr__(self):
         return (
@@ -204,6 +218,23 @@ class StandardWalk:
         """H_X(d) = |N_0| + ... + |N_d|."""
         return self.hilbert_counts[min(d, self.regularity)]
 
+    def footprint(self, d: int) -> int:
+        """The least number of multiples in N_0, ..., N_r of a monomial of
+        N_0, ..., N_d: a lower bound on delta_d (see the module docstring).
+        It is 1, with no count, from the regularity on.  The monomials are
+        counted in blocks of rows, so that no array exceeds _CELL_CAP
+        cells."""
+        if d >= self.regularity:
+            return 1
+        # the N_j are prime to ts: their other exponents are the affine ones
+        standard = np.concatenate(self.artinian)[:, :-1]
+        bounded = standard[: self.hilbert(d)]
+        block = max(1, _CELL_CAP // standard.size)
+        return min(
+            int((standard >= bounded[i : i + block, None]).all(axis=2).sum(axis=1).min())
+            for i in range(0, len(bounded), block)
+        )
+
     def leading(self, d: int):
         """The leading terms of degree d <= r+1 of the reduced revlex basis
         and their tails, as standard_walk gives them.  The first request
@@ -232,6 +263,7 @@ def code(X: ToricSet, d: int) -> LinearCode:
     The code is transitive: x in X moves the point p to x*p, which
     permutes the coordinates regularly and only rescales the evaluation row
     of each monomial t^e (by t^e(x)), so C_X(d) is an abelian group code.
+    Its floor is the footprint bound of the walk.
     """
     if d < 1:
         raise ValueError("need d >= 1")
@@ -251,6 +283,7 @@ def code(X: ToricSet, d: int) -> LinearCode:
         field=X.field,
         source=X.source,
         transitive=True,
+        floor=walk.footprint(d),
     )
 
 

@@ -9,6 +9,14 @@ read the regularity, H_X(d) and Delta_d from the one walk of X
 (`eval_code.walk_of`).  Every result is an interval [lower, value] that
 holds delta; it is a single number when exact.
 
+`code(X, d)` records on C_X(d) the footprint bound of that walk as
+`LinearCode.floor`, a proven lower bound on delta (1 on a code built by
+hand).  Both searches start from the lightest generator row and stop, with
+an exact result, as soon as their lightest codeword reaches the floor: when
+that row already does, before any table is built.  A search stopped by its
+time budget reports the floor as its lower end when nothing better is
+proven.
+
 Information-set search enumerates, for w = 1, 2, ..., every codeword with
 at most w nonzeros on an information set I, and stops as soon as a lower
 bound on the weight of all codewords not yet seen reaches the lightest one
@@ -53,14 +61,13 @@ import numpy as np
 from . import _linalg
 from .clutter import Clutter, uniformity
 from .errors import BudgetExceededError
-from .eval_code import LinearCode, code, walk_of
+from .eval_code import _CELL_CAP, LinearCode, code, walk_of
 from .finite_field import FiniteField
 from .intlattice import incidence_rank
 from .toric_set import ToricSet, equals_torus
 
 DEFAULT_CLASS_BUDGET = 10 ** 7
 METHODS = ("auto", "bruteforce", "isd", "formula")
-_CELL_CAP = 1 << 20  # cells of the largest array a search block allocates
 
 
 @dataclass
@@ -124,9 +131,10 @@ def min_distance_bruteforce(
     wt(a - b) = #{j : a_j != b_j}.  The nonzero rows of B are the words
     with a zero head.  A transitive code needs only the messages with first
     coefficient 1 (see the module docstring), so neither the later heads
-    nor B itself.  The search starts from the lightest generator row; the
-    time budget is checked before each block of head words, and on expiry
-    the lightest codeword so far is returned with exact=False and lower 1.
+    nor B itself.  The search starts from the lightest generator row and
+    stops once its lightest codeword reaches C.floor; the time budget is
+    checked before each block of head words, and on expiry the lightest
+    codeword so far is returned with exact=False and lower the floor.
     """
     F = C.field
     q = F.q
@@ -139,15 +147,17 @@ def min_distance_bruteforce(
             f"{classes} projective classes > budget {class_budget}; use isd"
         )
     start = time.monotonic()
+    row_weights = _weights(C.generator, 0, axis=1)
+    best = int(row_weights.min())
+    witness = C.generator[int(np.argmin(row_weights))].copy()
+    if best <= C.floor:
+        return DistanceResult(best, "bruteforce", exact=True, witness=witness)
     S = _scaled_rows(F, C.generator)
     k2 = 0
     while k2 < k - 1 and q ** (k2 + 1) * n <= _CELL_CAP:
         k2 += 1
     k1 = k - k2
     B = _span(F, S[:, k1:])
-    row_weights = _weights(C.generator, 0, axis=1)
-    best = int(row_weights.min())
-    witness = C.generator[int(np.argmin(row_weights))].copy()
     if k2 and not C.transitive:
         weights = _weights(B[1:], 0, axis=1)
         i = int(np.argmin(weights))
@@ -160,8 +170,12 @@ def min_distance_bruteforce(
         free = k1 - pivot - 1
         radix = q ** np.arange(free, dtype=np.int64)
         for first in range(0, q ** free, block):
+            if best <= C.floor:
+                return DistanceResult(best, "bruteforce", exact=True, witness=witness)
             if time_budget is not None and time.monotonic() - start > time_budget:
-                return DistanceResult(best, "bruteforce", exact=False, witness=witness)
+                return DistanceResult(
+                    best, "bruteforce", exact=False, witness=witness, lower=max(1, C.floor)
+                )
             ids = np.arange(first, min(first + block, q ** free), dtype=np.int64)
             digits = (ids[:, None] // radix[None, :]) % q
             heads = np.broadcast_to(S[0, pivot], (ids.size, n))
@@ -207,10 +221,12 @@ def min_distance_isd(
     Brouwer-Zimmermann forms and bound.  A message is w rows with
     coefficients, the first 1: the first w-1 scaled rows are gathered from
     S and added, and the last is weighed against every unit at once by
-    comparison with its unit multiples in S.  Stops as soon as the bound
-    after weight w reaches the lightest codeword seen, which starts as the
-    lightest row of the first form.  On time budget exhaustion that weight is returned with
-    exact=False, and `lower` is the bound after the last completed weight.
+    comparison with its unit multiples in S.  The lightest codeword seen
+    starts as the lightest row of the first form.  Stops as soon as it
+    reaches C.floor, checked before each block, or the bound after weight
+    w.  On time budget exhaustion that weight is returned with exact=False,
+    and `lower` is the larger of the floor and the bound after the last
+    completed weight.
     """
     F = C.field
     k, n = C.generator.shape
@@ -228,13 +244,15 @@ def min_distance_isd(
         def bound(w):
             return sum(max(0, w + 1 - d) for d in deficits)
 
-    tables = [_scaled_rows(F, G_sys) for G_sys in forms]
-    units = F.q - 1
     # a systematic row has at most n-k+1 nonzeros: the lightest one bounds
     # delta before any message is weighed
     row_weights = _weights(forms[0], 0, axis=1)
     upper = int(row_weights.min())
     witness = forms[0][int(np.argmin(row_weights))]
+    if upper <= C.floor:
+        return DistanceResult(value=upper, method="isd", exact=True, witness=witness)
+    tables = [_scaled_rows(F, G_sys) for G_sys in forms]
+    units = F.q - 1
     for w in range(1, k + 1):
         # unit indices: 0 for the first coefficient, all for the middle
         # w-2 (enumerated in blocks of patterns), all for the last
@@ -253,13 +271,17 @@ def min_distance_isd(
                 sel = np.array(batch, dtype=np.int64)  # (b, w) row indices
                 lasts = S[last[None, :], sel[:, -1, None]]  # (b, L, n)
                 for first in range(0, middles, pattern_block):
+                    if upper <= C.floor:
+                        return DistanceResult(
+                            value=upper, method="isd", exact=True, witness=witness
+                        )
                     if time_budget is not None and time.monotonic() - start > time_budget:
                         return DistanceResult(
                             value=upper,
                             method="isd",
                             exact=False,
                             witness=witness,
-                            lower=min(upper, bound(w - 1)),
+                            lower=min(upper, max(bound(w - 1), C.floor)),
                         )
                     ids = np.arange(first, min(first + pattern_block, middles), dtype=np.int64)
                     mid = (ids[:, None] // radix[None, :]) % units  # (P, w-2)
@@ -278,7 +300,7 @@ def min_distance_isd(
                     if weights[bi, pi, li] < upper:
                         upper = int(weights[bi, pi, li])
                         witness = _difference(F, partial[bi, pi], lasts[bi, li])
-        if bound(w) >= upper:
+        if max(bound(w), C.floor) >= upper:
             break
     return DistanceResult(value=upper, method="isd", exact=True, witness=witness)
 

@@ -189,6 +189,38 @@ def row_space_contains(field, R, pivots, v) -> bool:
     return not np.any(w)
 
 
+def oracle_rref(field, M, col_order=None):
+    """Reduced row echelon form by one column at a time: scan the columns
+    in col_order, take the first row with a nonzero entry as the pivot row,
+    and clear the column in the rows that have a nonzero there.  Returns
+    (R, pivots) as `_linalg.rref` does."""
+    R = np.array(M, dtype=field.dtype, copy=True)
+    nrows, ncols = R.shape
+    order = range(ncols) if col_order is None else col_order
+    pivots = []
+    r = 0
+    for c in order:
+        if r == nrows:
+            break
+        below = np.nonzero(R[r:, c])[0]
+        if below.size == 0:
+            continue
+        pr = r + int(below[0])
+        if pr != r:
+            R[[r, pr]] = R[[pr, r]]
+        piv = int(R[r, c])
+        if piv != 1:
+            R[r] = field.mul(R[r], int(field.inv(piv)))
+        f = R[:, c].copy()
+        f[r] = 0
+        touched = np.nonzero(f)[0]
+        if touched.size:
+            R[touched] = field.sub(R[touched], field.mul(f[touched, None], R[r][None, :]))
+        pivots.append(c)
+        r += 1
+    return R, pivots
+
+
 def multiplication_injective(relation_rows, factor: int) -> bool:
     """Is multiplication by ``factor`` injective on Z^n / L, where L is the
     lattice spanned by the given integer rows?"""

@@ -31,7 +31,7 @@ from toriccode import (
     regularity,
     torus_distance,
 )
-from toriccode import mindist
+from toriccode import eval_code, mindist
 from toriccode._linalg import rref
 from toriccode.eval_code import LinearCode, walk_of
 
@@ -101,6 +101,17 @@ class TestBruteforce:
         R, piv = rref(F, cd.generator)
         assert row_space_contains(F, R, piv, w)
 
+    def test_floor_met_only_by_a_combination(self):
+        """The rows of G weigh 3 and their difference 2 = delta: with delta
+        as the floor, a search must not stop on a row."""
+        F = field_from_q(3)
+        G = np.array([[1, 0, 1, 1], [0, 1, 1, 1]], dtype=F.dtype)
+        cd = LinearCode(
+            generator=G, length=4, dimension=2, d=1, field=F, source="t", floor=2
+        )
+        for r in (min_distance_bruteforce(cd), min_distance_isd(cd)):
+            assert r.exact and r.value == 2
+
     def test_budget_raises(self, k4):
         X = enumerate_X(k4, make_field(3, 1))
         with pytest.raises(BudgetExceededError):
@@ -154,12 +165,18 @@ class TestIsd:
         R, piv = rref(F, cd.generator)
         assert row_space_contains(F, R, piv, w)
 
-    def test_time_budget_inexact(self, triangle):
-        X = enumerate_X(triangle, make_field(3, 2))
-        cd = code(X, 3)
+    def test_time_budget_inexact(self, triangle, k4):
+        # K4/GF(5) d=3 has floor 1: a zero budget stops the search before
+        # weight 1
+        cd = code(enumerate_X(k4, make_field(5, 1)), 3)
         r = min_distance_isd(cd, time_budget=0.0)
-        assert not r.exact
-        assert r.value >= torus_distance(9, 3, 3)  # an upper bound on the true delta
+        assert cd.floor == 1 and not r.exact
+        assert r.value >= 4  # an upper bound on the true delta
+        # on the triangle over GF(9), d=3, the lightest systematic row meets
+        # the floor, so even a zero budget gives the exact distance
+        cd = code(enumerate_X(triangle, make_field(3, 2)), 3)
+        r = min_distance_isd(cd, time_budget=0.0)
+        assert r.exact and r.value == cd.floor == torus_distance(9, 3, 3)
 
 
 class TestDistanceReport:
@@ -296,16 +313,22 @@ def _small_blocks(q, n):
 
 def _check_searches(cd, cell_cap=None):
     """Brute force, and ISD too when cell_cap(q, n) replaces
-    mindist._CELL_CAP, against the exhaustive weight; each witness must be
-    a codeword of the reported weight."""
+    mindist._CELL_CAP, against the exhaustive weight, under the footprint
+    floor of cd, which must not exceed it, and under floor 1, where no
+    search stops before its end unless delta is 1; each witness must be a
+    codeword of the reported weight."""
     F = cd.field
     delta = oracle_min_weight(F, cd.generator)
+    assert 1 <= cd.floor <= delta
     R, pivots = rref(F, cd.generator)
     cap = mindist._CELL_CAP if cell_cap is None else cell_cap(F.q, cd.length)
+    results = []
     with mock.patch.object(mindist, "_CELL_CAP", cap):
-        results = [min_distance_bruteforce(cd)]
-        if cell_cap is not None:
-            results.append(min_distance_isd(cd))
+        for floor in (cd.floor, 1):
+            searched = dataclasses.replace(cd, floor=floor)
+            results.append(min_distance_bruteforce(searched))
+            if cell_cap is not None:
+                results.append(min_distance_isd(searched))
     for r in results:
         assert r.exact and r.value == delta
         assert int(np.count_nonzero(r.witness)) == delta
@@ -416,8 +439,9 @@ def test_transitive_bruteforce_weighs_first_coefficient_one(C, q, d):
     """On C_X(d) brute force weighs the q^(k-1) messages with first
     coefficient 1; the same matrix without the group action weighs every
     class, the words of the tail span B alone among them, for the same
-    delta."""
-    cd = code(enumerate_X(C, field_from_q(q)), d)
+    delta.  The floor is dropped, as it would end three of the searches
+    at the generator rows."""
+    cd = dataclasses.replace(code(enumerate_X(C, field_from_q(q)), d), floor=1)
     k, n = cd.dimension, cd.length
     k2 = 0
     while k2 < k - 1 and q ** (k2 + 1) * n <= mindist._CELL_CAP:
@@ -463,9 +487,13 @@ def test_one_form_isd_enumerates_every_message(cd):
     F = cd.field
     expected = oracle_one_form_isd(F.q, cd.generator)
     R, pivots = rref(F, cd.generator)
-    for cap in (mindist._CELL_CAP, _small_blocks(F.q, cd.length)):
+    # with the result itself as the floor, the search must still stop on
+    # no heavier codeword
+    for cap, floor in itertools.product(
+        (mindist._CELL_CAP, _small_blocks(F.q, cd.length)), (1, expected)
+    ):
         with mock.patch.object(mindist, "_CELL_CAP", cap):
-            r = min_distance_isd(cd)
+            r = min_distance_isd(dataclasses.replace(cd, floor=floor))
         assert r.exact and r.value == expected
         assert int(np.count_nonzero(r.witness)) == expected
         assert row_space_contains(F, R, pivots, r.witness)
@@ -513,7 +541,8 @@ class TestIntervals:
         cd = code(enumerate_X(k4, F), 1)  # [27, 6]: six message blocks
         r = min_distance_bruteforce(cd, time_budget=0.0)
         assert not r.exact and r.method == "bruteforce"
-        assert r.lower == 1 and r.value >= 12
+        # the floor is the lower end: delta = 12, its footprint bound 7
+        assert r.lower == cd.floor == 7 and r.value >= 12
         assert int(np.count_nonzero(r.witness)) == r.value
 
 
@@ -543,3 +572,38 @@ class TestMinDistance:
         X = enumerate_X(k4, make_field(3, 1))
         with pytest.raises(ValueError):
             min_distance(X, 0)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7])
+@pytest.mark.parametrize("s", [2, 3, 4])
+def test_floor_is_the_torus_distance(s, q):
+    """On the torus in P^(s-1) the footprint bound is exact: it equals the
+    closed formula below the regularity (q-2)(s-1), counted one monomial
+    per block too, and is 1 from there on."""
+    walk = walk_of(projective_torus(s, field_from_q(q)))
+    assert walk.regularity == (q - 2) * (s - 1)
+    degrees = range(1, walk.regularity + 2)
+    expected = [torus_distance(q, s, d) for d in degrees]
+    assert [walk.footprint(d) for d in degrees] == expected
+    with mock.patch.object(eval_code, "_CELL_CAP", 1):
+        assert [walk.footprint(d) for d in degrees] == expected
+
+
+@pytest.mark.parametrize("C,q,d", [
+    (BATTERY["U6"], 4, 1), (BATTERY["C3"], 9, 2), (_C9, 3, 1),
+], ids=["U6-4-1", "C3-9-2", "C9-3-1"])
+def test_searches_stop_at_the_floor(C, q, d):
+    """Each graph is connected with one cycle, an odd one, so X is the
+    torus in P^(s-1); there the floor is delta, and the lightest row of
+    the RREF meets it: both searches return delta exactly without building
+    the table S."""
+    X = enumerate_X(C, field_from_q(q))
+    cd = code(X, d)
+    delta = torus_distance(q, X.s, d)
+    R, pivots = rref(cd.field, cd.generator)
+    with mock.patch.object(mindist, "_scaled_rows", side_effect=AssertionError("built S")):
+        results = [min_distance_bruteforce(cd), min_distance_isd(cd)]
+    for r in results:
+        assert r.exact and r.value == r.lower == cd.floor == delta
+        assert int(np.count_nonzero(r.witness)) == delta
+        assert row_space_contains(cd.field, R, pivots, r.witness)
