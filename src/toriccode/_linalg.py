@@ -5,15 +5,13 @@ from __future__ import annotations
 import numpy as np
 
 
-def rref(field, M, col_order=None):
+def rref(field, M):
     """Reduced row echelon form of M over the field.
 
-    Pivot columns are chosen scanning columns in ``col_order``, a
-    permutation of the columns (natural order by default), always taking
+    Pivot columns are chosen scanning columns left to right, always taking
     the first row with a nonzero entry.  Returns (R, pivots) where pivots
     lists pivot column indices in the order they were used.
 
-    The columns are permuted once, so that the scan runs left to right.
     When the next column has no nonzero entry in the rows not yet reduced,
     one ``any`` over those rows finds the next column that has one.  Rows r
     and below are zero left of the pivot column c, so each pivot updates,
@@ -26,11 +24,6 @@ def rref(field, M, col_order=None):
     if R.ndim != 2:
         raise ValueError("need a 2-d matrix")
     nrows, ncols = R.shape
-    if col_order is not None:
-        order = np.asarray(col_order, dtype=np.int64)
-        if not np.array_equal(np.sort(order), np.arange(ncols)):
-            raise ValueError("col_order must be a permutation of the columns")
-        R = R[:, order]
     elements = np.arange(field.q, dtype=field.dtype)[:, None]
     pivots = []
     r = c = 0
@@ -62,10 +55,6 @@ def rref(field, M, col_order=None):
         pivots.append(c)
         r += 1
         c += 1
-    if col_order is not None:
-        out = np.empty_like(R)
-        out[:, order] = R
-        R, pivots = out, [int(order[c]) for c in pivots]
     return R, pivots
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 from .clutter import ClutterError, load_clutter
@@ -73,8 +72,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--format", choices=["text", "csv", "json"], default="text", dest="fmt"
         )
-        p.add_argument("--budget", type=int, default=None, help="maximum number of points of X")
-        p.add_argument("--class-budget", type=int, default=None, help="codeword class budget")
+        p.add_argument(
+            "--budget", type=int, default=DEFAULT_ENUM_BUDGET, help="maximum number of points of X"
+        )
+        p.add_argument(
+            "--class-budget", type=int, default=DEFAULT_CLASS_BUDGET, help="codeword class budget"
+        )
         p.add_argument("--time-budget", type=float, default=None, help="search seconds budget")
         if with_d:
             p.add_argument("--d", type=int, help="form degree")
@@ -119,18 +122,11 @@ def _resolve_q(args) -> int:
     return field_order(p, k)
 
 
-def _enum_budget(args) -> int:
-    if args.budget is not None:
-        return args.budget
-    return int(os.environ.get("TORICCODE_ENUM_BUDGET", DEFAULT_ENUM_BUDGET))
-
-
 def _lattice_inputs(args):
     """(C, q, |X|), C being None for --torus, with |X| from its closed form:
     no field and no point is built.  Raises BudgetExceededError when |X|
     exceeds --budget."""
     q = _resolve_q(args)
-    budget = _enum_budget(args)
     if args.torus is not None:
         if args.torus < 2:
             raise _InputError("--torus needs S >= 2")
@@ -141,31 +137,18 @@ def _lattice_inputs(args):
         except OSError as exc:
             raise _InputError(f"cannot read clutter file: {exc}")
         size = size_of_X(C, q)
-    if size > budget:
-        raise BudgetExceededError(f"|X| = {size} points > budget {budget}")
+    if size > args.budget:
+        raise BudgetExceededError(f"|X| = {size} points > budget {args.budget}")
     return C, q, size
 
 
 def _point_inputs(args):
     """(C, X): _lattice_inputs, then X itself over the shared GF(q)."""
     C, q, _ = _lattice_inputs(args)
-    F, budget = field_from_q(q), _enum_budget(args)
+    F = field_from_q(q)
     if C is None:
-        return None, projective_torus(args.torus, F, budget=budget)
-    return C, enumerate_X(C, F, budget=budget)
-
-
-def _class_budget(args) -> int:
-    if args.class_budget is not None:
-        return args.class_budget
-    return int(os.environ.get("TORICCODE_CLASS_BUDGET", DEFAULT_CLASS_BUDGET))
-
-
-def _time_budget(args):
-    if args.time_budget is not None:
-        return args.time_budget
-    env = os.environ.get("TORICCODE_TIME_BUDGET")
-    return float(env) if env else None
+        return None, projective_torus(args.torus, F, budget=args.budget)
+    return C, enumerate_X(C, F, budget=args.budget)
 
 
 def _write(body: dict, fmt: str) -> None:
@@ -210,7 +193,7 @@ def _cmd_params(args) -> int:
     rows = []
     for d in range(dmin, dmax + 1):
         report = distance_report(
-            C, X, d, args.method, _class_budget(args), _time_budget(args)
+            C, X, d, args.method, args.class_budget, args.time_budget
         )
         rows.append({key: report[name] for key, name in _ROW_KEYS.items()})
     out = sys.stdout
@@ -251,7 +234,7 @@ def _cmd_mindist(args) -> int:
     if args.d < 1:
         raise _InputError("need d >= 1")
     report = distance_report(
-        C, X, args.d, args.method, _class_budget(args), _time_budget(args)
+        C, X, args.d, args.method, args.class_budget, args.time_budget
     )
     if args.fmt == "text":
         report["delta"] = _delta_text(report)
@@ -316,7 +299,7 @@ def _cmd_profile(args) -> int:
         raise _InputError("profile needs --clutter")
     body = profile(C, q)
     if args.dump_points:
-        X = enumerate_X(C, field_from_q(q), budget=_enum_budget(args))
+        X = enumerate_X(C, field_from_q(q), budget=args.budget)
         with open(args.dump_points, "w") as fh:
             fh.write(points_csv(X))
     _write(body, args.fmt)

@@ -160,15 +160,16 @@ def evaluate_rows(X: ToricSet, E: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LinearCode:
+    """A linear code over GF(q) that a group acting regularly on the
+    coordinates maps to itself, as every C_X(d) built by `code` is; the
+    searches of `mindist` rest on that action."""
+
     generator: np.ndarray  # RREF, dimension x length, field encodings
     length: int
     dimension: int
     d: int
     field: FiniteField
     source: str
-    # whether a group acts regularly on the coordinates and maps the code to
-    # itself; information-set search then needs a single systematic form
-    transitive: bool = False
     # a proven lower bound on the minimum distance; both searches stop once
     # a codeword reaches it
     floor: int = 1
@@ -260,9 +261,9 @@ def code(X: ToricSet, d: int) -> LinearCode:
     """The parameterized code C_X(d) with its canonical generator matrix,
     from Delta_d of the walk of X.
 
-    The code is transitive: x in X moves the point p to x*p, which
-    permutes the coordinates regularly and only rescales the evaluation row
-    of each monomial t^e (by t^e(x)), so C_X(d) is an abelian group code.
+    X acts regularly on the coordinates: x in X moves the point p to x*p,
+    which only rescales the evaluation row of each monomial t^e (by
+    t^e(x)), so it maps C_X(d) to itself; C_X(d) is an abelian group code.
     Its floor is the footprint bound of the walk.
     """
     if d < 1:
@@ -282,7 +283,6 @@ def code(X: ToricSet, d: int) -> LinearCode:
         d=d,
         field=X.field,
         source=X.source,
-        transitive=True,
         floor=walk.footprint(d),
     )
 

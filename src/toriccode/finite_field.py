@@ -261,10 +261,15 @@ class FiniteField:
         if self.k == 1:
             a = np.asarray(a, dtype=self.dtype)
             b = np.asarray(b, dtype=self.dtype)
-            # with t = p - b in [1, p], a + b mod p is a - t when a >= t and
-            # a + b < p otherwise; only the branch np.where drops can wrap
+            # with t = p - b in [1, p], a + b mod p is a - t, which wraps
+            # around the dtype when a < t and is brought back by adding p;
+            # a ufunc writing into an array wraps without the RuntimeWarning
+            # numpy gives on scalars
             t = self.p - b
-            return np.where(a >= t, a - t, a + b)
+            wraps = a < t
+            d = np.subtract(a, t, out=np.empty(wraps.shape, dtype=self.dtype))
+            d += wraps * self.dtype(self.p)
+            return d
         if self._add_table is not None:
             return self._add_table[a, b]
         return self._add_formula(a, b).astype(self.dtype)

@@ -10,32 +10,33 @@ read the regularity, H_X(d) and Delta_d from the one walk of X
 holds delta; it is a single number when exact.
 
 `code(X, d)` records on C_X(d) the footprint bound of that walk as
-`LinearCode.floor`, a proven lower bound on delta (1 on a code built by
-hand).  Both searches start from the lightest generator row and stop, with
-an exact result, as soon as their lightest codeword reaches the floor: when
-that row already does, before any table is built.  A search stopped by its
-time budget reports the floor as its lower end when nothing better is
-proven.
+`LinearCode.floor`, a proven lower bound on delta.  Both searches start
+from the lightest generator row and stop, with an exact result, as soon as
+their lightest codeword reaches the floor: when that row already does,
+before any table is built.  A search stopped by its time budget reports the
+floor as its lower end when nothing better is proven.
+
+Both searches take as given that a group acting regularly on the
+coordinates maps the code to itself, as X does on every C_X(d): x in X
+moves the point p to x*p and only rescales the evaluation row of each
+monomial.  On a code without such an action they still return the weight
+of a codeword, but not necessarily the least one.
 
 Information-set search enumerates, for w = 1, 2, ..., every codeword with
-at most w nonzeros on an information set I, and stops as soon as a lower
-bound on the weight of all codewords not yet seen reaches the lightest one
-found.  On C_X(d) one systematic form suffices.  X permutes the
-coordinates regularly (p -> x*p) and maps the code to itself, so a
-codeword with at most w nonzeros on a translate x*I is moved by x to one
-with at most w nonzeros on I, which was enumerated.  A lighter codeword
-thus has at least w+1 nonzeros on each of the n translates, and as every
-coordinate lies in k of them, its weight is at least ceil(n(w+1)/k): Chen's
-bound for cyclic codes, for a regular group action.  A code without that
-structure (`LinearCode.transitive` false) is searched Brouwer-Zimmermann
-style, on systematic forms over disjoint information sets with the bound
-sum_j max(0, w+1 - deficit_j).
+at most w nonzeros on the information set I of the generator matrix, which
+is in RREF, and stops as soon as a lower bound on the weight of all
+codewords not yet seen reaches the lightest one found.  A codeword with at
+most w nonzeros on a translate x*I is moved by x to one with at most w
+nonzeros on I, which was enumerated.  A lighter codeword thus has at least
+w+1 nonzeros on each of the n translates, and as every coordinate lies in k
+of them, its weight is at least ceil(n(w+1)/k): Chen's bound for cyclic
+codes, for a regular group action.
 
-The regular action of X also trims brute force to the q^(k-1) messages
-with first coefficient 1.  In RREF the pivot column c* of row 0 is e_1, so a
-message's first coefficient is its codeword's entry at c*.  Every nonzero
-codeword has a translate of the same weight that is nonzero at c*, and a
-scalar multiple of that translate has first coefficient 1.
+Brute force weighs only the q^(k-1) messages with first coefficient 1.  In
+RREF the pivot column c* of row 0 is e_1, so a message's first coefficient
+is its codeword's entry at c*.  Every nonzero codeword has a translate of
+the same weight that is nonzero at c*, and a scalar multiple of that
+translate has first coefficient 1.
 
 Both searches run on the packed words of `FiniteField.pack`: they share
 the table S[u, i] = pack(g^u * row_i) of every unit multiple of every row,
@@ -58,7 +59,6 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from . import _linalg
 from .clutter import Clutter, uniformity
 from .errors import BudgetExceededError
 from .eval_code import _CELL_CAP, LinearCode, code, walk_of
@@ -121,20 +121,20 @@ def min_distance_bruteforce(
     class_budget: int = DEFAULT_CLASS_BUDGET,
     time_budget: float | None = None,
 ) -> DistanceResult:
-    """Exhaustive minimum distance over one codeword per scalar class, or
-    when C is transitive per class under scalars and translations.
+    """Exhaustive minimum distance over the messages with first coefficient
+    1, which a group acting regularly on the coordinates and mapping C to
+    itself makes enough (see the module docstring).
 
-    The message splits into head and tail coordinates.  The span B of the
-    last k2 rows is built once, k2 < k as large as q^k2 * n <= _CELL_CAP
-    allows.  Each head word a (first nonzero coefficient 1) is weighed
-    against all of B at once: as b runs over B so does -b, and
-    wt(a - b) = #{j : a_j != b_j}.  The nonzero rows of B are the words
-    with a zero head.  A transitive code needs only the messages with first
-    coefficient 1 (see the module docstring), so neither the later heads
-    nor B itself.  The search starts from the lightest generator row and
-    stops once its lightest codeword reaches C.floor; the time budget is
-    checked before each block of head words, and on expiry the lightest
-    codeword so far is returned with exact=False and lower the floor.
+    The class budget bounds the (q^k - 1)/(q - 1) projective classes of
+    messages.  The message splits into head and tail coordinates.  The span
+    B of the last k2 rows is built once, k2 < k as large as
+    q^k2 * n <= _CELL_CAP allows.  Each head word a (first coefficient 1)
+    is weighed against all of B at once: as b runs over B so does -b, and
+    wt(a - b) = #{j : a_j != b_j}.  The search starts from the lightest
+    generator row and stops once its lightest codeword reaches C.floor; the
+    time budget is checked before each block of head words, and on expiry
+    the lightest codeword so far is returned with exact=False and lower the
+    floor.
     """
     F = C.field
     q = F.q
@@ -156,102 +156,67 @@ def min_distance_bruteforce(
     k2 = 0
     while k2 < k - 1 and q ** (k2 + 1) * n <= _CELL_CAP:
         k2 += 1
-    k1 = k - k2
-    B = _span(F, S[:, k1:])
-    if k2 and not C.transitive:
-        weights = _weights(B[1:], 0, axis=1)
-        i = int(np.argmin(weights))
-        if weights[i] < best:
-            best, witness = int(weights[i]), F.unpack(B[1 + i])
+    free = k - k2 - 1  # the head coefficients after the first
+    B = _span(F, S[:, k - k2:])
     Z = np.zeros((q, k, n), dtype=S.dtype)  # Z[c, i] = pack(c * G[i]), c an encoding
     Z[F.exp] = S
     block = max(1, _CELL_CAP // (len(B) * n))
-    for pivot in range(1 if C.transitive else k1):
-        free = k1 - pivot - 1
-        radix = q ** np.arange(free, dtype=np.int64)
-        for first in range(0, q ** free, block):
-            if best <= C.floor:
-                return DistanceResult(best, "bruteforce", exact=True, witness=witness)
-            if time_budget is not None and time.monotonic() - start > time_budget:
-                return DistanceResult(
-                    best, "bruteforce", exact=False, witness=witness, lower=max(1, C.floor)
-                )
-            ids = np.arange(first, min(first + block, q ** free), dtype=np.int64)
-            digits = (ids[:, None] // radix[None, :]) % q
-            heads = np.broadcast_to(S[0, pivot], (ids.size, n))
-            for j in range(free):
-                heads = F.add_packed(heads, Z[digits[:, j], pivot + 1 + j])
-            weights = _weights(heads[:, None, :], B[None], axis=2)
-            h, t = divmod(int(np.argmin(weights)), len(B))
-            if weights[h, t] < best:
-                best, witness = int(weights[h, t]), _difference(F, heads[h], B[t])
+    radix = q ** np.arange(free, dtype=np.int64)
+    for first in range(0, q ** free, block):
+        if best <= C.floor:
+            return DistanceResult(best, "bruteforce", exact=True, witness=witness)
+        if time_budget is not None and time.monotonic() - start > time_budget:
+            return DistanceResult(
+                best, "bruteforce", exact=False, witness=witness, lower=max(1, C.floor)
+            )
+        ids = np.arange(first, min(first + block, q ** free), dtype=np.int64)
+        digits = (ids[:, None] // radix[None, :]) % q
+        heads = np.broadcast_to(S[0, 0], (ids.size, n))
+        for j in range(free):
+            heads = F.add_packed(heads, Z[digits[:, j], 1 + j])
+        weights = _weights(heads[:, None, :], B[None], axis=2)
+        h, t = divmod(int(np.argmin(weights)), len(B))
+        if weights[h, t] < best:
+            best, witness = int(weights[h, t]), _difference(F, heads[h], B[t])
     return DistanceResult(value=best, method="bruteforce", exact=True, witness=witness)
-
-
-def _systematic_forms(F: FiniteField, G: np.ndarray):
-    """Maximal family of systematic forms on pairwise-disjoint information
-    sets, rank-completing trailing partial sets from already-used columns.
-
-    Returns (forms, deficits): each form is a k x n matrix in RREF, and its
-    deficit is the number of its pivots on already-used columns.
-    """
-    k, n = G.shape
-    used = np.zeros(n, dtype=bool)
-    forms, deficits = [], []
-    while True:
-        order = [c for c in range(n) if not used[c]] + [c for c in range(n) if used[c]]
-        R, pivots = _linalg.rref(F, G, col_order=order)
-        fresh = [c for c in pivots if not used[c]]
-        if not fresh:
-            break
-        forms.append(R)
-        deficits.append(k - len(fresh))
-        for c in fresh:
-            used[c] = True
-    return forms, deficits
 
 
 def min_distance_isd(
     C: LinearCode, time_budget: float | None = None
 ) -> DistanceResult:
-    """Information-set search (see the module docstring).
+    """Information-set search on the systematic form C.generator, with
+    Chen's bound ceil(n(w+1)/k), which a group acting regularly on the
+    coordinates and mapping C to itself makes valid (see the module
+    docstring).
 
-    Enumerates messages of increasing weight w on each systematic form: one
-    form with the bound ceil(n(w+1)/k) when C is transitive, else the
-    Brouwer-Zimmermann forms and bound.  A message is w rows with
+    Enumerates messages of increasing weight w.  A message is w rows with
     coefficients, the first 1: the first w-1 scaled rows are gathered from
     S and added, and the last is weighed against every unit at once by
     comparison with its unit multiples in S.  The lightest codeword seen
-    starts as the lightest row of the first form.  Stops as soon as it
-    reaches C.floor, checked before each block, or the bound after weight
-    w.  On time budget exhaustion that weight is returned with exact=False,
-    and `lower` is the larger of the floor and the bound after the last
+    starts as the lightest generator row.  Stops as soon as it reaches
+    C.floor, checked before each block, or the bound after weight w.  On
+    time budget exhaustion that weight is returned with exact=False, and
+    `lower` is the larger of the floor and the bound after the last
     completed weight.
     """
     F = C.field
-    k, n = C.generator.shape
+    G = C.generator  # in RREF, a systematic form
+    k, n = G.shape
     if k == 0:
         raise ValueError("zero code has no minimum distance")
     start = time.monotonic()
-    if C.transitive:
-        forms = [C.generator]  # already in RREF, a systematic form
 
-        def bound(w):
-            return -(-n * (w + 1) // k)
-    else:
-        forms, deficits = _systematic_forms(F, C.generator)
-
-        def bound(w):
-            return sum(max(0, w + 1 - d) for d in deficits)
+    def bound(w):
+        return -(-n * (w + 1) // k)
 
     # a systematic row has at most n-k+1 nonzeros: the lightest one bounds
     # delta before any message is weighed
-    row_weights = _weights(forms[0], 0, axis=1)
+    row_weights = _weights(G, 0, axis=1)
     upper = int(row_weights.min())
-    witness = forms[0][int(np.argmin(row_weights))]
+    witness = G[int(np.argmin(row_weights))]
     if upper <= C.floor:
         return DistanceResult(value=upper, method="isd", exact=True, witness=witness)
-    tables = [_scaled_rows(F, G_sys) for G_sys in forms]
+    S = _scaled_rows(F, G)
     units = F.q - 1
     for w in range(1, k + 1):
         # unit indices: 0 for the first coefficient, all for the middle
@@ -262,44 +227,41 @@ def min_distance_isd(
         per_support = last.size * n
         pattern_block = min(middles, max(1, _CELL_CAP // per_support))
         support_block = max(1, _CELL_CAP // (pattern_block * per_support))
-        for S in tables:
-            combos = combinations(range(k), w)
-            while True:
-                batch = list(islice(combos, support_block))
-                if not batch:
-                    break
-                sel = np.array(batch, dtype=np.int64)  # (b, w) row indices
-                lasts = S[last[None, :], sel[:, -1, None]]  # (b, L, n)
-                for first in range(0, middles, pattern_block):
-                    if upper <= C.floor:
-                        return DistanceResult(
-                            value=upper, method="isd", exact=True, witness=witness
-                        )
-                    if time_budget is not None and time.monotonic() - start > time_budget:
-                        return DistanceResult(
-                            value=upper,
-                            method="isd",
-                            exact=False,
-                            witness=witness,
-                            lower=min(upper, max(bound(w - 1), C.floor)),
-                        )
-                    ids = np.arange(first, min(first + pattern_block, middles), dtype=np.int64)
-                    mid = (ids[:, None] // radix[None, :]) % units  # (P, w-2)
-                    if w == 1:
-                        partial = np.zeros((sel.shape[0], 1, n), dtype=S.dtype)
-                    else:
-                        partial = np.broadcast_to(
-                            S[0, sel[:, 0]][:, None, :], (sel.shape[0], ids.size, n)
-                        )
-                    for t in range(1, w - 1):
-                        partial = F.add_packed(
-                            partial, S[mid[None, :, t - 1], sel[:, t, None]]
-                        )
-                    weights = _weights(partial[:, :, None, :], lasts[:, None], axis=3)
-                    bi, pi, li = np.unravel_index(int(np.argmin(weights)), weights.shape)
-                    if weights[bi, pi, li] < upper:
-                        upper = int(weights[bi, pi, li])
-                        witness = _difference(F, partial[bi, pi], lasts[bi, li])
+        combos = combinations(range(k), w)
+        while True:
+            batch = list(islice(combos, support_block))
+            if not batch:
+                break
+            sel = np.array(batch, dtype=np.int64)  # (b, w) row indices
+            lasts = S[last[None, :], sel[:, -1, None]]  # (b, L, n)
+            for first in range(0, middles, pattern_block):
+                if upper <= C.floor:
+                    return DistanceResult(
+                        value=upper, method="isd", exact=True, witness=witness
+                    )
+                if time_budget is not None and time.monotonic() - start > time_budget:
+                    return DistanceResult(
+                        value=upper,
+                        method="isd",
+                        exact=False,
+                        witness=witness,
+                        lower=min(upper, max(bound(w - 1), C.floor)),
+                    )
+                ids = np.arange(first, min(first + pattern_block, middles), dtype=np.int64)
+                mid = (ids[:, None] // radix[None, :]) % units  # (P, w-2)
+                if w == 1:
+                    partial = np.zeros((sel.shape[0], 1, n), dtype=S.dtype)
+                else:
+                    partial = np.broadcast_to(
+                        S[0, sel[:, 0]][:, None, :], (sel.shape[0], ids.size, n)
+                    )
+                for t in range(1, w - 1):
+                    partial = F.add_packed(partial, S[mid[None, :, t - 1], sel[:, t, None]])
+                weights = _weights(partial[:, :, None, :], lasts[:, None], axis=3)
+                bi, pi, li = np.unravel_index(int(np.argmin(weights)), weights.shape)
+                if weights[bi, pi, li] < upper:
+                    upper = int(weights[bi, pi, li])
+                    witness = _difference(F, partial[bi, pi], lasts[bi, li])
         if max(bound(w), C.floor) >= upper:
             break
     return DistanceResult(value=upper, method="isd", exact=True, witness=witness)

@@ -189,17 +189,16 @@ def row_space_contains(field, R, pivots, v) -> bool:
     return not np.any(w)
 
 
-def oracle_rref(field, M, col_order=None):
+def oracle_rref(field, M):
     """Reduced row echelon form by one column at a time: scan the columns
-    in col_order, take the first row with a nonzero entry as the pivot row,
-    and clear the column in the rows that have a nonzero there.  Returns
-    (R, pivots) as `_linalg.rref` does."""
+    left to right, take the first row with a nonzero entry as the pivot
+    row, and clear the column in the rows that have a nonzero there.
+    Returns (R, pivots) as `_linalg.rref` does."""
     R = np.array(M, dtype=field.dtype, copy=True)
     nrows, ncols = R.shape
-    order = range(ncols) if col_order is None else col_order
     pivots = []
     r = 0
-    for c in order:
+    for c in range(ncols):
         if r == nrows:
             break
         below = np.nonzero(R[r:, c])[0]
@@ -439,6 +438,17 @@ def oracle_one_form_isd(p: int, G) -> int:
         if -(-n * (w + 1) // k) >= best:
             break
     return best
+
+
+def oracle_first_coefficient_one_weight(p: int, G) -> int:
+    """The least weight of m G over the p^(k-1) messages m with m[0] = 1,
+    over the prime field GF(p) = Z/p by integer arithmetic mod p.  When G
+    is in RREF and a group acting regularly on the coordinates maps its
+    code to itself, this is the minimum distance."""
+    G = np.asarray(G, dtype=np.int64)
+    tails = itertools.product(range(p), repeat=G.shape[0] - 1)
+    messages = np.array([(1, *tail) for tail in tails], dtype=np.int64)
+    return int(np.count_nonzero(messages @ G % p, axis=1).min())
 
 
 def _rows(a: np.ndarray) -> np.ndarray:

@@ -487,21 +487,6 @@ def test_huge_field_rejected_at_once(run, k4_file, field, message):
         assert time.monotonic() - start < 1, command
 
 
-class TestEnvBudgets:
-    def test_enum_budget_env(self, run, k4_file, monkeypatch):
-        monkeypatch.setenv("TORICCODE_ENUM_BUDGET", "10")
-        rc, _, _ = run("params", "--clutter", k4_file, "--q", "9")
-        assert rc == EXIT_BUDGET
-
-    def test_flag_overrides_env(self, run, k4_file, monkeypatch):
-        monkeypatch.setenv("TORICCODE_ENUM_BUDGET", "10")
-        rc, _, _ = run(
-            "params", "--clutter", k4_file, "--q", "3", "--budget", "100000",
-            "--format", "csv",
-        )
-        assert rc == EXIT_OK
-
-
 class TestParserOnce:
     def test_error_then_valid_call_builds_once(self, run, k4_file, monkeypatch, capsys):
         argv = ("ci", "--clutter", k4_file, "--q", "3", "--format", "json")

@@ -31,15 +31,7 @@ def test_rref_matches_oracle(q):
     rng = np.random.default_rng(q)
     for M in _matrices(q, rng):
         M = np.asarray(M).astype(F.dtype)
-        orders = [None, list(rng.permutation(M.shape[1]))]
-        for order in orders:
-            R, pivots = rref(F, M, col_order=order)
-            expected_R, expected_pivots = oracle_rref(F, M, col_order=order)
-            assert R.dtype == expected_R.dtype
-            assert np.array_equal(R, expected_R) and pivots == expected_pivots
-
-
-def test_rref_rejects_a_partial_col_order():
-    F = field_from_q(3)
-    with pytest.raises(ValueError):
-        rref(F, np.eye(3, dtype=F.dtype), col_order=[0, 2])
+        R, pivots = rref(F, M)
+        expected_R, expected_pivots = oracle_rref(F, M)
+        assert R.dtype == expected_R.dtype
+        assert np.array_equal(R, expected_R) and pivots == expected_pivots

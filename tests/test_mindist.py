@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import (
     BATTERY,
     clutters_over_fields,
+    oracle_first_coefficient_one_weight,
     oracle_min_weight,
     oracle_one_form_isd,
     row_space_contains,
@@ -61,10 +62,19 @@ class TestTorusDistanceFormula:
             torus_distance(3, 3, 0)
 
 
+def _bruteforce_weight(p, G):
+    """What brute force returns on G in RREF over GF(p) when no floor stops
+    it: the lightest of the rows it starts from and of the messages with
+    first coefficient 1.  On a code built by hand, which no group need map
+    to itself, that may exceed the minimum distance."""
+    rows = int(np.count_nonzero(G, axis=1).min())
+    return min(rows, oracle_first_coefficient_one_weight(p, G))
+
+
 class TestBruteforce:
     def test_matches_oracle_small_codes(self):
         rng = np.random.default_rng(9)
-        for q, k, n in [(3, 3, 6), (3, 4, 7), (4, 3, 6), (5, 3, 5)]:
+        for q, k, n in [(3, 3, 6), (3, 4, 7), (7, 3, 6), (5, 3, 5)]:
             F = field_from_q(q)
             for _ in range(3):
                 G = rng.integers(0, q, size=(k, n))
@@ -72,14 +82,13 @@ class TestBruteforce:
                 G = R[: len(piv)]
                 if len(piv) == 0:
                     continue
-                from toriccode.mindist import LinearCode
-
                 cd = LinearCode(
                     generator=G, length=n, dimension=len(piv), d=1, field=F, source="t"
                 )
                 got = min_distance_bruteforce(cd)
-                assert got.value == oracle_min_weight(F, G)
+                assert got.value == _bruteforce_weight(q, G)
                 assert got.exact and got.method == "bruteforce"
+                assert int(np.count_nonzero(got.witness)) == got.value
 
     def test_triangle_gf3_d1(self, triangle):
         X = enumerate_X(triangle, make_field(3, 1))
@@ -102,15 +111,19 @@ class TestBruteforce:
         assert row_space_contains(F, R, piv, w)
 
     def test_floor_met_only_by_a_combination(self):
-        """The rows of G weigh 3 and their difference 2 = delta: with delta
-        as the floor, a search must not stop on a row."""
+        """The rows of G weigh 3 and the message (1, 2) weighs 2 = delta:
+        with delta as the floor, brute force must not stop on a row.  ISD
+        returns what its one form and Chen's bound give on this code, which
+        no group maps to itself."""
         F = field_from_q(3)
         G = np.array([[1, 0, 1, 1], [0, 1, 1, 1]], dtype=F.dtype)
         cd = LinearCode(
             generator=G, length=4, dimension=2, d=1, field=F, source="t", floor=2
         )
-        for r in (min_distance_bruteforce(cd), min_distance_isd(cd)):
-            assert r.exact and r.value == 2
+        r = min_distance_bruteforce(cd)
+        assert r.exact and r.value == _bruteforce_weight(3, G) == 2
+        r = min_distance_isd(cd)
+        assert r.exact and r.value == oracle_one_form_isd(3, G)
 
     def test_budget_raises(self, k4):
         X = enumerate_X(k4, make_field(3, 1))
@@ -134,7 +147,7 @@ class TestIsd:
 
     def test_matches_brute_on_random_codes(self):
         rng = np.random.default_rng(31)
-        for q in (3, 4):
+        for q in (3, 5):
             F = field_from_q(q)
             for _ in range(6):
                 k, n = int(rng.integers(2, 5)), int(rng.integers(6, 10))
@@ -143,8 +156,6 @@ class TestIsd:
                 if not piv:
                     continue
                 G = R[: len(piv)]
-                from toriccode.mindist import LinearCode
-
                 cd = LinearCode(
                     generator=G,
                     length=n,
@@ -153,7 +164,8 @@ class TestIsd:
                     field=F,
                     source="t",
                 )
-                assert min_distance_isd(cd).value == min_distance_bruteforce(cd).value
+                assert min_distance_isd(cd).value == oracle_one_form_isd(q, G)
+                assert min_distance_bruteforce(cd).value == _bruteforce_weight(q, G)
 
     def test_witness_validity(self, k4):
         F = make_field(2, 2)
@@ -254,7 +266,6 @@ def test_points_of_X_permute_the_code(name, q):
     reg = regularity(X)
     for d in sorted({1, reg // 2, reg - 1} - {0}):
         cd = code(X, d)
-        assert cd.transitive
         R, pivots = rref(F, cd.generator)
         for i in rng.choice(len(X), size=min(2, len(X)), replace=False):
             moved = _translate(X, cd.generator, int(i))
@@ -272,9 +283,9 @@ _MAX_MESSAGES = 729
 )
 @given(clutters_over_fields(max_torus=64))
 def test_isd_on_random_codes_matches_exhaustive_weight(case):
-    """Every C_X(d) with at most _MAX_MESSAGES messages: the one-form search,
-    the Brouwer-Zimmermann search and a search stopped at once all hold the
-    exhaustive minimum weight in [lower, value]."""
+    """Every C_X(d) with at most _MAX_MESSAGES messages: the search and a
+    search stopped at once both hold the exhaustive minimum weight in
+    [lower, value]."""
     C, q = case
     F = field_from_q(q)
     X = enumerate_X(C, F)
@@ -287,8 +298,6 @@ def test_isd_on_random_codes_matches_exhaustive_weight(case):
         one_form = min_distance_isd(cd)
         assert one_form.exact and one_form.value == one_form.lower == delta
         assert int(np.count_nonzero(one_form.witness)) == delta
-        bz = min_distance_isd(dataclasses.replace(cd, transitive=False))
-        assert bz.exact and bz.value == delta
         stopped = min_distance_isd(cd, time_budget=0.0)
         assert stopped.lower <= delta <= stopped.value
 
@@ -359,26 +368,23 @@ def test_searches_in_small_blocks_match_exhaustive_weight(case):
 
 @pytest.mark.parametrize("q", [9, 25, 27])
 def test_searches_over_odd_extension_fields(q):
-    """Packed words of two or three base-p digits: the code of the torus in
-    P^1 and random codes, each search under the normal cell cap and a small
-    one, against the exhaustive weight, with a codeword of that weight as
-    witness."""
+    """Packed words of two or three base-p digits: codes of the tori in P^1
+    and P^2, each search under the normal cell cap and a small one, with
+    the footprint floor and with floor 1, against the torus formula, with a
+    codeword of that weight as witness."""
     F = field_from_q(q)
-    codes = [code(projective_torus(2, F), 1)]
-    rng = np.random.default_rng(q)
-    # from k = 3 on, brute force adds words in the span of the tail rows
-    for k, n in [(1, 5), (2, 6), (2, 12), (3, 5)]:
-        R, pivots = rref(F, rng.integers(0, q, size=(k, n)))
-        codes.append(LinearCode(
-            generator=R[: len(pivots)], length=n, dimension=len(pivots), d=1, field=F,
-            source="random",
-        ))
-    for cd in codes:
-        delta = oracle_min_weight(F, cd.generator)
+    # at k = 3 brute force adds the head words to words in the span of the
+    # tail rows
+    for s, d in [(2, 1), (2, 2), (3, 1)]:
+        cd = code(projective_torus(s, F), d)
+        delta = torus_distance(q, s, d)
         R, pivots = rref(F, cd.generator)
-        for cap in (mindist._CELL_CAP, _small_blocks(q, cd.length)):
+        for cap, floor in itertools.product(
+            (mindist._CELL_CAP, _small_blocks(q, cd.length)), (cd.floor, 1)
+        ):
+            searched = dataclasses.replace(cd, floor=floor)
             with mock.patch.object(mindist, "_CELL_CAP", cap):
-                results = [min_distance_bruteforce(cd), min_distance_isd(cd)]
+                results = [min_distance_bruteforce(searched), min_distance_isd(searched)]
             for r in results:
                 assert r.exact and r.value == delta
                 assert r.witness.dtype == F.dtype
@@ -388,28 +394,40 @@ def test_searches_over_odd_extension_fields(q):
 
 @pytest.mark.parametrize("q,k", [(3, 3), (3, 4), (4, 3), (9, 3)])
 def test_every_class_can_be_the_unique_lightest(q, k):
-    """For each projective message m, a code whose lightest class is m's
-    alone, so that a search skipping any block of messages misses it.  Its
-    columns are every projective point v of GF(q)^k, plus once more those
-    with m.v = 0.  m.G has weight q^(k-1), as in the simplex code; every
-    other class has q^(k-2) more, its nonzeros among the repeated points."""
+    """For each projective message m with first coefficient 1, a code
+    whose lightest class is m's alone, so that a search skipping any block
+    of messages misses it.  Its columns are every projective point v of
+    GF(q)^k, plus once more those with m.v = 0.  m.G has weight q^(k-1), as
+    in the simplex code; every other class has q^(k-2) more, its nonzeros
+    among the repeated points.  The searches run on R, the RREF of G, in
+    which m.G is the message m' = (m.G)[pivots]; its first coefficient is
+    nonzero for the m kept, so brute force weighs a multiple of it.  ISD
+    weighs it from weight nnz(m') on, if Chen's bound has not stopped the
+    search before; no group maps these codes to themselves."""
     F = field_from_q(q)
     points = np.array(
         [v for v in itertools.product(range(q), repeat=k)
          if any(v) and next(c for c in v if c) == 1],
         dtype=F.dtype,
     ).T
+    light, heavy = q ** (k - 1), q ** (k - 1) + q ** (k - 2)
     for m in points.T:
         on_hyperplane = F.sum_axis(F.mul(m[:, None], points), axis=0) == 0
         G = np.concatenate([points, points[:, on_hyperplane]], axis=1)
         R, pivots = rref(F, G)
-        cd = LinearCode(
-            generator=R, length=G.shape[1], dimension=k, d=1, field=F, source="m"
-        )
-        for cap in (mindist._CELL_CAP, _small_blocks(q, cd.length)):
+        message = F.sum_axis(F.mul(m[:, None], G), axis=0)[pivots]
+        if not message[0]:
+            continue
+        n = G.shape[1]
+        for w in range(1, k + 1):
+            isd = light if w >= np.count_nonzero(message) else heavy
+            if -(-n * (w + 1) // k) >= isd:
+                break
+        cd = LinearCode(generator=R, length=n, dimension=k, d=1, field=F, source="m")
+        for cap in (mindist._CELL_CAP, _small_blocks(q, n)):
             with mock.patch.object(mindist, "_CELL_CAP", cap):
-                assert min_distance_bruteforce(cd).value == q ** (k - 1)
-                assert min_distance_isd(cd).value == q ** (k - 1)
+                assert min_distance_bruteforce(cd).value == light
+                assert min_distance_isd(cd).value == isd
 
 
 def _weighed_words(cd):
@@ -436,24 +454,16 @@ _C9 = parse_clutter({"n": 9, "edges": [[i, i % 9 + 1] for i in range(1, 10)]})
     (BATTERY["C4"], 9, 1), (_C9, 3, 1),
 ], ids=["U6-4-1", "C6-5-1", "C3-9-2", "C4-9-1", "C9-3-1"])
 def test_transitive_bruteforce_weighs_first_coefficient_one(C, q, d):
-    """On C_X(d) brute force weighs the q^(k-1) messages with first
-    coefficient 1; the same matrix without the group action weighs every
-    class, the words of the tail span B alone among them, for the same
-    delta.  The floor is dropped, as it would end three of the searches
-    at the generator rows."""
+    """On C_X(d) brute force weighs the k generator rows and the q^(k-1)
+    messages with first coefficient 1, for the delta that ISD finds.  The
+    floor is dropped, as it would end three of the searches at the
+    generator rows."""
     cd = dataclasses.replace(code(enumerate_X(C, field_from_q(q)), d), floor=1)
-    k, n = cd.dimension, cd.length
-    k2 = 0
-    while k2 < k - 1 and q ** (k2 + 1) * n <= mindist._CELL_CAP:
-        k2 += 1
-    k1 = k - k2
-    fast, words = _weighed_words(cd)
+    k = cd.dimension
+    result, words = _weighed_words(cd)
     assert words == k + q ** (k - 1)
-    full, all_words = _weighed_words(dataclasses.replace(cd, transitive=False))
-    heads = (q ** k1 - 1) // (q - 1)
-    assert all_words == k + (q ** k2 - 1 if k2 else 0) + heads * q ** k2
-    assert fast.exact and full.exact and fast.value == full.value
-    assert int(np.count_nonzero(fast.witness)) == fast.value
+    assert result.exact and result.value == min_distance_isd(cd).value
+    assert int(np.count_nonzero(result.witness)) == result.value
 
 
 @st.composite
@@ -470,17 +480,14 @@ def systematic_codes(draw):
     F = field_from_q(q)
     A = rng.integers(0, q, size=(k, r))
     G = np.concatenate([np.eye(k, dtype=np.int64), A], axis=1).astype(F.dtype)
-    return LinearCode(
-        generator=G, length=k + r, dimension=k, d=1, field=F, source="[I|A]",
-        transitive=True,
-    )
+    return LinearCode(generator=G, length=k + r, dimension=k, d=1, field=F, source="[I|A]")
 
 
 @_RANDOM_CODES
 @given(systematic_codes())
 def test_one_form_isd_enumerates_every_message(cd):
-    """Marked transitive, [I_k | A] is searched on its one systematic form
-    with the bound ceil(n(w+1)/k), whether or not the code is transitive.
+    """[I_k | A] is searched on its one systematic form with the bound
+    ceil(n(w+1)/k), whether or not a group maps the code to itself.
     The result is then fixed by the messages of each weight alone (see
     oracle_one_form_isd), so a message the enumeration skips shows up as a
     heavier result, under the normal cell cap and under a small one."""

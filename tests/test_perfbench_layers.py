@@ -2,12 +2,17 @@
 in src/ would leave a layer untraced without any error."""
 
 import importlib
+import json
+import os
 import pathlib
+import subprocess
+import sys
 import types
 
 import pytest
 
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _tracing():
@@ -36,3 +41,31 @@ def test_field_kernel_exists(kernel):
     from toriccode.finite_field import FiniteField
 
     assert callable(FiniteField.__dict__.get(kernel))
+
+
+TRACED_JOBS = [
+    ["mindist", "--torus", "3", "--q", "4", "--d", "1", "--method", "bruteforce"],
+    ["mindist", "--torus", "3", "--q", "4", "--d", "1", "--method", "isd"],
+    ["groebner", "--torus", "3", "--q", "4"],
+]
+
+
+def test_traced_worker_runs_distance_and_groebner_jobs(tmp_path):
+    """perfbench/worker.py with a trace file, as `run.py --trace 1` starts
+    it: every job exits 0 and the brute-force job records its classes, so a
+    change to LinearCode or to a search signature that breaks tracing fails
+    here.  No bytecode is written next to the worker."""
+    trace = tmp_path / "trace.jsonl"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "worker.py"), str(trace)],
+        input="".join(json.dumps(job) + "\n" for job in TRACED_JOBS),
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300, check=True,
+    )
+    answers = [json.loads(line) for line in done.stdout.splitlines()][1:-1]
+    assert len(answers) == len(TRACED_JOBS)
+    for job, answer in zip(TRACED_JOBS, answers):
+        assert answer["rc"] == 0, (job, answer["stderr"])
+    assert "mindist.bruteforce:classes" in answers[0]["layers"]
+    assert "mindist.isd:s" in answers[1]["layers"]
+    assert trace.stat().st_size > 0
