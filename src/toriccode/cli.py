@@ -76,7 +76,10 @@ def _build_parser() -> argparse.ArgumentParser:
             "--budget", type=int, default=DEFAULT_ENUM_BUDGET, help="maximum number of points of X"
         )
         p.add_argument(
-            "--class-budget", type=int, default=DEFAULT_CLASS_BUDGET, help="codeword class budget"
+            "--class-budget",
+            type=int,
+            default=DEFAULT_CLASS_BUDGET,
+            help="maximum number of messages a brute-force search weighs",
         )
         p.add_argument("--time-budget", type=float, default=None, help="search seconds budget")
         if with_d:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,15 +102,20 @@ def parse_clutter(doc) -> Clutter:
             raise ClutterError(f"edge {e!r} has out-of-range vertex (n = {n})")
         edges.append(tuple(verts))
 
+    # an edge is at fault when it repeats another or lies in a larger one;
+    # the error names the first pair (i, j) at fault in row-major order
     sets = [set(e) for e in edges]
-    for i in range(len(sets)):
-        for j in range(len(sets)):
-            if i != j and sets[i] == sets[j]:
-                raise ClutterError(f"duplicate edge {edges[i]}")
-            if i != j and sets[i] < sets[j]:
-                raise ClutterError(
-                    f"edge {edges[i]} is contained in {edges[j]} (not a clutter)"
-                )
+    counts = Counter(edges)
+    larger = {k: [f for f in sets if len(f) > k] for k in {len(e) for e in edges}}
+    for i, e in enumerate(sets):
+        if counts[edges[i]] > 1 or any(e < f for f in larger[len(e)]):
+            for j, f in enumerate(sets):
+                if j != i and e == f:
+                    raise ClutterError(f"duplicate edge {edges[i]}")
+                if j != i and e < f:
+                    raise ClutterError(
+                        f"edge {edges[i]} is contained in {edges[j]} (not a clutter)"
+                    )
 
     covered = set().union(*sets)
     isolated = sorted(set(range(1, n + 1)) - covered)
@@ -142,8 +148,9 @@ def incidence(C: Clutter) -> IncidenceMatrix:
 def difference_matrix(C: Clutter) -> np.ndarray:
     """The s x n matrix B = V - V[0] of differences v_i - v_1; row 0 is zero.
 
-    Its columns generate X in exponent space, and its Smith invariant
-    factors give |X| and the complete-intersection test."""
+    Its columns generate X in exponent space.  Its Smith invariant factors,
+    which give |X| and the complete-intersection test, are
+    `intlattice.difference_factors`."""
     V = np.array(C.vectors, dtype=np.int64)
     return V - V[0]
 

@@ -1,17 +1,26 @@
 """Exact integer linear algebra behind the complete-intersection test and |X|.
 
-Two lattice facts of a clutter are computed once each, and memoized on
-the frozen, hashable Clutter: the Smith invariant factors d_i of the
-difference matrix B = V - V[0] (`difference_factors`), and the rank over Q
-of the incidence matrix A (`incidence_rank`).  The CI verdict reads both:
-the edge vectors are independent when rank A = s, and multiplication by
-q-1 is injective on Z^n / <v_i - v_1> when gcd(q-1, d_i) = 1 for every i.
-|X| = prod (q-1)/gcd(q-1, d_i) (`toric_set.size_of_X`) reads the same
-factors, and delta'_d and `toric_set.profile` the same rank.
+Both lattice facts of a clutter come from one integer row echelon of its
+difference rows v_i - v_1 (`_insert`), memoized on the frozen, hashable
+Clutter (`lattice_facts`):
 
-Everything here runs on arbitrary-precision Python ints, so there is no
-overflow to signal.  The Smith normal form uses the pivot rule "smallest
-nonzero absolute value, ties broken row-major".
+* the Smith invariant factors d_i of the difference matrix B = V - V[0]
+  (`difference_factors`), from one Smith form of that echelon;
+* the rank over Q of the incidence matrix A (`incidence_rank`), that of the
+  edge vectors: the row space of V is that of B plus <v_1>, so rank A is
+  rank B, plus 1 when inserting v_1 enlarges the echelon.
+
+The CI verdict reads both: the edge vectors are independent when
+rank A = s, and multiplication by q-1 is injective on Z^n / <v_i - v_1>
+when gcd(q-1, d_i) = 1 for every i.  |X| = prod (q-1)/gcd(q-1, d_i)
+(`toric_set.size_of_X`) reads the same factors, and delta'_d and
+`toric_set.profile` the same rank.
+
+`rank_rational` and `smith_normal_form` take any integer matrix through
+the same echelon: the rank is its number of rows, and the Smith form is
+finished on those r <= n rows alone, since row operations keep the row
+lattice and with it the invariant factors.  Everything here runs on
+arbitrary-precision Python ints, so there is no overflow to signal.
 """
 
 from __future__ import annotations
@@ -19,8 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
-from .clutter import Clutter, difference_matrix, incidence, uniformity
+from .clutter import Clutter, uniformity
 
 
 def _to_int_rows(M) -> list[list[int]]:
@@ -30,29 +40,62 @@ def _to_int_rows(M) -> list[list[int]]:
     return rows
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with g = gcd(a, b) = x a + y b > 0, for a, b not both 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        k, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - k * x1
+        y0, y1 = y1, y0 - k * y1
+    return (a, x0, y0) if a > 0 else (-a, -x0, -y0)
+
+
+def _insert(basis: dict[int, list[int]], v: list[int]) -> bool:
+    """Insert the integer row v into an echelon basis, its rows keyed by
+    pivot column with positive pivots: True when the basis gains a row.
+
+    At the leading column of v, an entry that the pivot divides is cleared
+    by subtracting a multiple of the pivot row.  Otherwise an extended-gcd
+    step replaces the pivot row and v by a unimodular combination of the
+    two: the pivot becomes their gcd and v gets a zero there.  Either way
+    the lattice spanned by the basis and v does not change.  A leading
+    column with no pivot takes v, as it stands, as a new row.
+    """
+    n, c = len(v), 0
+    while True:
+        while c < n and not v[c]:
+            c += 1
+        if c == n:
+            return False
+        b = basis.get(c)
+        if b is None:
+            basis[c] = v if v[c] > 0 else [-x for x in v]
+            return True
+        p, a = b[c], v[c]
+        if a % p == 0:
+            f = a // p
+            v = [x - f * y for x, y in zip(v, b)]
+        else:
+            # [[x, y], [a/g, -p/g]] has determinant -1
+            g, x, y = _xgcd(p, a)
+            u, w = a // g, p // g
+            basis[c] = [x * bi + y * vi for bi, vi in zip(b, v)]
+            v = [u * bi - w * vi for bi, vi in zip(b, v)]
+
+
+def _echelon(rows: list[list[int]]) -> list[list[int]]:
+    """The rows of an integer echelon form of the given rows, in pivot
+    order; they span the same lattice."""
+    basis: dict[int, list[int]] = {}
+    for row in rows:
+        _insert(basis, row)
+    return [basis[c] for c in sorted(basis)]
+
+
 def rank_rational(M) -> int:
-    """Rank over Q by fraction-free (Bareiss) elimination."""
-    A = _to_int_rows(M)
-    if not A or not A[0]:
-        return 0
-    m, n = len(A), len(A[0])
-    r = 0
-    prev = 1
-    for c in range(n):
-        if r == m:
-            break
-        piv = next((i for i in range(r, m) if A[i][c] != 0), None)
-        if piv is None:
-            continue
-        if piv != r:
-            A[r], A[piv] = A[piv], A[r]
-        for i in range(r + 1, m):
-            for j in range(c + 1, n):
-                A[i][j] = (A[i][j] * A[r][c] - A[i][c] * A[r][j]) // prev
-            A[i][c] = 0
-        prev = A[r][c]
-        r += 1
-    return r
+    """Rank over Q: the number of rows of an integer echelon form of M."""
+    return len(_echelon(_to_int_rows(M)))
 
 
 @dataclass
@@ -63,10 +106,16 @@ class SnfResult:
 
 
 def smith_normal_form(M) -> SnfResult:
-    """Smith normal form: the positive invariant factors d1 | d2 | ..."""
-    D = _to_int_rows(M)
-    m = len(D)
-    n = len(D[0]) if D else 0
+    """Smith normal form: the positive invariant factors d1 | d2 | ...
+
+    The rows are first brought to echelon form, which keeps the row
+    lattice; the pivot loop (smallest nonzero absolute value, ties broken
+    row-major) then runs on those r <= n rows only.  `shape` is that of M.
+    """
+    rows = _to_int_rows(M)
+    shape = (len(rows), len(rows[0]) if rows else 0)
+    D = _echelon(rows)
+    m, n = len(D), shape[1]
 
     def swap_rows(i, j):
         D[i], D[j] = D[j], D[i]
@@ -136,21 +185,38 @@ def smith_normal_form(M) -> SnfResult:
         t += 1
 
     factors = [D[i][i] for i in range(min(m, n)) if D[i][i] != 0]
-    return SnfResult(invariant_factors=factors, rank=len(factors), shape=(m, n))
+    return SnfResult(invariant_factors=factors, rank=len(factors), shape=shape)
+
+
+class LatticeFacts(NamedTuple):
+    difference_factors: tuple[int, ...]
+    incidence_rank: int
 
 
 @lru_cache(maxsize=256)
+def lattice_facts(C: Clutter) -> LatticeFacts:
+    """The Smith factors of B and the rank of A from one echelon of the
+    difference rows v_i - v_1: one Smith form of that echelon, then v_1
+    inserted into it."""
+    v1, *rest = C.vectors
+    basis: dict[int, list[int]] = {}
+    for v in rest:
+        _insert(basis, [a - b for a, b in zip(v, v1)])
+    factors = smith_normal_form([basis[c] for c in sorted(basis)]).invariant_factors
+    rank = len(basis) + _insert(basis, list(v1))
+    return LatticeFacts(tuple(factors), rank)
+
+
 def difference_factors(C: Clutter) -> tuple[int, ...]:
     """The Smith invariant factors of the difference matrix B = V - V[0]:
     Z^n / <v_i - v_1> is Z^(n-r) + sum Z/d_i, and X is the image of
     (Z/(q-1))^n under B."""
-    return tuple(smith_normal_form(difference_matrix(C)).invariant_factors)
+    return lattice_facts(C).difference_factors
 
 
-@lru_cache(maxsize=256)
 def incidence_rank(C: Clutter) -> int:
     """The rank over Q of the incidence matrix A, that of the edge vectors."""
-    return rank_rational(incidence(C).A)
+    return lattice_facts(C).incidence_rank
 
 
 def phi_injective(C: Clutter, q: int) -> bool:

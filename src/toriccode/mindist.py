@@ -1,9 +1,9 @@
 """Minimum distance of parameterized codes.
 
-Three routes: exhaustive search over projective codeword classes, an
-information-set search, and the closed torus formula (exact when X is the
-full torus, an upper bound delta'_d under the rank/normality hypotheses
-otherwise).  `min_distance(X, d, method)` chooses among them, and
+Three routes: exhaustive search over the messages with first coefficient
+1, an information-set search, and the closed torus formula (exact when X
+is the full torus, an upper bound delta'_d under the rank/normality
+hypotheses otherwise).  `min_distance(X, d, method)` chooses among them, and
 `distance_report` adds the dimension and the bounds of one degree; both
 read the regularity, H_X(d) and Delta_d from the one walk of X
 (`eval_code.walk_of`).  Every result is an interval [lower, value] that
@@ -125,26 +125,26 @@ def min_distance_bruteforce(
     1, which a group acting regularly on the coordinates and mapping C to
     itself makes enough (see the module docstring).
 
-    The class budget bounds the (q^k - 1)/(q - 1) projective classes of
-    messages.  The message splits into head and tail coordinates.  The span
-    B of the last k2 rows is built once, k2 < k as large as
-    q^k2 * n <= _CELL_CAP allows.  Each head word a (first coefficient 1)
-    is weighed against all of B at once: as b runs over B so does -b, and
-    wt(a - b) = #{j : a_j != b_j}.  The search starts from the lightest
-    generator row and stops once its lightest codeword reaches C.floor; the
-    time budget is checked before each block of head words, and on expiry
-    the lightest codeword so far is returned with exact=False and lower the
-    floor.
+    The class budget bounds the q^(k-1) messages weighed, one per
+    projective class with a nonzero first coefficient.  The message splits
+    into head and tail coordinates.  The span B of the last k2 rows is
+    built once, k2 < k as large as q^k2 * n <= _CELL_CAP allows.  Each
+    head word a (first coefficient 1) is weighed against all of B at once:
+    as b runs over B so does -b, and wt(a - b) = #{j : a_j != b_j}.  The
+    search starts from the lightest generator row and stops once its
+    lightest codeword reaches C.floor; the time budget is checked before
+    each block of head words, and on expiry the lightest codeword so far
+    is returned with exact=False and lower the floor.
     """
     F = C.field
     q = F.q
     k, n = C.generator.shape
     if k == 0:
         raise ValueError("zero code has no minimum distance")
-    classes = (q ** k - 1) // (q - 1)
-    if classes > class_budget:
+    messages = q ** (k - 1)
+    if messages > class_budget:
         raise BudgetExceededError(
-            f"{classes} projective classes > budget {class_budget}; use isd"
+            f"{messages} messages with first coefficient 1 > budget {class_budget}; use isd"
         )
     start = time.monotonic()
     row_weights = _weights(C.generator, 0, axis=1)
@@ -309,7 +309,8 @@ def min_distance(
 
     auto takes the first route that applies: the torus formula; delta = 1
     for d at or past the regularity of X, where the code is all of
-    GF(q)^|X|; brute force within the class budget; information-set search.
+    GF(q)^|X|; brute force when its q^(k-1) messages, k = H_X(d), are within
+    the class budget; information-set search.
     formula is the torus formula when X is the torus, else `prime`
     (delta'_d) as an upper bound only.
     """
@@ -330,8 +331,7 @@ def min_distance(
         return DistanceResult(1, "regularity", exact=True)
     cd = code(X, d)
     if method == "auto":
-        classes = (q ** cd.dimension - 1) // (q - 1)
-        method = "bruteforce" if classes <= class_budget else "isd"
+        method = "bruteforce" if q ** (cd.dimension - 1) <= class_budget else "isd"
     if method == "bruteforce":
         return min_distance_bruteforce(cd, class_budget, time_budget)
     return min_distance_isd(cd, time_budget)

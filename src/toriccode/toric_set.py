@@ -18,11 +18,12 @@ of X gets an integer label in [0, |X|) (`ToricSet.radices`).
 The size of X needs no points: B = U D W with U, W unimodular and D the
 Smith form diag(d_1, ..., d_r), so X is isomorphic to the image of D on
 (Z/m)^n, m = q-1, and |X| = prod m/gcd(m, d_i) (`size_of_X`).  The
-factors d_i are `intlattice.difference_factors(C)`, the same ones the
-complete-intersection verdict reads, computed once per clutter.  `profile`
-reads |X| and the comparison with the torus from that closed form, and
-the rank from `intlattice.incidence_rank`; `equals_torus` serves callers
-that already hold the points.
+factors d_i are `intlattice.difference_factors(C)`, the ones the
+complete-intersection verdict reads.  They and the rank of the incidence
+matrix (`intlattice.incidence_rank`) come from one integer echelon of the
+difference rows per clutter.  `profile` reads |X| and the comparison with
+the torus from that closed form, and the rank from that echelon;
+`equals_torus` serves callers that already hold the points.
 """
 
 from __future__ import annotations

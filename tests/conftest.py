@@ -8,8 +8,10 @@ instead do the linear algebra that the package replaces by integer
 character keys: rank and reduced row echelon form of evaluation matrices.
 The lattice oracles for the complete-intersection verdict and delta'_d
 recompute the rank and the Smith form on every call, from matrices built
-here, where the package reads one memoized Smith form and one rank per
-clutter.
+here, by routines that share no code with the package: a Smith form by
+pivot search over the whole remaining matrix (`oracle_snf_pivot_rule`),
+Bareiss and Fraction elimination for the rank.  The package reads both
+facts from one integer echelon per clutter.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from hypothesis import strategies as st
 
 from toriccode import Clutter, incidence, parse_clutter, torus_distance, uniformity
 from toriccode._linalg import rank, rref
-from toriccode.intlattice import rank_rational, smith_normal_form
 from toriccode.eval_code import evaluate_rows
 
 # ---------------------------------------------------------------------------
@@ -175,6 +176,33 @@ def uniform_clutters_over_fields(draw, max_torus):
     return parse_clutter(doc), q
 
 
+@st.composite
+def clutters_with_v1_in_span(draw):
+    """Non-uniform clutters with v_1 in the rational span of the
+    differences v_i - v_1: three disjoint pairs and two disjoint triples
+    on the same six vertices, one vertex of each pair in each triple, so
+    that the three pair vectors sum to the two triple vectors.  A relation
+    whose coefficients sum to 1, not 0, puts every v_j in the span of the
+    v_i - v_j, whatever the edge order; then rank A = rank B.  Extra edges
+    of size 2 or 3, on up to two more vertices, keep the relation."""
+    order = draw(st.permutations(range(1, 7)))
+    pairs = [sorted(order[i:i + 2]) for i in (0, 2, 4)]
+    sides = draw(st.lists(st.booleans(), min_size=3, max_size=3))
+    first = sorted(p[side] for p, side in zip(pairs, sides))
+    second = sorted(p[1 - side] for p, side in zip(pairs, sides))
+    edges = [frozenset(e) for e in pairs + [first, second]]
+    extra = draw(
+        st.lists(st.frozensets(st.integers(1, 8), min_size=2, max_size=3), max_size=4)
+    )
+    for e in extra:
+        if not any(e <= f or f <= e for f in edges):
+            edges.append(e)
+    edges = draw(st.permutations(edges))
+    used = sorted(set().union(*edges))
+    label = {v: i + 1 for i, v in enumerate(used)}
+    return parse_clutter({"n": len(used), "edges": [sorted(label[v] for v in e) for e in edges]})
+
+
 # ---------------------------------------------------------------------------
 # oracles
 # ---------------------------------------------------------------------------
@@ -228,8 +256,7 @@ def multiplication_injective(relation_rows, factor: int) -> bool:
     rows = [[int(x) for x in row] for row in relation_rows]
     if not rows:
         return True
-    snf = smith_normal_form(rows)
-    return all(gcd(factor, d) == 1 for d in snf.invariant_factors)
+    return all(gcd(factor, d) == 1 for d in oracle_snf_pivot_rule(rows))
 
 
 def difference_rows(C: Clutter) -> list[list[int]]:
@@ -249,7 +276,7 @@ def oracle_ci_classify(C: Clutter, q: int) -> tuple:
     uniform, _ = uniformity(C)
     if not uniform:
         return False, None, None, None
-    if rank_rational(incidence(C).A.T.tolist()) != C.s:
+    if oracle_rank_bareiss(incidence(C).A.T.tolist()) != C.s:
         return True, False, False, None
     injective = oracle_phi_injective(C, q)
     return True, injective, True, injective
@@ -259,9 +286,100 @@ def oracle_delta_prime(C: Clutter, q: int, d: int):
     """delta'_d of a clutter: the torus formula in P^(n-1) when C is
     uniform and rank A = n, from a fresh rank; None otherwise."""
     uniform, _ = uniformity(C)
-    if uniform and rank_rational(incidence(C).A) == C.n:
+    if uniform and oracle_rank_fraction(incidence(C).A) == C.n:
         return torus_distance(q, C.n, d)
     return None
+
+
+def oracle_rank_bareiss(M) -> int:
+    """Rank over the rationals by fraction-free (Bareiss) elimination."""
+    A = [[int(x) for x in row] for row in M]
+    if not A or not A[0]:
+        return 0
+    m, n = len(A), len(A[0])
+    r = 0
+    prev = 1
+    for c in range(n):
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if A[i][c] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            A[r], A[piv] = A[piv], A[r]
+        for i in range(r + 1, m):
+            for j in range(c + 1, n):
+                A[i][j] = (A[i][j] * A[r][c] - A[i][c] * A[r][j]) // prev
+            A[i][c] = 0
+        prev = A[r][c]
+        r += 1
+    return r
+
+
+def oracle_snf_pivot_rule(M) -> list[int]:
+    """Invariant factors by the Smith loop on the whole matrix: at each
+    step the pivot is the smallest nonzero absolute value left, ties broken
+    row-major; its row and column are cleared, and an entry the pivot does
+    not divide is pulled into its row before the step is redone.  Entries
+    can grow fast on dense matrices: inputs with a few columns or 0/+-1
+    entries only."""
+    D = [[int(x) for x in row] for row in M]
+    m = len(D)
+    n = len(D[0]) if D else 0
+
+    def swap_rows(i, j):
+        D[i], D[j] = D[j], D[i]
+
+    def swap_cols(i, j):
+        for r in range(m):
+            D[r][i], D[r][j] = D[r][j], D[r][i]
+
+    def add_row(src, dst, factor):
+        for c in range(n):
+            D[dst][c] += factor * D[src][c]
+
+    def add_col(src, dst, factor):
+        for r in range(m):
+            D[r][dst] += factor * D[r][src]
+
+    t = 0
+    while t < min(m, n):
+        found = min(
+            ((abs(D[i][j]), i, j) for i in range(t, m) for j in range(t, n) if D[i][j]),
+            default=None,
+        )
+        if found is None:
+            break
+        _, pi, pj = found
+        if pi != t:
+            swap_rows(t, pi)
+        if pj != t:
+            swap_cols(t, pj)
+        dirty = True
+        while dirty:
+            dirty = False
+            for i in range(t + 1, m):
+                if D[i][t]:
+                    add_row(t, i, -(D[i][t] // D[t][t]))
+                    if D[i][t]:
+                        swap_rows(t, i)
+                        dirty = True
+            for j in range(t + 1, n):
+                if D[t][j]:
+                    add_col(t, j, -(D[t][j] // D[t][t]))
+                    if D[t][j]:
+                        swap_cols(t, j)
+                        dirty = True
+        D[t][t] = abs(D[t][t])
+        bad = next(
+            (i for i in range(t + 1, m) for j in range(t + 1, n) if D[i][j] % D[t][t]),
+            None,
+        )
+        if bad is not None:
+            add_row(bad, t, 1)
+            continue
+        t += 1
+    return [D[i][i] for i in range(min(m, n)) if D[i][i] != 0]
 
 
 def oracle_rank_fraction(M) -> int:

@@ -545,8 +545,7 @@ class TestLatticeFactsOnce:
             for mod in [m for k, m in sys.modules.items() if k.startswith("toriccode")]:
                 if getattr(mod, attr, None) is original:
                     monkeypatch.setattr(mod, attr, counted)
-        intlattice.difference_factors.cache_clear()
-        intlattice.incidence_rank.cache_clear()
+        intlattice.lattice_facts.cache_clear()
         rc, out, _ = run(command, "--clutter", str(f), "--q", q, "--format", "json", *rest)
         assert rc == EXIT_OK and out
         assert calls["smith_normal_form"] <= 1 and calls["rank_rational"] <= 1

@@ -1,9 +1,12 @@
 """Clutter parsing, validation and incidence matrices."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toriccode import Clutter, ClutterError, incidence, load_clutter, parse_clutter, uniformity
 
@@ -47,6 +50,68 @@ class TestParse:
     def test_containment_violates_clutter_property(self):
         with pytest.raises(ClutterError):
             parse_clutter({"n": 3, "edges": [[1, 2], [1, 2, 3]]})
+
+    @pytest.mark.parametrize(
+        "edges,message",
+        [
+            # a containment at (0, 1) comes before the duplicate at (0, 2)
+            ([[1, 2], [1, 2, 3], [2, 1]], "edge (1, 2) is contained in (1, 2, 3) (not a clutter)"),
+            ([[1, 2], [2, 1], [1, 2, 3]], "duplicate edge (1, 2)"),
+            ([[1, 2, 3], [1, 2], [1, 2]], "edge (1, 2) is contained in (1, 2, 3) (not a clutter)"),
+            # the first edge at fault decides, not the kind of fault
+            ([[2, 3], [1, 4], [1, 4, 5], [3, 2]], "duplicate edge (2, 3)"),
+            ([[1, 4], [2, 3], [3, 2], [1, 4, 5]], "edge (1, 4) is contained in (1, 4, 5) (not a clutter)"),
+        ],
+    )
+    def test_first_fault_reported(self, edges, message):
+        with pytest.raises(ClutterError) as exc:
+            parse_clutter({"n": 5, "edges": edges})
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("1 2\n2 3\n2 1\n", "duplicate edge (1, 2)"),
+            ("2 3\n1 2 3\n", "edge (2, 3) is contained in (1, 2, 3) (not a clutter)"),
+            ("1 2 3\n# a comment\n3 1\n1 3\n", "edge (1, 3) is contained in (1, 2, 3) (not a clutter)"),
+        ],
+    )
+    def test_first_fault_reported_text_form(self, text, message):
+        with pytest.raises(ClutterError) as exc:
+            parse_clutter(text)
+        assert str(exc.value) == message
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.lists(st.integers(1, 5), min_size=1, max_size=4, unique=True),
+            min_size=2,
+            max_size=7,
+        )
+    )
+    def test_fault_matches_pair_scan(self, edges):
+        # the first ordered pair (i, j) with e_i = e_j or e_i < e_j, scanned
+        # row-major, names the error
+        sets = [set(e) for e in edges]
+        expect = None
+        for i, j in ((i, j) for i in range(len(sets)) for j in range(len(sets)) if i != j):
+            if sets[i] == sets[j]:
+                expect = f"duplicate edge {tuple(sorted(edges[i]))}"
+            elif sets[i] < sets[j]:
+                expect = (
+                    f"edge {tuple(sorted(edges[i]))} is contained in "
+                    f"{tuple(sorted(edges[j]))} (not a clutter)"
+                )
+            if expect:
+                break
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                parse_clutter({"n": 5, "edges": edges})
+        except ClutterError as exc:
+            assert str(exc) == expect
+        else:
+            assert expect is None
 
     def test_isolated_vertex_warns(self):
         with pytest.warns(UserWarning):

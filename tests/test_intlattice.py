@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -10,13 +10,16 @@ from conftest import (
     FIELD_SIZES,
     difference_rows,
     clutters_over_fields,
+    clutters_with_v1_in_span,
     multiplication_injective,
     oracle_ci_classify,
     oracle_delta_prime,
     oracle_det_fraction,
     oracle_phi_injective,
+    oracle_rank_bareiss,
     oracle_rank_fraction,
     oracle_snf_minor_gcd,
+    oracle_snf_pivot_rule,
     uniform_clutters_over_fields,
 )
 from toriccode import (
@@ -40,6 +43,17 @@ class TestRank:
             M = rng.integers(-4, 5, size=(m, n))
             assert rank_rational(M) == oracle_rank_fraction(M)
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=1, max_size=9
+            )
+        )
+    )
+    def test_matches_fraction_oracle(self, rows):
+        assert rank_rational(rows) == oracle_rank_fraction(rows) == oracle_rank_bareiss(rows)
+
     def test_rank_deficient(self):
         M = [[1, 2, 3], [2, 4, 6], [0, 0, 1]]
         assert rank_rational(M) == 2
@@ -54,7 +68,7 @@ class TestRank:
         assert rank_rational(A) == 3  # bipartite: rank n - 1
 
     def test_big_entries(self):
-        # Bareiss keeps this exact where floats would not
+        # Python ints keep this exact where floats would not
         M = [[10**12, 10**12 + 1], [10**12 - 1, 10**12]]
         assert rank_rational(M) == 2
         M2 = [[10**12, 10**12], [10**12, 10**12]]
@@ -82,6 +96,26 @@ class TestSmithNormalForm:
             m, n = rng.integers(1, 4, size=2)
             M = rng.integers(-5, 6, size=(m, n))
             assert smith_normal_form(M).invariant_factors == oracle_snf_minor_gcd(M)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=1, max_size=12
+            )
+        )
+    )
+    def test_tall_matches_minor_gcd_oracle(self, rows):
+        # more rows than columns: the echelon merges rows by extended gcd
+        r = smith_normal_form(rows)
+        assert r.invariant_factors == oracle_snf_minor_gcd(rows)
+        assert r.rank == len(r.invariant_factors)
+        assert r.shape == (len(rows), len(rows[0]))
+
+    def test_gcd_merge_of_two_rows(self):
+        # neither pivot divides the other: the lattice is Z x 3Z
+        assert smith_normal_form([[2, 3], [3, 3]]).invariant_factors == [1, 3]
+        assert smith_normal_form([[4, 0], [6, 0], [0, 5]]).invariant_factors == [1, 10]
 
     def test_zero_matrix(self):
         r = smith_normal_form(np.zeros((2, 3), dtype=np.int64))
@@ -188,6 +222,35 @@ class TestLatticeFacts:
             assert rep.vectors_independent and rep.phi_injective == (q % 2 == 0)
             assert rep.is_ci == rep.phi_injective
             _check_lattice_facts(C, q)
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(
+        st.one_of(
+            clutters_over_fields(max_torus=4096),
+            uniform_clutters_over_fields(max_torus=4096),
+        )
+    )
+    def test_memo_matches_fresh_oracles(self, case):
+        C, _ = case
+        assert difference_factors(C) == tuple(oracle_snf_pivot_rule(difference_rows(C)))
+        assert incidence_rank(C) == oracle_rank_fraction(C.vectors)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(clutters_with_v1_in_span())
+    # v12 + v34 + v56 = v135 + v246
+    @example(parse_clutter({"n": 6, "edges": [[1, 2], [3, 4], [5, 6], [1, 3, 5], [2, 4, 6]]}))
+    @example(parse_clutter({"n": 6, "edges": [[1, 3, 5], [1, 2], [3, 4], [5, 6], [2, 4, 6]]}))
+    @example(
+        parse_clutter(
+            {"n": 6, "edges": [[1, 2], [3, 4], [1, 3, 5], [5, 6], [2, 4, 6], [1, 4, 6]]}
+        )
+    )
+    def test_v1_in_span_of_differences(self, C):
+        # rank A = rank B: inserting v_1 must not enlarge the echelon
+        rank_B = oracle_rank_fraction(difference_rows(C))
+        assert incidence_rank(C) == oracle_rank_fraction(C.vectors) == rank_B
+        assert difference_factors(C) == tuple(oracle_snf_pivot_rule(difference_rows(C)))
 
     @settings(
         max_examples=150,

@@ -130,6 +130,15 @@ class TestBruteforce:
         with pytest.raises(BudgetExceededError):
             min_distance_bruteforce(code(X, 2), class_budget=10)
 
+    def test_budget_counts_messages_weighed(self, k4):
+        # q^(k-1) messages with first coefficient 1, not the larger
+        # (q^k - 1)/(q - 1) projective classes
+        cd = code(enumerate_X(k4, make_field(3, 1)), 1)
+        messages = 3 ** (cd.dimension - 1)
+        assert min_distance_bruteforce(cd, class_budget=messages).exact
+        with pytest.raises(BudgetExceededError, match=f"^{messages} messages"):
+            min_distance_bruteforce(cd, class_budget=messages - 1)
+
 
 class TestIsd:
     def test_k4_gf4_d1_matches_brute(self, k4):
@@ -574,6 +583,12 @@ class TestMinDistance:
         X = enumerate_X(k4, make_field(3, 1))
         r = min_distance(X, 1, class_budget=10)
         assert (r.value, r.method, r.exact) == (2, "isd", True)
+
+    def test_class_budget_picks_bruteforce_at_messages(self, k4):
+        X = enumerate_X(k4, make_field(3, 1))
+        messages = 3 ** (code(X, 1).dimension - 1)
+        assert min_distance(X, 1, class_budget=messages).method == "bruteforce"
+        assert min_distance(X, 1, class_budget=messages - 1).method == "isd"
 
     def test_rejects_degree_zero(self, k4):
         X = enumerate_X(k4, make_field(3, 1))
