@@ -156,9 +156,14 @@ def _point_inputs(args):
 
 def _write(body: dict, fmt: str) -> None:
     """A one-record report on stdout: json, csv (a header and one row, None
-    as an empty field) or text (one "key: value" line per entry)."""
+    as an empty field) or text (one "key: value" line per entry).
+
+    Every JSON report of the program is written here, as one line: without
+    `indent`, `json.dumps` runs its C encoder (with it, the pure-Python
+    one, several times slower on a Groebner basis).  `python3 -m json.tool`
+    pretty-prints the line."""
     if fmt == "json":
-        sys.stdout.write(json.dumps(body, indent=2) + "\n")
+        sys.stdout.write(json.dumps(body) + "\n")
     elif fmt == "csv":
         import csv
 
@@ -177,22 +182,26 @@ def _delta_text(report) -> str:
     return f"[{report['delta_lower']}, {report['delta']}]"
 
 
+def _check_degrees(dmin: int, dmax) -> None:
+    """Reject a degree range that no X can serve, before X is built; dmax
+    None stands for the default end, which needs X."""
+    if dmin < 1 or (dmax is not None and dmax < dmin):
+        end = "..." if dmax is None else dmax
+        raise _InputError(f"bad degree range [{dmin}, {end}]")
+
+
 def _cmd_params(args) -> int:
-    C, X = _point_inputs(args)
-    F = X.field
-    reg = regularity(X)
     if args.d is not None:
         dmin = dmax = args.d
     else:
-        dmin = args.dmin
-        if args.dmax is not None:
-            dmax = args.dmax
-        elif args.full:
-            dmax = (F.q - 2) * (X.s - 1)
-        else:
-            dmax = reg
-    if dmin < 1 or dmax < dmin:
-        raise _InputError(f"bad degree range [{dmin}, {dmax}]")
+        dmin, dmax = args.dmin, args.dmax
+    _check_degrees(dmin, dmax)
+    C, X = _point_inputs(args)
+    F = X.field
+    reg = regularity(X)
+    if dmax is None:
+        dmax = (F.q - 2) * (X.s - 1) if args.full else reg
+        _check_degrees(dmin, dmax)
     rows = []
     for d in range(dmin, dmax + 1):
         report = distance_report(
@@ -208,7 +217,7 @@ def _cmd_params(args) -> int:
             )
     elif args.fmt == "json":
         meta = {"length": len(X), "regularity": reg, "q": F.q, "s": X.s, "rows": rows}
-        out.write(json.dumps(meta, indent=2) + "\n")
+        _write(meta, args.fmt)
     else:
         header = ["d", "length", "dim", "delta", "method", "delta'", "singleton"]
         widths = [max(len(h), 10) for h in header]
@@ -231,11 +240,11 @@ def _cmd_params(args) -> int:
 
 
 def _cmd_mindist(args) -> int:
-    C, X = _point_inputs(args)
     if args.d is None:
         raise _InputError("mindist needs --d")
     if args.d < 1:
         raise _InputError("need d >= 1")
+    C, X = _point_inputs(args)
     report = distance_report(
         C, X, args.d, args.method, args.class_budget, args.time_budget
     )
@@ -287,7 +296,7 @@ def _cmd_groebner(args) -> int:
                 for g in G.elements
             ],
         }
-        sys.stdout.write(json.dumps(body, indent=2) + "\n")
+        _write(body, args.fmt)
     else:
         for g in G.elements:
             sys.stdout.write(g.term_string(F) + "\n")
@@ -303,8 +312,11 @@ def _cmd_profile(args) -> int:
     body = profile(C, q)
     if args.dump_points:
         X = enumerate_X(C, field_from_q(q), budget=args.budget)
-        with open(args.dump_points, "w") as fh:
-            fh.write(points_csv(X))
+        try:
+            with open(args.dump_points, "w") as fh:
+                fh.write(points_csv(X))
+        except OSError as exc:
+            raise _InputError(f"cannot write points file: {exc}")
     _write(body, args.fmt)
     return EXIT_OK
 

@@ -19,8 +19,11 @@ when gcd(q-1, d_i) = 1 for every i.  |X| = prod (q-1)/gcd(q-1, d_i)
 `rank_rational` and `smith_normal_form` take any integer matrix through
 the same echelon: the rank is its number of rows, and the Smith form is
 finished on those r <= n rows alone, since row operations keep the row
-lattice and with it the invariant factors.  Everything here runs on
-arbitrary-precision Python ints, so there is no overflow to signal.
+lattice and with it the invariant factors.  The echelon is kept in
+Hermite normal form (`_hermite`), so on a full-column-rank input no entry
+exceeds the lattice's determinant, and with it the Hadamard bound.
+Everything here runs on arbitrary-precision Python ints, so there is no
+overflow to signal.
 """
 
 from __future__ import annotations
@@ -51,6 +54,23 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return (a, x0, y0) if a > 0 else (-a, -x0, -y0)
 
 
+def _hermite(basis: dict[int, list[int]]) -> None:
+    """Reduce every entry above a pivot into [0, pivot), pivot columns in
+    ascending order.  The row of pivot column c is zero left of c, so
+    reducing at c leaves the columns already done as they are, and the
+    rows end in Hermite normal form.  An entry already in range costs one
+    comparison."""
+    cols = sorted(basis)
+    for j, c in enumerate(cols):
+        b = basis[c]
+        p = b[c]
+        for above in cols[:j]:
+            row = basis[above]
+            f = row[c] // p
+            if f:
+                basis[above] = [x - f * y for x, y in zip(row, b)]
+
+
 def _insert(basis: dict[int, list[int]], v: list[int]) -> bool:
     """Insert the integer row v into an echelon basis, its rows keyed by
     pivot column with positive pivots: True when the basis gains a row.
@@ -60,18 +80,17 @@ def _insert(basis: dict[int, list[int]], v: list[int]) -> bool:
     step replaces the pivot row and v by a unimodular combination of the
     two: the pivot becomes their gcd and v gets a zero there.  Either way
     the lattice spanned by the basis and v does not change.  A leading
-    column with no pivot takes v, as it stands, as a new row.
+    column with no pivot takes v, as it stands, as a new row.  When a
+    merge or a new row changed the basis, it is Hermite-reduced
+    (`_hermite`), which keeps its entries from growing on dense input.
     """
-    n, c = len(v), 0
+    n, c, merged = len(v), 0, False
     while True:
         while c < n and not v[c]:
             c += 1
-        if c == n:
-            return False
-        b = basis.get(c)
-        if b is None:
-            basis[c] = v if v[c] > 0 else [-x for x in v]
-            return True
+        if c == n or c not in basis:
+            break
+        b = basis[c]
         p, a = b[c], v[c]
         if a % p == 0:
             f = a // p
@@ -82,6 +101,13 @@ def _insert(basis: dict[int, list[int]], v: list[int]) -> bool:
             u, w = a // g, p // g
             basis[c] = [x * bi + y * vi for bi, vi in zip(b, v)]
             v = [u * bi - w * vi for bi, vi in zip(b, v)]
+            merged = True
+    added = c < n
+    if added:
+        basis[c] = v if v[c] > 0 else [-x for x in v]
+    if added or merged:
+        _hermite(basis)
+    return added
 
 
 def _echelon(rows: list[list[int]]) -> list[list[int]]:

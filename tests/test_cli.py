@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 try:
     import resource
@@ -284,6 +285,16 @@ class TestProfile:
         assert lines[0] == "t1,t2,t3,t4,t5,t6"
         assert len(lines) == 9
 
+    @pytest.mark.parametrize("target", ["missing/pts.csv", "."], ids=["no-dir", "a-dir"])
+    def test_dump_points_unwritable(self, run, k4_file, tmp_path, target):
+        # an unwritable points file is bad input, like an unreadable clutter
+        rc, out, err = run(
+            "profile", "--clutter", k4_file, "--q", "3",
+            "--dump-points", str(tmp_path / target),
+        )
+        assert (rc, out) == (EXIT_INPUT, "")
+        assert err.startswith("input error: cannot write points file: ")
+
     def test_csv_quotes_the_note(self, run, k4_file):
         rc, out, _ = run("profile", "--clutter", k4_file, "--q", "3", "--format", "csv")
         assert rc == EXIT_OK
@@ -439,6 +450,59 @@ class TestErrors:
             "params", "--clutter", k4_file, "--q", "3", "--dmin", "3", "--dmax", "1"
         )
         assert rc == EXIT_INPUT
+
+    def test_dmin_past_regularity(self, run, k4_file):
+        # the default end is the regularity, 2 for K4 over GF(3)
+        assert run("params", "--clutter", k4_file, "--q", "3", "--dmin", "3") == (
+            EXIT_INPUT, "", "input error: bad degree range [3, 2]\n"
+        )
+
+
+class TestDegreesBeforePoints:
+    """A degree range that no X can serve exits 2 before |X| is computed
+    and before any field or point is built; with --budget 1 it would
+    otherwise exit 3."""
+
+    CASES = [
+        (("mindist",), "mindist needs --d"),
+        (("mindist", "--d", "0"), "need d >= 1"),
+        (("params", "--dmin", "0"), "bad degree range [0, ...]"),
+        (("params", "--dmin", "0", "--dmax", "2"), "bad degree range [0, 2]"),
+        (("params", "--d", "0"), "bad degree range [0, 0]"),
+        (("params", "--dmin", "3", "--dmax", "2"), "bad degree range [3, 2]"),
+    ]
+
+    def test_exit_2_first(self, run, k4_file, monkeypatch):
+        import toriccode.cli as cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("no size, field or point may be computed")
+
+        monkeypatch.setattr(cli, "size_of_X", refuse)
+        monkeypatch.setattr(cli, "enumerate_X", refuse)
+        monkeypatch.setattr(cli, "projective_torus", refuse)
+        monkeypatch.setattr(FiniteField, "__init__", refuse)
+        make_field.cache_clear()
+        for (command, *rest), message in self.CASES:
+            for source in (("--clutter", k4_file), ("--torus", "3")):
+                got = run(command, *source, "--q", "9", "--budget", "1", *rest)
+                assert got == (EXIT_INPUT, "", f"input error: {message}\n"), (command, rest)
+
+
+JSON_REPORTS = json.loads((Path(__file__).parent / "json_reports.json").read_text())
+
+
+@pytest.mark.parametrize("case", list(JSON_REPORTS))
+def test_json_report_is_one_line(run, k4_file, case):
+    """Every JSON report is one line, whose parsed body, key order
+    included, is the one recorded when reports were written indented."""
+    argv = [k4_file if a == "K4" else a for a in case.split()]
+    rc, out, _ = run(*argv, "--format", "json")
+    assert rc == EXIT_OK
+    assert out.endswith("\n") and out.count("\n") == 1
+    body = json.loads(out)
+    assert body == JSON_REPORTS[case]
+    assert json.dumps(body) == json.dumps(JSON_REPORTS[case])
 
 
 FIELD_ERRORS = [

@@ -1,5 +1,7 @@
 """Exact integer linear algebra: rational rank, Smith form, CI classifier."""
 
+from math import gcd, prod
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -31,7 +33,13 @@ from toriccode import (
     rank_rational,
     smith_normal_form,
 )
-from toriccode.intlattice import difference_factors, incidence_rank, phi_injective
+from toriccode.intlattice import (
+    _echelon,
+    difference_factors,
+    incidence_rank,
+    lattice_facts,
+    phi_injective,
+)
 from toriccode.mindist import delta_prime
 
 
@@ -126,6 +134,77 @@ class TestSmithNormalForm:
         rows = difference_rows(triangle)
         assert smith_normal_form(rows).invariant_factors == [1, 1]
         assert oracle_snf_minor_gcd(rows) == [1, 1]
+
+
+def _hadamard_square(rows) -> int:
+    """The square of prod max(1, |row|): it bounds the square of every
+    nonzero maximal minor, so of the lattice's determinant."""
+    bound = 1
+    for row in rows:
+        bound *= max(1, sum(int(x) * int(x) for x in row))
+    return bound
+
+
+def _check_hermite(E, rows):
+    """E is in Hermite normal form, and no entry exceeds the Hadamard
+    bound of the full-column-rank input rows."""
+    pivots = [next(c for c, x in enumerate(row) if x) for row in E]
+    assert pivots == sorted(set(pivots))
+    for i, (row, c) in enumerate(zip(E, pivots)):
+        assert row[c] > 0
+        assert all(0 <= E[above][c] < row[c] for above in range(i))
+    bound = _hadamard_square(rows)
+    assert all(x * x <= bound for row in E for x in row)
+
+
+# dense 9 x 8 of rank 8, entries in [-4, 4]: without the reduction above
+# the pivots its echelon held an entry of 5.4e49
+DENSE_9x8 = [
+    [0, 4, -4, -2, -4, 2, 0, 1],
+    [-4, 1, -2, 2, 0, 2, -4, 4],
+    [3, 2, -4, -1, -1, -3, 2, 1],
+    [-1, -2, 2, -1, 1, 4, 0, 2],
+    [-2, -3, 3, 4, -3, 2, 4, 3],
+    [-3, 3, -3, -2, 4, 2, -1, -2],
+    [3, 4, -4, 3, 2, 1, 3, -3],
+    [-2, -3, 4, -4, -4, -1, 4, 4],
+    [-3, 3, 3, 3, -3, 3, -4, 3],
+]
+
+
+class TestHermiteEchelon:
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(
+        st.integers(2, 5).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                min_size=n, max_size=n + 2,
+            )
+        ).filter(lambda rows: oracle_rank_fraction(rows) == len(rows[0]))
+    )
+    def test_dense_full_column_rank(self, rows):
+        assert smith_normal_form(rows).invariant_factors == oracle_snf_minor_gcd(rows)
+        _check_hermite(_echelon(rows), rows)
+
+    def test_dense_9x8(self):
+        E = _echelon(DENSE_9x8)
+        assert len(E) == 8
+        _check_hermite(E, DENSE_9x8)
+        # the product of the factors is the gcd of the maximal minors
+        minors = [oracle_det_fraction(DENSE_9x8[:i] + DENSE_9x8[i + 1:]) for i in range(9)]
+        det = gcd(*(int(m) for m in minors))
+        assert prod(smith_normal_form(DENSE_9x8).invariant_factors) == det
+
+    def test_clutter_facts_unchanged(self, battery):
+        # recorded before the echelon was Hermite-reduced
+        ranks = {"C3": 3, "C4": 3, "C5": 5, "C6": 5, "C7": 7, "K4": 4, "K5": 5, "P3": 2,
+                 "P4": 3, "T7": 6, "U4": 4, "U6": 6, "U7": 7, "star4": 3}
+        assert {name: lattice_facts(C) for name, C in battery.items()} == {
+            name: ((1,) * (rank - 1), rank) for name, rank in ranks.items()
+        }
+        assert lattice_facts(TWO_TRIANGLES) == ((1, 1, 1, 1, 2), 6)
+        assert lattice_facts(TRIPLES) == ((1, 1, 1, 2), 5)
 
 
 class TestMultiplicationInjective:
