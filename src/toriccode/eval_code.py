@@ -8,7 +8,10 @@ On X the monomial t^e is the character with key e @ X.gens mod q-1, and
 distinct characters of a finite group are linearly independent (Artin).
 So two degree-d monomials agree on X exactly when their keys agree, I(X)
 is spanned by the binomials t^e - t^e' of equal keys, and the revlex-least
-monomial of each key is standard.
+monomial of each key is standard.  In the Smith coordinates of X
+(`ToricSet.orders`, `ToricSet.chars`) a character is a vector c with
+0 <= c_j < o_j, labelled by its mixed-radix value in [0, |X|); multiplying
+by t_i adds c(t_i), so one table (`shift_table`) moves every label.
 
 Every point of X has unit coordinates, so ts is a nonzerodivisor mod I(X),
 and in revlex then mod the initial ideal too (Bayer-Stillman): Delta_d,
@@ -16,13 +19,13 @@ the standard monomials of degree d, is ts Delta_(d-1) together with N_d,
 those of degree d prime to ts, and h_d = |N_d|.  The N_d are the Artinian
 reduction of S/I(X); together they hold one monomial per character of X.
 One walk (`standard_walk`) lists them degree by degree, in ascending
-revlex, with the new leading terms of the reduced revlex Groebner basis
-(all prime to ts) and their tails.  The walk depends on X alone:
-`walk_of(X)` takes it once, through the regularity r, and keeps it while X
-lives.  H_X(d) is |N_0| + ... + |N_d|; the regularity, the h-vector, the
-rows behind C_X(d), the searches of `mindist` and the basis in
-`vanishing_ideal` all read that one walk, with no field arithmetic; the
-basis alone asks it for degree r+1, one step past the regularity.  Only the
+revlex, through the regularity r.  The walk depends on X alone:
+`walk_of(X)` takes it once and keeps it while X lives.  H_X(d) is
+|N_0| + ... + |N_d|; the regularity, the h-vector, the rows behind C_X(d),
+the searches of `mindist` and the basis in `vanishing_ideal` all read that
+one walk, with no field arithmetic.  The leading terms of the reduced
+revlex Groebner basis (all prime to ts, of degree at most r+1) and their
+tails come from the N_d in one pass (`StandardWalk.reduced_basis`).  Only the
 generator matrix of C_X(d) is computed over GF(q), as the reduced row
 echelon form of the evaluations of Delta_d; RREF is unique for a row space,
 so the choice of monomials does not show in it.
@@ -41,7 +44,6 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate
 
 import numpy as np
@@ -53,98 +55,76 @@ from .toric_set import ToricSet
 _CELL_CAP = 1 << 20  # cells of the largest array a block of a count or search allocates
 
 
-def standard_walk(gens: np.ndarray, m: int, radices):
-    """Yield (N_d, leading_d) for d = 0, 1, ..., r+1, r the regularity.
+def shift_table(chars: np.ndarray, orders) -> np.ndarray:
+    """T[i, l] = label(c(l) + c(t_i) - c(ts)) for i < s-1, in the Smith
+    coordinates c of `ToricSet`, where the label of c is
+    sum_j c_j prod_(k<j) o_k: the label of u t_i for u of label l (see
+    `standard_walk`).  Digit j of the label moves on its own, so T is built
+    one digit at a time, the new digit more significant than those before
+    it."""
+    step = (chars[:-1] - chars[-1]) % np.array(orders)  # (s-1) x len(orders)
+    T = np.zeros((len(step), 1), dtype=np.int64)
+    weight = 1
+    for j, o in enumerate(orders):
+        if o > 1:
+            digit = (np.arange(o) + step[:, j, None]) % o * weight  # (s-1) x o
+            T = (digit[:, :, None] + T[:, None, :]).reshape(len(step), -1)
+            weight *= o
+    return T
 
-    The key of t^e is e @ gens mod m, labelled as in `ToricSet` by the
-    mixed radices of the columns of gens; the ideal is spanned by the
-    binomials of equal degree and key.  N_d holds the degree-d standard
-    monomials prime to ts, in ascending revlex.  leading_d() returns the
-    leading terms of degree d of the reduced revlex basis, in ascending
-    revlex, and, row by row, their tails: the standard monomial of the
-    same key; it reads only rows the walk has finished, so it may be called
-    after the walk has moved on.
+
+def standard_walk(shift: np.ndarray):
+    """Yield (N_d, labels of N_d) for d = 0, 1, ..., r, r the regularity.
+
+    N_d holds the degree-d standard monomials prime to ts, in ascending
+    revlex.  A monomial u stands for the character key(u) - deg(u) key(ts),
+    labelled as in `ToricSet`; ``shift`` is the table of `shift_table`, so
+    the label of u t_i is shift[i, label of u].  The ideal is spanned by the
+    binomials of equal degree and key.
 
     A monomial u of degree d prime to ts is standard when no degree-d
     monomial of its key is divisible by ts, that is when no standard
     monomial n of degree j < d has the key of u ts^(j-d), and u is the
     least of its key in revlex.  So each standard monomial n owns the label
-    of key(n) - deg(n) key(ts), and u is standard when it is the first of
-    its such label in degree d and the label has no owner yet.  Candidates
-    are the products p t_i of p in N_(d-1) and i < s with i at least the
-    last variable of p: each monomial prime to ts arises once, from its
-    own parent, and taking the variables from the last down lists them in
-    ascending revlex.  A candidate p t_i that is not standard is a leading
-    term when each divisor (p / t_k) t_i, k < i, is standard, which two
-    tables of rows answer: n / t_k and n t_i for every standard n.  Its
-    tail is ts^(d-j) times the owner of its label, of degree j.  The walk
-    ends after the first empty N_d, at d = r+1.
+    of its character, and u is standard when it is the first of its label
+    in degree d and the label has no owner yet.  Candidates are the
+    products p t_i of p in N_(d-1) and i < s with i at least the last
+    variable of p: each monomial prime to ts arises once, from its own
+    parent, and taking the variables from the last down lists them in
+    ascending revlex.  The walk ends at the degree r where every label has
+    an owner, so sum |N_d| = |X|.
     """
-    s = gens.shape[0]
-    kept = [j for j, r in enumerate(radices) if r > 1]
-    radix = np.array([radices[j] for j in kept], dtype=np.int64)
-    size = int(np.prod(radix))
-    unit = m // radix  # digit j of a key k is k_j // unit_j
-    weight = np.cumprod(np.concatenate(([1], radix)))[:-1]
-    cols = np.asarray(gens, dtype=np.int64)[:, kept] % m
-    step = (cols[:-1] - cols[-1]) % m  # key(u t_i / ts) - key(u)
-
+    s, size = shift.shape[0] + 1, shift.shape[1]
     owner = np.full(size, -1, dtype=np.int64)  # label -> row
     first = np.full(size, size * s, dtype=np.int64)  # label -> first candidate, within a degree
     rows = np.zeros((size, s), dtype=np.int64)  # N_0, N_1, ... one after another
-    keys = np.zeros((size, len(kept)), dtype=np.int64)  # label keys of the rows
+    labels = np.zeros(size, dtype=np.int64)  # label of each row
     last = np.zeros(size, dtype=np.int64)  # last variable of each row (0 for 1)
-    child = np.full((size, s - 1), -1, dtype=np.int64)  # row of n t_i, if standard
-    divisor = np.full((size, s - 1), -1, dtype=np.int64)  # row of n / t_k, if any
-    starts = [0, 1]  # N_d is rows[starts[d]:starts[d + 1]]
     owner[0] = 0
     descending = np.arange(s - 2, -1, -1)[:, None]
-
-    def leading(d, parent, var, label, standard):
-        other = np.flatnonzero(~standard)
-        below = divisor[parent[other]]  # the rows p / t_k
-        proper = (below < 0) | (child[below, var[other, None]] >= 0)
-        lead = other[proper.all(axis=1)]
-        leads = rows[parent[lead]]
-        leads[np.arange(len(lead)), var[lead]] += 1
-        o = owner[label[lead]]
-        tails = rows[o]
-        tails[:, -1] += d - (np.searchsorted(starts, o, side="right") - 1)
-        return leads, tails
-
-    yield rows[:1], lambda: (rows[:0], rows[:0])
-    d = 0
-    while starts[-1] > starts[-2]:
-        d += 1
-        lo, hi = starts[-2], starts[-1]
+    lo, hi = 0, 1
+    yield rows[:1], labels[:1]
+    while lo < hi < size:
         v, parent = np.nonzero(last[lo:hi] <= descending)
         parent += lo
         var = descending[v, 0]
-        key = (keys[parent] + step[var]) % m
-        label = (key // unit) @ weight
+        label = shift[var, labels[parent]]
         free = np.flatnonzero(owner[label] < 0)
-        np.minimum.at(first, label[free], free)
-        new = free[first[label[free]] == free]
-        first[label[free]] = size * s
-        standard = np.zeros(len(label), dtype=bool)
-        standard[new] = True
+        taken = label[free]
+        np.minimum.at(first, taken, free)
+        new = free[first[taken] == free]
+        first[taken] = size * s
 
         end = hi + len(new)
         index = np.arange(hi, end)
-        p, i = parent[new], var[new]
-        rows[hi:end] = rows[p]
+        i = var[new]
+        rows[hi:end] = rows[parent[new]]
         rows[index, i] += 1
-        keys[hi:end] = key[new]
+        labels[hi:end] = label[new]
         last[hi:end] = i
-        owner[label[new]] = index
-        # (p / t_k) t_i is standard when p t_i is, since standard monomials
-        # are closed under division
-        below = divisor[p]
-        divisor[hi:end] = np.where(below < 0, -1, child[below, i[:, None]])
-        divisor[index, i] = p
-        child[p, i] = index
-        starts.append(end)
-        yield rows[hi:end], partial(leading, d, parent, var, label, standard)
+        owner[labels[hi:end]] = index
+        lo, hi = hi, end
+        yield rows[lo:hi], labels[lo:hi]
 
 
 def evaluate_rows(X: ToricSet, E: np.ndarray) -> np.ndarray:
@@ -192,17 +172,15 @@ class StandardWalk:
     """
 
     def __init__(self, X: ToricSet):
-        # the walk references the arrays of X, never X itself, so the memo
-        # of walk_of does not keep X alive
-        self._steps = standard_walk(X.gens, X.field.q - 1, X.radices)
-        artinian, self._leading = [], []  # N_d and leading_d of each degree walked
-        total = 0
-        while total < len(X):
-            N, leading = next(self._steps)
+        # the walk keeps no reference to X, so the memo of walk_of does not
+        # keep X alive
+        self._shift = shift_table(X.chars, X.orders)
+        artinian, labels = [], []
+        for N, L in standard_walk(self._shift):
             N.setflags(write=False)
             artinian.append(N)
-            self._leading.append(leading)
-            total += len(N)
+            labels.append(L)
+        self._labels = np.concatenate(labels)
         self.artinian = tuple(artinian)
         self.h_vector = tuple(len(N) for N in self.artinian)
         self.hilbert_counts = tuple(accumulate(self.h_vector))
@@ -236,13 +214,54 @@ class StandardWalk:
             for i in range(0, len(bounded), block)
         )
 
-    def leading(self, d: int):
-        """The leading terms of degree d <= r+1 of the reduced revlex basis
-        and their tails, as standard_walk gives them.  The first request
-        for degree r+1 walks its step."""
-        if d == len(self._leading):
-            self._leading.append(next(self._steps)[1])
-        return self._leading[d]()
+    def reduced_basis(self) -> tuple[np.ndarray, np.ndarray]:
+        """The leading terms of the reduced revlex basis and, row by row,
+        their tails, in one pass over the N_d: by degree, and in descending
+        revlex within a degree.
+
+        The leading terms are prime to ts and have degree at most r+1.  The
+        candidates are the products p t_i, p in N_0, ..., N_r and i < s at
+        least the last variable of p, as in the walk; each monomial prime
+        to ts of degree at most r+1 is one of them.  The standard ones are
+        the monomials n != 1 of the N_d, each the product of its parent
+        n / t_k, k its last variable, and t_k; the parent is standard and
+        prime to ts, so it owns the label inverse[k, label(n)] of the
+        inverse table of shift.  Any other candidate is a leading term when
+        each divisor (p / t_k) t_i, p_k > 0, is standard, where p / t_k owns
+        the label inverse[k, label(p)].  Its tail is the owner of its label
+        times ts^(d - j), d its degree and j that of the owner.
+        """
+        rows = np.concatenate(self.artinian)
+        size, s = rows.shape
+        shift, labels = self._shift, self._labels
+        index = np.arange(size)
+        owner = np.empty(size, dtype=np.int64)
+        owner[labels] = index
+        inverse = np.empty_like(shift)
+        inverse[np.arange(s - 1)[:, None], shift] = index
+        degree = np.repeat(np.arange(len(self.h_vector)), self.h_vector)
+        last = s - 2 - np.argmax(rows[1:, -2::-1] > 0, axis=1)
+        standard = np.zeros((s - 1, size), dtype=bool)  # whether p t_i is standard, by [i, p]
+        standard[last, owner[inverse[last, labels[1:]]]] = True
+        last = np.concatenate(([0], last))
+
+        descending = np.arange(s - 2, -1, -1)[:, None]
+        v, p = np.nonzero((last <= descending) & ~standard[::-1])
+        i = descending[v, 0]
+        c, k = np.nonzero(rows[p, :-1])  # the divisors (p / t_k) t_i of candidate c
+        below = owner[inverse[k, labels[p[c]]]]  # the rows p / t_k
+        lead = np.ones(len(p), dtype=bool)
+        lead[c[~standard[i[c], below]]] = False
+        p, i = p[lead], i[lead]
+
+        leads = rows[p]
+        leads[np.arange(len(p)), i] += 1
+        o = owner[shift[i, labels[p]]]
+        tails = rows[o]
+        tails[:, -1] += degree[p] + 1 - degree[o]
+        # candidates run in ascending revlex within each degree
+        order = np.argsort(degree[p][::-1], kind="stable")
+        return leads[::-1][order], tails[::-1][order]
 
 
 _WALKS: weakref.WeakKeyDictionary[ToricSet, StandardWalk] = weakref.WeakKeyDictionary()

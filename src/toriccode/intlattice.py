@@ -5,7 +5,9 @@ difference rows v_i - v_1 (`_insert`), memoized on the frozen, hashable
 Clutter (`lattice_facts`):
 
 * the Smith invariant factors d_i of the difference matrix B = V - V[0]
-  (`difference_factors`), from one Smith form of that echelon;
+  (`difference_factors`), from one Smith form of that echelon, together
+  with its unimodular column transform, from which `toric_set` builds X
+  and labels its characters;
 * the rank over Q of the incidence matrix A (`incidence_rank`), that of the
   edge vectors: the row space of V is that of B plus <v_1>, so rank A is
   rank B, plus 1 when inserting v_1 enlarges the echelon.
@@ -19,9 +21,10 @@ when gcd(q-1, d_i) = 1 for every i.  |X| = prod (q-1)/gcd(q-1, d_i)
 `rank_rational` and `smith_normal_form` take any integer matrix through
 the same echelon: the rank is its number of rows, and the Smith form is
 finished on those r <= n rows alone, since row operations keep the row
-lattice and with it the invariant factors.  The echelon is kept in
-Hermite normal form (`_hermite`), so on a full-column-rank input no entry
-exceeds the lattice's determinant, and with it the Hadamard bound.
+lattice and with it the invariant factors and the column transform.  The
+echelon is kept in Hermite normal form (`_hermite`), so on a
+full-column-rank input no entry exceeds the lattice's determinant, and
+with it the Hadamard bound.
 Everything here runs on arbitrary-precision Python ints, so there is no
 overflow to signal.
 """
@@ -129,19 +132,28 @@ class SnfResult:
     invariant_factors: list[int]
     rank: int
     shape: tuple[int, int]
+    # Q: an n x n unimodular matrix with P M Q = diag(d_1, ..., d_r, 0, ...)
+    # for some unimodular P, so column j of M Q is d_j times a column of
+    # P^-1 (zero past the rank)
+    transform: tuple[tuple[int, ...], ...]
 
 
 def smith_normal_form(M) -> SnfResult:
-    """Smith normal form: the positive invariant factors d1 | d2 | ...
+    """Smith normal form: the positive invariant factors d1 | d2 | ...,
+    and the column transform Q that brings M to it.
 
     The rows are first brought to echelon form, which keeps the row
     lattice; the pivot loop (smallest nonzero absolute value, ties broken
-    row-major) then runs on those r <= n rows only.  `shape` is that of M.
+    row-major) then runs on those r <= n rows only, and every column
+    operation it makes is made on Q too.  `shape` is that of M.
     """
     rows = _to_int_rows(M)
     shape = (len(rows), len(rows[0]) if rows else 0)
     D = _echelon(rows)
     m, n = len(D), shape[1]
+    Qt = [[0] * n for _ in range(n)]  # the columns of Q
+    for j in range(n):
+        Qt[j][j] = 1
 
     def swap_rows(i, j):
         D[i], D[j] = D[j], D[i]
@@ -149,14 +161,17 @@ def smith_normal_form(M) -> SnfResult:
     def swap_cols(i, j):
         for r in range(m):
             D[r][i], D[r][j] = D[r][j], D[r][i]
+        Qt[i], Qt[j] = Qt[j], Qt[i]
 
     def add_row(src, dst, factor):
         for c in range(n):
             D[dst][c] += factor * D[src][c]
 
     def add_col(src, dst, factor):
-        for r in range(m):
-            D[r][dst] += factor * D[r][src]
+        for row in D:
+            if row[src]:
+                row[dst] += factor * row[src]
+        Qt[dst] = [x + factor * y for x, y in zip(Qt[dst], Qt[src])]
 
     def find_pivot(t):
         best = None
@@ -165,6 +180,8 @@ def smith_normal_form(M) -> SnfResult:
                 v = abs(D[i][j])
                 if v and (best is None or v < best[0]):
                     best = (v, i, j)
+                    if v == 1:
+                        return best
         return best
 
     t = 0
@@ -198,7 +215,7 @@ def smith_normal_form(M) -> SnfResult:
         D[t][t] = abs(D[t][t])
         # divisibility: pull a bad entry into column t and redo
         bad = None
-        for i in range(t + 1, m):
+        for i in range(t + 1, m if D[t][t] > 1 else t + 1):
             for j in range(t + 1, n):
                 if D[i][j] % D[t][t]:
                     bad = i
@@ -211,26 +228,31 @@ def smith_normal_form(M) -> SnfResult:
         t += 1
 
     factors = [D[i][i] for i in range(min(m, n)) if D[i][i] != 0]
-    return SnfResult(invariant_factors=factors, rank=len(factors), shape=shape)
+    return SnfResult(
+        invariant_factors=factors, rank=len(factors), shape=shape, transform=tuple(zip(*Qt))
+    )
 
 
 class LatticeFacts(NamedTuple):
     difference_factors: tuple[int, ...]
     incidence_rank: int
+    transform: tuple[tuple[int, ...], ...]  # Q of the Smith form of B
 
 
 @lru_cache(maxsize=256)
 def lattice_facts(C: Clutter) -> LatticeFacts:
-    """The Smith factors of B and the rank of A from one echelon of the
+    """The Smith factors of B, with the column transform Q that brings B
+    to its Smith form, and the rank of A, from one echelon of the
     difference rows v_i - v_1: one Smith form of that echelon, then v_1
-    inserted into it."""
+    inserted into it.  Row operations keep the row lattice, so Q serves B
+    as it serves the echelon."""
     v1, *rest = C.vectors
     basis: dict[int, list[int]] = {}
     for v in rest:
         _insert(basis, [a - b for a, b in zip(v, v1)])
-    factors = smith_normal_form([basis[c] for c in sorted(basis)]).invariant_factors
+    snf = smith_normal_form([basis[c] for c in sorted(basis)])
     rank = len(basis) + _insert(basis, list(v1))
-    return LatticeFacts(tuple(factors), rank)
+    return LatticeFacts(tuple(snf.invariant_factors), rank, snf.transform)
 
 
 def difference_factors(C: Clutter) -> tuple[int, ...]:

@@ -6,20 +6,27 @@ of primitive-power exponents of its coordinates.  Point order is the
 lexicographic order of those exponent vectors, which makes every downstream
 computation deterministic.
 
-In exponent space the projective torus is (Z/(q-1))^(s-1), and both X and
-the torus are subgroups of it spanned by the columns of a generator
-matrix: the difference matrix of the clutter, or [0; I].  Both are built
-by one closure over those columns (`_span`), in memory O(|X|) and time
-O(|X|) per column, and the enumeration budget bounds |X| itself.  The
-closure also records, for each column b_j, the index r_j of the span of
-b_1..b_(j-1) in that of b_1..b_j; with these mixed radices every character
-of X gets an integer label in [0, |X|) (`ToricSet.radices`).
+In exponent space the projective torus is (Z/m)^(s-1), m = q-1, and both X
+and the torus are the image of (Z/m)^n under a -> B a mod m, for a
+generator matrix B: the difference matrix of the clutter, or [0; I].  One
+Smith presentation describes that group.  Let Q be the unimodular column
+transform that brings B to its Smith form diag(d_1, ..., d_r)
+(`intlattice.lattice_facts`), and o_j = m/gcd(m, d_j), with o_j = 1 past
+the rank (d_j = 0).  Column j of B Q is d_j times a column of a unimodular
+matrix, so b -> (B Q) b mod m is a bijection from the box prod [0, o_j)
+onto X: X is built from that box with one sort and no membership test, and
+|X| = prod o_j (`size_of_X`) needs no point at all.  For the torus Q = I
+and every o_j = m, with no Smith form.
 
-The size of X needs no points: B = U D W with U, W unimodular and D the
-Smith form diag(d_1, ..., d_r), so X is isomorphic to the image of D on
-(Z/m)^n, m = q-1, and |X| = prod m/gcd(m, d_i) (`size_of_X`).  The
-factors d_i are `intlattice.difference_factors(C)`, the ones the
-complete-intersection verdict reads.  They and the rank of the incidence
+The same coordinates label the characters of X.  Row i of B Q is divisible
+by gcd(m, d_j) in column j, and c_j(t_i) = (B Q)_ij / gcd(m, d_j) mod o_j
+are the character coordinates of t_i (`ToricSet.chars`): t^e takes the
+value g^(sum_j (m/o_j) c_j b_j) at the point of b, with c = e @ chars mod
+o.  The mixed-radix value of c is a bijection from the characters of X onto
+[0, |X|), the labels of the walk in `eval_code`.
+
+The factors d_i are `intlattice.difference_factors(C)`, the ones the
+complete-intersection verdict reads.  They, Q and the rank of the incidence
 matrix (`intlattice.incidence_rank`) come from one integer echelon of the
 difference rows per clutter.  `profile` reads |X| and the comparison with
 the torus from that closed form, and the rank from that echelon;
@@ -35,7 +42,7 @@ import numpy as np
 from .clutter import Clutter, difference_matrix, uniformity
 from .errors import BudgetExceededError
 from .finite_field import FiniteField
-from .intlattice import difference_factors, incidence_rank
+from .intlattice import difference_factors, incidence_rank, lattice_facts
 
 DEFAULT_ENUM_BUDGET = 10 ** 8
 
@@ -45,18 +52,16 @@ class ToricSet:
 
     ``logs`` is the |X| x s integer matrix of primitive-power exponents of
     the canonical coordinates, rows sorted lexicographically.  ``gens`` is
-    an s x g integer matrix whose row i is the character of t_i: X is the
-    image of (Z/(q-1))^g under a -> gens @ a mod q-1, so the monomial t^e
-    takes the value g^(a . (e @ gens)) at the point of a.  Immutable after
-    construction.
+    an s x n integer matrix whose row i is the character of t_i: X is the
+    image of (Z/(q-1))^n under a -> gens @ a mod q-1, so the monomial t^e
+    takes the value g^(a . (e @ gens)) at the point of a.
 
-    ``radices`` holds, for each column b_j of gens, the least r_j >= 1 with
-    r_j b_j in the span S_(j-1) of the columns before it, so that |X| is
-    their product.  A character of X is fixed by its key k = e @ gens mod
-    m, m = q-1, and k_j = chi(b_j) ranges over one coset of (m/r_j)Z/m once
-    chi is fixed on S_(j-1): the digit floor(k_j / (m/r_j)) picks it out of
-    [0, r_j).  The label sum_j floor(k_j / (m/r_j)) prod_(i<j) r_i is
-    therefore a bijection from the characters of X onto [0, |X|).
+    ``orders`` (o_1, ..., o_n) and ``chars`` are the Smith presentation of
+    X as prod Z/o_j (see the module docstring): |X| is the product of the
+    orders, and row i of the s x n matrix ``chars`` holds the character
+    coordinates of t_i, c_j in [0, o_j).  The character of t^e is e @ chars
+    mod o, and its label sum_j c_j prod_(i<j) o_i is a bijection from the
+    characters of X onto [0, |X|).  Immutable after construction.
     """
 
     def __init__(
@@ -64,25 +69,30 @@ class ToricSet:
         field: FiniteField,
         logs: np.ndarray,
         gens: np.ndarray,
-        radices: tuple[int, ...],
+        orders: tuple[int, ...],
+        chars: np.ndarray,
         source: str,
     ):
         logs = np.asarray(logs, dtype=np.int64)
         gens = np.array(gens, dtype=np.int64)
-        if logs.ndim != 2 or gens.ndim != 2:
-            raise ValueError("logs and gens must be 2-d")
-        if gens.shape[0] != logs.shape[1]:
-            raise ValueError("gens needs one row per coordinate")
+        chars = np.array(chars, dtype=np.int64)
+        if logs.ndim != 2 or gens.ndim != 2 or chars.ndim != 2:
+            raise ValueError("logs, gens and chars must be 2-d")
+        if gens.shape[0] != logs.shape[1] or chars.shape[0] != logs.shape[1]:
+            raise ValueError("gens and chars need one row per coordinate")
         if logs.size and (logs.min() < 0 or logs.max() >= field.q - 1):
             raise ValueError("exponents out of range")
-        if len(radices) != gens.shape[1] or prod(radices) != logs.shape[0]:
-            raise ValueError("radices need one entry per column of gens, with product |X|")
+        if len(orders) != chars.shape[1] or prod(orders) != logs.shape[0]:
+            raise ValueError("orders need one entry per column of chars, with product |X|")
+        if chars.size and (chars.min() < 0 or (chars >= np.array(orders)).any()):
+            raise ValueError("character coordinates out of range")
         self.field = field
         self.logs = logs
-        self.logs.setflags(write=False)
         self.gens = gens
-        self.gens.setflags(write=False)
-        self.radices = tuple(int(r) for r in radices)
+        self.chars = chars
+        for a in (logs, gens, chars):
+            a.setflags(write=False)
+        self.orders = tuple(int(o) for o in orders)
         self.source = source
 
     @property
@@ -96,32 +106,39 @@ class ToricSet:
         return f"ToricSet({len(self)} points in P^{self.s - 1} over {self.field!r}, {self.source})"
 
 
-def _span(gens: np.ndarray, m: int, budget: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Rows of the subgroup of (Z/m)^s spanned by the columns of gens,
-    sorted lexicographically, and the r of each column (see below).
-
-    S starts as {0}.  For each column b, r is the least r >= 1 with r*b in
-    S; it divides the order of b, since {k : k*b in S} is a subgroup of Z
-    that holds that order.  S + <b> is then the disjoint union of the
-    cosets S + k*b for k = 0..r-1, so no deduplication is needed.  Raises
-    BudgetExceededError before S would grow past the budget.
-    """
-    s = gens.shape[0]
+def _from_box(
+    F: FiniteField, gens: np.ndarray, orders, chars: np.ndarray, source: str, budget: int
+) -> ToricSet:
+    """X as the image of the box prod [0, o_j) under b -> sum_j b_j (m/o_j)
+    c_j mod m, c_j the column j of chars, rows sorted lexicographically.
+    Raises BudgetExceededError from prod o_j, before anything is built."""
+    size = prod(orders)
+    if size > budget:
+        raise BudgetExceededError(f"X would reach {size} points > budget {budget}")
+    m = F.q - 1
+    s = chars.shape[0]
     S = np.zeros((1, s), dtype=np.int64)
-    radices = []
-    for b in gens.T % m:
-        order = m // gcd(m, *(int(x) for x in b))
-        for r in range(1, order + 1):
-            if order % r == 0 and (r == order or (S == r * b % m).all(axis=1).any()):
-                break
-        if len(S) * r > budget:
-            raise BudgetExceededError(
-                f"X would reach {len(S) * r} points > budget {budget}"
-            )
-        steps = np.arange(r, dtype=np.int64)[:, None] * b % m  # r x s
-        S = ((steps[:, None, :] + S[None, :, :]) % m).reshape(-1, s)
-        radices.append(r)
-    return S[np.lexsort(S.T[::-1])], tuple(radices)
+    # the first column ends up most significant, so that the box of the
+    # torus comes out sorted
+    for c, o in zip(chars.T[::-1], orders[::-1]):
+        if o > 1:
+            steps = np.arange(o, dtype=np.int64)[:, None] * (c * (m // o)) % m  # o x s
+            S = ((steps[:, None, :] + S[None, :, :]) % m).reshape(-1, s)
+    return ToricSet(F, S[_lex_order(S, m)], gens, orders, chars, source)
+
+
+def _lex_order(S: np.ndarray, m: int) -> np.ndarray:
+    """The row order that sorts S, entries in [0, m), lexicographically: one
+    lexsort of the columns read as base-m digits, as many to an int64 key
+    as it holds."""
+    width = 1
+    while m ** (width + 1) < 2 ** 63:
+        width += 1
+    keys = [
+        S[:, j : j + width] @ m ** np.arange(min(width, S.shape[1] - j) - 1, -1, -1)
+        for j in range(0, S.shape[1], width)
+    ]
+    return np.lexsort(keys[::-1])
 
 
 def size_of_X(C: Clutter, q: int) -> int:
@@ -134,29 +151,35 @@ def size_of_X(C: Clutter, q: int) -> int:
 def enumerate_X(C: Clutter, F: FiniteField, budget: int = DEFAULT_ENUM_BUDGET) -> ToricSet:
     """All points [ (x^v1 : ... : x^vs) ] for x in the affine torus (K*)^n.
 
-    X is a group: the subgroup of the projective torus spanned by the
-    columns b_j of the difference matrix B = V - V[0], the images of the
-    coordinate characters of (K*)^n.  It is built by closure over those
-    n columns, with O(n |X|) row operations and never a walk over the
-    (q-1)^n tuples; raises BudgetExceededError before |X| would pass the
-    budget.
+    X is a group: the image of (Z/(q-1))^n under the difference matrix
+    B = V - V[0], whose columns are the images of the coordinate
+    characters of (K*)^n.  It is built from the Smith presentation of B,
+    with O(n |X|) work and never a walk over the (q-1)^n tuples; raises
+    BudgetExceededError before |X| would pass the budget.
     """
     B = difference_matrix(C)  # s x n; row 0 is zero, giving the canonical 0 column
-    logs, radices = _span(B, F.q - 1, budget)
-    return ToricSet(F, logs, B, radices, source=f"X({C})")
+    m = F.q - 1
+    facts = lattice_facts(C)
+    d = facts.difference_factors
+    # gcd(m, 0) = m: the columns past the rank have order 1
+    unit = np.array([gcd(m, dj) for dj in d] + [m] * (C.n - len(d)), dtype=np.int64)
+    # B Q mod m is divisible by gcd(m, d_j) in column j, as B Q is by d_j
+    Q = np.array([[x % m for x in row] for row in facts.transform], dtype=np.int64)
+    chars = B @ Q % m // unit
+    return _from_box(F, B, tuple((m // unit).tolist()), chars, f"X({C})", budget)
 
 
 def projective_torus(s: int, F: FiniteField, budget: int = DEFAULT_ENUM_BUDGET) -> ToricSet:
     """The torus T in P^(s-1): all points with every coordinate nonzero.
 
-    Built by the same closure as enumerate_X, over gens [0; I_(s-1)], so
-    the budget bounds |T| = (q-1)^(s-1) in the same way.
+    Built from the box of enumerate_X over gens [0; I_(s-1)], which is
+    already in Smith form: Q = I and every order is q-1.  The budget
+    bounds |T| = (q-1)^(s-1) in the same way.
     """
     if s < 2:
         raise ValueError("need s >= 2")
     gens = np.eye(s, s - 1, k=-1, dtype=np.int64)  # [0; I_(s-1)]
-    logs, radices = _span(gens, F.q - 1, budget)
-    return ToricSet(F, logs, gens, radices, source=f"T(s={s})")
+    return _from_box(F, gens, (F.q - 1,) * (s - 1), gens, f"T(s={s})", budget)
 
 
 def equals_torus(X: ToricSet) -> bool:
@@ -197,9 +220,8 @@ def profile(C: Clutter, q: int) -> dict:
 
 def points_csv(X: ToricSet) -> str:
     """CSV dump of canonical coordinates as primitive-power indices
-    (0 is reserved for the zero element and never occurs for X)."""
+    (0 is reserved for the zero element and never occurs for X), formatted
+    in one pass over all entries."""
     header = ",".join(f"t{j + 1}" for j in range(X.s))
-    lines = [header]
-    for row in X.logs:
-        lines.append(",".join(str(int(e) + 1) for e in row))
-    return "\n".join(lines) + "\n"
+    line = ",".join(["%d"] * X.s) + "\n"
+    return header + "\n" + line * len(X) % tuple((X.logs + 1).ravel().tolist())

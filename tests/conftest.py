@@ -11,7 +11,11 @@ recompute the rank and the Smith form on every call, from matrices built
 here, by routines that share no code with the package: a Smith form by
 pivot search over the whole remaining matrix (`oracle_snf_pivot_rule`),
 Bareiss and Fraction elimination for the rank.  The package reads both
-facts from one integer echelon per clutter.
+facts from one integer echelon per clutter.  It builds X from the Smith
+form of its generators; here X is the image of every unit tuple
+(`oracle_enumerate_X`) or the closure over its generators
+(`oracle_span`), and binomial membership is decided by evaluation on X
+(`oracle_binomial_in_IX`).
 """
 
 from __future__ import annotations
@@ -480,6 +484,44 @@ def oracle_enumerate_X(C: Clutter, F) -> np.ndarray:
         codes[start:start + len(ids)] = ((a @ B.T) % m) @ place
     codes = np.unique(codes)
     return (codes[:, None] // place[None, :]) % m
+
+
+def oracle_span(gens: np.ndarray, m: int) -> np.ndarray:
+    """Rows of the subgroup of (Z/m)^s spanned by the columns of gens,
+    sorted lexicographically, by closure.
+
+    S starts as {0}.  For each column b, r is the least r >= 1 with r*b in
+    S, found by scanning S; it divides the order of b.  S + <b> is then the
+    disjoint union of the cosets S + k*b for k = 0..r-1.
+    """
+    s = gens.shape[0]
+    S = np.zeros((1, s), dtype=np.int64)
+    for b in np.asarray(gens, dtype=np.int64).T % m:
+        order = m // gcd(m, *(int(x) for x in b))
+        for r in range(1, order + 1):
+            if order % r == 0 and (r == order or (S == r * b % m).all(axis=1).any()):
+                break
+        steps = np.arange(r, dtype=np.int64)[:, None] * b % m  # r x s
+        S = ((steps[:, None, :] + S[None, :, :]) % m).reshape(-1, s)
+    return S[np.lexsort(S.T[::-1])]
+
+
+def oracle_binomial_in_IX(a_plus, a_minus, X) -> bool:
+    """Membership of t^(a+) - t^(a-) in I(X) by evaluation: a homogeneous
+    binomial that vanishes at every point of X."""
+    if sum(a_plus) != sum(a_minus):
+        return False
+    rows = evaluate_rows(X, np.array([a_plus, a_minus], dtype=np.int64))
+    return not np.any(X.field.sub(rows[0], rows[1]))
+
+
+def oracle_points_csv(X) -> str:
+    """The CSV dump of X row by row: a header t1,...,ts, then the
+    primitive-power indices (log + 1) of each point."""
+    lines = [",".join(f"t{j + 1}" for j in range(X.s))]
+    for row in X.logs:
+        lines.append(",".join(str(int(e) + 1) for e in row))
+    return "\n".join(lines) + "\n"
 
 
 def oracle_field_tables(p: int, k: int, modulus, primitive: int):

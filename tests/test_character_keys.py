@@ -35,7 +35,7 @@ from toriccode import (
     projective_torus,
     regularity,
 )
-from toriccode.eval_code import StandardWalk, standard_walk
+from toriccode.eval_code import StandardWalk, shift_table, standard_walk
 
 
 _CLUTTERS = settings(
@@ -89,23 +89,36 @@ def test_walk_lists_the_standard_monomials(case):
         below = {tuple(e) for e in std}
 
 
+def _labels_of(X, E):
+    """The label sum_j c_j prod_(i<j) o_i of the character of each monomial
+    in E: c = e @ chars - deg(e) chars[ts] mod o."""
+    o = np.array(X.orders)
+    weight = np.cumprod([1, *X.orders])[:-1]
+    c = (E @ X.chars - E.sum(axis=1, keepdims=True) * X.chars[-1]) % o
+    return c @ weight
+
+
 def _check_walk_against_oracle(X):
     """Through degree r+1 the Artinian walk gives, by way of StandardWalk,
     the Delta_d of the sorting walk over all standard monomials, and the
-    same leading terms and tails; it stops there, with every N_d past r
-    empty and sum |N_d| = |X|."""
-    steps = [(N, *leading()) for N, leading in standard_walk(X.gens, X.field.q - 1, X.radices)]
-    r = len(steps) - 2
-    assert len(steps[-1][0]) == 0 and sum(len(N) for N, _, _ in steps) == len(X)
-    oracle = oracle_standard_walk(X.gens, X.field.q - 1, r + 1)
+    one-pass basis the same leading terms and tails, degree by degree in
+    descending revlex; the walk stops at r, with sum |N_d| = |X|, each N_d
+    labelled by its characters, and N_(r+1) empty."""
+    steps = list(standard_walk(shift_table(X.chars, X.orders)))
+    r = len(steps) - 1
+    assert sum(len(N) for N, _ in steps) == len(X)
+    for N, labels in steps:
+        assert np.array_equal(labels, _labels_of(X, N))
+    oracle = list(oracle_standard_walk(X.gens, X.field.q - 1, r + 1))
     walk = StandardWalk(X)
-    for d, ((delta, leads, tails), (N, got_leads, got_tails)) in enumerate(zip(oracle, steps)):
+    for d, (delta, _, _) in enumerate(oracle):
         assert np.array_equal(walk.standard(d), delta), d
+        N = steps[d][0] if d <= r else delta[:0]
         assert np.array_equal(N, delta[delta[:, -1] == 0]), d
-        assert np.array_equal(got_leads, leads), d
-        assert np.array_equal(got_tails, tails), d
-        assert all(map(np.array_equal, walk.leading(d), (leads, tails))), d
-        assert not got_leads[:, -1].any(), d
+    leads, tails = walk.reduced_basis()
+    assert np.array_equal(leads, np.concatenate([lt[::-1] for _, lt, _ in oracle]))
+    assert np.array_equal(tails, np.concatenate([tl[::-1] for _, _, tl in oracle]))
+    assert not leads[:, -1].any()
     assert walk.regularity == r and len(walk.standard(r)) == len(X)
     assert r == 0 or len(walk.standard(r - 1)) < len(X)
 
@@ -125,21 +138,17 @@ def test_walk_matches_sorting_walk_on_tori(q, s):
 
 
 def _labels(X):
-    """The label sum_j floor(k_j / (m/r_j)) prod_(i<j) r_i of every distinct
-    key k = e @ gens mod m, e over all exponent vectors mod m."""
+    """The label sum_j c_j prod_(i<j) o_i of every distinct key
+    k = e @ gens mod m, e over all exponent vectors mod m, with c = e @ chars
+    mod o; monomials of one key get one label."""
     m = X.field.q - 1
-    keys = {
-        tuple(int(x) for x in np.array(e) @ X.gens % m)
-        for e in itertools.product(range(m), repeat=X.s)
-    }
-    labels = []
-    for k in keys:
-        label, place = 0, 1
-        for kj, r in zip(k, X.radices):
-            label += kj // (m // r) * place
-            place *= r
-        labels.append(label)
-    return labels
+    E = np.array(list(itertools.product(range(m), repeat=X.s)), dtype=np.int64)
+    weight = np.cumprod([1, *X.orders])[:-1]
+    labels = {}
+    for key, label in zip(map(tuple, (E @ X.gens % m).tolist()),
+                          ((E @ X.chars % np.array(X.orders)) @ weight).tolist()):
+        assert labels.setdefault(key, label) == label, key
+    return list(labels.values())
 
 
 @_CLUTTERS

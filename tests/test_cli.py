@@ -631,7 +631,7 @@ class TestWalksPerJob:
     """mindist, a params table and groebner each walk the standard
     monomials once: the walk of X keeps every N_d, so no degree asked for
     again restarts it.  It takes r+1 steps, N_0 to N_r, r the regularity;
-    only groebner takes step r+2, for the leading terms of degree r+1."""
+    groebner too, since the basis is read from those N_d in one pass."""
 
     JOBS = [
         (("mindist", "U6", "4", "--d", "1"), 1),
@@ -672,7 +672,7 @@ class TestWalksPerJob:
         monkeypatch.setattr(eval_code, "standard_walk", counted)
         assert run(*argv) == plain and plain[0] == EXIT_OK
         assert len(calls) == walks
-        assert len(steps) == r + (2 if command == "groebner" else 1)
+        assert len(steps) == r + 1
 
 
 @pytest.mark.parametrize("d", ["1", "2", "3"])

@@ -200,11 +200,11 @@ class TestHermiteEchelon:
         # recorded before the echelon was Hermite-reduced
         ranks = {"C3": 3, "C4": 3, "C5": 5, "C6": 5, "C7": 7, "K4": 4, "K5": 5, "P3": 2,
                  "P4": 3, "T7": 6, "U4": 4, "U6": 6, "U7": 7, "star4": 3}
-        assert {name: lattice_facts(C) for name, C in battery.items()} == {
+        assert {name: lattice_facts(C)[:2] for name, C in battery.items()} == {
             name: ((1,) * (rank - 1), rank) for name, rank in ranks.items()
         }
-        assert lattice_facts(TWO_TRIANGLES) == ((1, 1, 1, 1, 2), 6)
-        assert lattice_facts(TRIPLES) == ((1, 1, 1, 2), 5)
+        assert lattice_facts(TWO_TRIANGLES)[:2] == ((1, 1, 1, 1, 2), 6)
+        assert lattice_facts(TRIPLES)[:2] == ((1, 1, 1, 2), 5)
 
 
 class TestMultiplicationInjective:

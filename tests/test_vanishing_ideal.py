@@ -4,8 +4,16 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from conftest import _complete, oracle_hilbert_IA, oracle_standard_count
+from conftest import (
+    _complete,
+    clutters_over_fields,
+    oracle_binomial_in_IX,
+    oracle_hilbert_IA,
+    oracle_standard_count,
+)
 from toriccode import (
     BudgetExceededError,
     binomial_in_IX,
@@ -22,6 +30,7 @@ from toriccode import (
     vanishing_defect,
     verify_gb_structure,
 )
+from toriccode.eval_code import evaluate_rows, walk_of
 
 
 def _element_strings(G, F):
@@ -168,11 +177,10 @@ class TestBinomialMembership:
             binomial_in_IX([1, 0, 0], [0, -1, 0], triangle, 3)
 
     def test_agrees_with_evaluation_on_random_binomials(self, battery):
-        # membership verdicts are cross-checked against actual evaluation
-        # inside the function; exercise many random pairs
         rng = np.random.default_rng(4)
         C = battery["U4"]
         for q in (3, 4):
+            X = enumerate_X(C, field_from_q(q))
             for _ in range(40):
                 a = rng.integers(0, q, size=4)
                 b = rng.integers(0, q, size=4)
@@ -180,7 +188,32 @@ class TestBinomialMembership:
                 a[both] = 0
                 if not a.any() and not b.any():
                     continue
-                binomial_in_IX([int(x) for x in a], [int(x) for x in b], C, q)
+                a, b = [int(x) for x in a], [int(x) for x in b]
+                assert binomial_in_IX(a, b, C, q) == oracle_binomial_in_IX(a, b, X), (q, a, b)
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(clutters_over_fields(max_torus=256), st.data())
+    def test_lattice_criterion_matches_evaluation(self, case, data):
+        """The lattice criterion answers as evaluation on X does: on a
+        random binomial, on t^a minus a standard monomial of its degree, and
+        on t^a minus the one that agrees with t^a on X, each divided by the
+        gcd of its two terms."""
+        C, q = case
+        X = enumerate_X(C, field_from_q(q))
+        exponents = st.lists(st.integers(0, q), min_size=C.s, max_size=C.s)
+        a, b = data.draw(exponents), data.draw(exponents)
+        kind = data.draw(st.sampled_from(["any", "same degree", "same values"]))
+        if kind != "any":
+            std = walk_of(X).standard(sum(a))
+            values = evaluate_rows(X, np.vstack([a, std]))
+            same = (values[1:] == values[0]).all(axis=1)
+            pick = same if kind == "same values" else np.ones(len(std), dtype=bool)
+            b = data.draw(st.sampled_from(std[pick].tolist()))
+        common = [min(x, y) for x, y in zip(a, b)]
+        a = [x - c for x, c in zip(a, common)]
+        b = [y - c for y, c in zip(b, common)]
+        assert binomial_in_IX(a, b, C, q, X=X) == oracle_binomial_in_IX(a, b, X)
 
 
 class TestHilbertIA:
