@@ -15,18 +15,23 @@ import sys
 from .clutter import ClutterError, load_clutter
 from .errors import BudgetExceededError
 from .eval_code import regularity
-from .finite_field import field_from_q, field_order, prime_power
+from .finite_field import field_order, prime_power
 from .intlattice import ci_classify
 from .mindist import DEFAULT_CLASS_BUDGET, METHODS, distance_report
 from .toric_set import (
     DEFAULT_ENUM_BUDGET,
-    enumerate_X,
+    clutter_set,
     points_csv,
     profile,
     projective_torus,
     size_of_X,
 )
-from .vanishing_ideal import degree_complexity, interpolate_gb, verify_gb_structure
+from .vanishing_ideal import (
+    degree_complexity,
+    interpolate_gb,
+    minus_one_index,
+    verify_gb_structure,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -79,7 +84,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--class-budget",
             type=int,
             default=DEFAULT_CLASS_BUDGET,
-            help="maximum number of messages a brute-force search weighs",
+            help="maximum number of messages a distance search weighs: brute force "
+            "exits 3 past it, information-set search reports an interval",
         )
         p.add_argument("--time-budget", type=float, default=None, help="search seconds budget")
         if with_d:
@@ -146,12 +152,13 @@ def _lattice_inputs(args):
 
 
 def _point_inputs(args):
-    """(C, X): _lattice_inputs, then X itself over the shared GF(q)."""
+    """(C, X): _lattice_inputs, then X as its Smith presentation, within
+    the budget _lattice_inputs has checked.  X builds GF(q) and its points
+    only when a code is evaluated."""
     C, q, _ = _lattice_inputs(args)
-    F = field_from_q(q)
     if C is None:
-        return None, projective_torus(args.torus, F, budget=args.budget)
-    return C, enumerate_X(C, F, budget=args.budget)
+        return None, projective_torus(args.torus, q, budget=args.budget)
+    return C, clutter_set(C, q)
 
 
 def _write(body: dict, fmt: str) -> None:
@@ -197,10 +204,9 @@ def _cmd_params(args) -> int:
         dmin, dmax = args.dmin, args.dmax
     _check_degrees(dmin, dmax)
     C, X = _point_inputs(args)
-    F = X.field
     reg = regularity(X)
     if dmax is None:
-        dmax = (F.q - 2) * (X.s - 1) if args.full else reg
+        dmax = (X.q - 2) * (X.s - 1) if args.full else reg
         _check_degrees(dmin, dmax)
     rows = []
     for d in range(dmin, dmax + 1):
@@ -216,7 +222,7 @@ def _cmd_params(args) -> int:
                 ",".join("" if r[c] is None else str(r[c]) for c in PARAMS_COLUMNS) + "\n"
             )
     elif args.fmt == "json":
-        meta = {"length": len(X), "regularity": reg, "q": F.q, "s": X.s, "rows": rows}
+        meta = {"length": len(X), "regularity": reg, "q": X.q, "s": X.s, "rows": rows}
         _write(meta, args.fmt)
     else:
         header = ["d", "length", "dim", "delta", "method", "delta'", "singleton"]
@@ -276,31 +282,33 @@ def _cmd_ci(args) -> int:
 
 def _cmd_groebner(args) -> int:
     _, X = _point_inputs(args)
-    F = X.field
     G = interpolate_gb(X)
-    checks = verify_gb_structure(G, F.q)
+    checks = verify_gb_structure(G, X.q)
     if args.fmt == "json":
+        # every element is t^lead - t^tail: coefficient indices 1 and that of -1
+        minus_one = minus_one_index(X.q)
         body = {
-            "q": F.q,
+            "q": X.q,
             "s": G.s,
             "degree_complexity": degree_complexity(G),
             "structure": checks,
             "elements": [
                 {
-                    "degree": g.degree,
+                    "degree": degree,
                     "terms": [
-                        {"exponents": list(expo), "coeff_index": F.to_index(enc)}
-                        for expo, enc in g.terms
+                        {"exponents": lead, "coeff_index": 1},
+                        {"exponents": tail, "coeff_index": minus_one},
                     ],
                 }
-                for g in G.elements
+                for degree, lead, tail in zip(
+                    G.leads.sum(axis=1).tolist(), G.leads.tolist(), G.tails.tolist()
+                )
             ],
         }
         _write(body, args.fmt)
     else:
-        for g in G.elements:
-            sys.stdout.write(g.term_string(F) + "\n")
-        sys.stdout.write(f"# {len(G.elements)} elements, degree complexity "
+        sys.stdout.write("".join(line + "\n" for line in G.term_strings()))
+        sys.stdout.write(f"# {len(G)} elements, degree complexity "
                          f"{degree_complexity(G)}\n")
     return EXIT_OK
 
@@ -311,10 +319,10 @@ def _cmd_profile(args) -> int:
         raise _InputError("profile needs --clutter")
     body = profile(C, q)
     if args.dump_points:
-        X = enumerate_X(C, field_from_q(q), budget=args.budget)
+        text = points_csv(clutter_set(C, q))
         try:
             with open(args.dump_points, "w") as fh:
-                fh.write(points_csv(X))
+                fh.write(text)
         except OSError as exc:
             raise _InputError(f"cannot write points file: {exc}")
     _write(body, args.fmt)

@@ -216,8 +216,8 @@ class StandardWalk:
 
     def reduced_basis(self) -> tuple[np.ndarray, np.ndarray]:
         """The leading terms of the reduced revlex basis and, row by row,
-        their tails, in one pass over the N_d: by degree, and in descending
-        revlex within a degree.
+        their tails, as two read-only arrays, in one pass over the N_d: by
+        degree, and in descending revlex within a degree.
 
         The leading terms are prime to ts and have degree at most r+1.  The
         candidates are the products p t_i, p in N_0, ..., N_r and i < s at
@@ -248,6 +248,13 @@ class StandardWalk:
         descending = np.arange(s - 2, -1, -1)[:, None]
         v, p = np.nonzero((last <= descending) & ~standard[::-1])
         i = descending[v, 0]
+        # nearly every candidate that is not a leading term has a divisor
+        # (p / t_k) t_i outside the standard monomials for k the first
+        # variable of p: that one divisor is tested first, on every
+        # candidate, and all of them only on those that pass
+        k = np.argmax(rows[p, :-1] > 0, axis=1)
+        keep = standard[i, owner[inverse[k, labels[p]]]] | (p == 0)
+        p, i = p[keep], i[keep]
         c, k = np.nonzero(rows[p, :-1])  # the divisors (p / t_k) t_i of candidate c
         below = owner[inverse[k, labels[p[c]]]]  # the rows p / t_k
         lead = np.ones(len(p), dtype=bool)
@@ -261,7 +268,10 @@ class StandardWalk:
         tails[:, -1] += degree[p] + 1 - degree[o]
         # candidates run in ascending revlex within each degree
         order = np.argsort(degree[p][::-1], kind="stable")
-        return leads[::-1][order], tails[::-1][order]
+        leads, tails = leads[::-1][order], tails[::-1][order]
+        leads.setflags(write=False)
+        tails.setflags(write=False)
+        return leads, tails
 
 
 _WALKS: weakref.WeakKeyDictionary[ToricSet, StandardWalk] = weakref.WeakKeyDictionary()

@@ -16,6 +16,11 @@ their lightest codeword reaches the floor: when that row already does,
 before any table is built.  A search stopped by its time budget reports the
 floor as its lower end when nothing better is proven.
 
+The class budget bounds the messages either search weighs.  Brute force
+refuses a code whose q^(k-1) messages exceed it (BudgetExceededError);
+information-set search does not start the weight that would take its
+total past it, and reports the interval proven so far.
+
 Both searches take as given that a group acting regularly on the
 coordinates maps the code to itself, as X does on every C_X(d): x in X
 moves the point p to x*p and only rescales the evaluation row of each
@@ -56,6 +61,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations, islice
+from math import comb
 
 import numpy as np
 
@@ -182,7 +188,9 @@ def min_distance_bruteforce(
 
 
 def min_distance_isd(
-    C: LinearCode, time_budget: float | None = None
+    C: LinearCode,
+    class_budget: int = DEFAULT_CLASS_BUDGET,
+    time_budget: float | None = None,
 ) -> DistanceResult:
     """Information-set search on the systematic form C.generator, with
     Chen's bound ceil(n(w+1)/k), which a group acting regularly on the
@@ -194,10 +202,13 @@ def min_distance_isd(
     S and added, and the last is weighed against every unit at once by
     comparison with its unit multiples in S.  The lightest codeword seen
     starts as the lightest generator row.  Stops as soon as it reaches
-    C.floor, checked before each block, or the bound after weight w.  On
-    time budget exhaustion that weight is returned with exact=False, and
-    `lower` is the larger of the floor and the bound after the last
-    completed weight.
+    C.floor, checked before each block, or the bound after weight w.
+
+    The class budget bounds the messages weighed, C(k, w) (q-1)^(w-1) at
+    weight w: a weight that would take their total past it is not started.
+    On that, or on time budget exhaustion, the lightest codeword so far is
+    returned with exact=False, and `lower` is the larger of the floor and
+    the bound after the last completed weight.
     """
     F = C.field
     G = C.generator  # in RREF, a systematic form
@@ -216,9 +227,23 @@ def min_distance_isd(
     witness = G[int(np.argmin(row_weights))]
     if upper <= C.floor:
         return DistanceResult(value=upper, method="isd", exact=True, witness=witness)
+
+    def stopped(w):
+        return DistanceResult(
+            value=upper,
+            method="isd",
+            exact=False,
+            witness=witness,
+            lower=min(upper, max(bound(w - 1), C.floor)),
+        )
+
     S = _scaled_rows(F, G)
     units = F.q - 1
+    weighed = 0
     for w in range(1, k + 1):
+        weighed += comb(k, w) * units ** (w - 1)
+        if weighed > class_budget:
+            return stopped(w)
         # unit indices: 0 for the first coefficient, all for the middle
         # w-2 (enumerated in blocks of patterns), all for the last
         last = np.arange(units if w > 1 else 1)
@@ -240,13 +265,7 @@ def min_distance_isd(
                         value=upper, method="isd", exact=True, witness=witness
                     )
                 if time_budget is not None and time.monotonic() - start > time_budget:
-                    return DistanceResult(
-                        value=upper,
-                        method="isd",
-                        exact=False,
-                        witness=witness,
-                        lower=min(upper, max(bound(w - 1), C.floor)),
-                    )
+                    return stopped(w)
                 ids = np.arange(first, min(first + pattern_block, middles), dtype=np.int64)
                 mid = (ids[:, None] // radix[None, :]) % units  # (P, w-2)
                 if w == 1:
@@ -290,10 +309,10 @@ def delta_prime(C: Clutter | None, X: ToricSet, d: int) -> int | None:
     torus itself (C None) the formula in P^(s-1).  None when it does not
     apply."""
     if C is None:
-        return torus_distance(X.field.q, X.s, d)
+        return torus_distance(X.q, X.s, d)
     uniform, _ = uniformity(C)
     if uniform and incidence_rank(C) == C.n:
-        return torus_distance(X.field.q, C.n, d)
+        return torus_distance(X.q, C.n, d)
     return None
 
 
@@ -318,7 +337,7 @@ def min_distance(
         raise ValueError(f"unknown method {method!r}")
     if d < 1:
         raise ValueError("need d >= 1")
-    q = X.field.q
+    q = X.q
     if method in ("auto", "formula") and equals_torus(X):
         return DistanceResult(torus_distance(q, X.s, d), "formula", exact=True)
     if method == "formula":
@@ -334,7 +353,7 @@ def min_distance(
         method = "bruteforce" if q ** (cd.dimension - 1) <= class_budget else "isd"
     if method == "bruteforce":
         return min_distance_bruteforce(cd, class_budget, time_budget)
-    return min_distance_isd(cd, time_budget)
+    return min_distance_isd(cd, class_budget, time_budget)
 
 
 def distance_report(

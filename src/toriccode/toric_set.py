@@ -14,9 +14,9 @@ transform that brings B to its Smith form diag(d_1, ..., d_r)
 (`intlattice.lattice_facts`), and o_j = m/gcd(m, d_j), with o_j = 1 past
 the rank (d_j = 0).  Column j of B Q is d_j times a column of a unimodular
 matrix, so b -> (B Q) b mod m is a bijection from the box prod [0, o_j)
-onto X: X is built from that box with one sort and no membership test, and
-|X| = prod o_j (`size_of_X`) needs no point at all.  For the torus Q = I
-and every o_j = m, with no Smith form.
+onto X: the points come from that box with one sort and no membership
+test, and |X| = prod o_j (`size_of_X`) needs no point at all.  For the
+torus Q = I and every o_j = m, with no Smith form.
 
 The same coordinates label the characters of X.  Row i of B Q is divisible
 by gcd(m, d_j) in column j, and c_j(t_i) = (B Q)_ij / gcd(m, d_j) mod o_j
@@ -29,102 +29,109 @@ The factors d_i are `intlattice.difference_factors(C)`, the ones the
 complete-intersection verdict reads.  They, Q and the rank of the incidence
 matrix (`intlattice.incidence_rank`) come from one integer echelon of the
 difference rows per clutter.  `profile` reads |X| and the comparison with
-the torus from that closed form, and the rank from that echelon;
-`equals_torus` serves callers that already hold the points.
+the torus from that closed form, and the rank from that echelon.
+
+A `ToricSet` is that presentation and q, and nothing more until asked:
+the Hilbert function, the regularity and the reduced basis of I(X) read
+only `orders` and `chars` (`eval_code.walk_of`).  GF(q) and the points
+(`ToricSet.field`, `ToricSet.logs`) are built on first use and kept, and
+only the evaluation of the code C_X(d) and `points_csv` use them.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import gcd, prod
 
 import numpy as np
 
 from .clutter import Clutter, difference_matrix, uniformity
 from .errors import BudgetExceededError
-from .finite_field import FiniteField
+from .finite_field import FiniteField, field_from_q, field_order, prime_power
 from .intlattice import difference_factors, incidence_rank, lattice_facts
 
 DEFAULT_ENUM_BUDGET = 10 ** 8
 
 
 class ToricSet:
-    """A finite set of all-unit projective points over one field.
+    """A finite set of all-unit projective points over GF(q), given by its
+    Smith presentation.
 
-    ``logs`` is the |X| x s integer matrix of primitive-power exponents of
-    the canonical coordinates, rows sorted lexicographically.  ``gens`` is
-    an s x n integer matrix whose row i is the character of t_i: X is the
-    image of (Z/(q-1))^n under a -> gens @ a mod q-1, so the monomial t^e
-    takes the value g^(a . (e @ gens)) at the point of a.
+    ``gens`` is an s x n integer matrix whose row i is the character of
+    t_i: X is the image of (Z/(q-1))^n under a -> gens @ a mod q-1, so the
+    monomial t^e takes the value g^(a . (e @ gens)) at the point of a.
 
     ``orders`` (o_1, ..., o_n) and ``chars`` are the Smith presentation of
     X as prod Z/o_j (see the module docstring): |X| is the product of the
     orders, and row i of the s x n matrix ``chars`` holds the character
     coordinates of t_i, c_j in [0, o_j).  The character of t^e is e @ chars
     mod o, and its label sum_j c_j prod_(i<j) o_i is a bijection from the
-    characters of X onto [0, |X|).  Immutable after construction.
+    characters of X onto [0, |X|).
+
+    The field and the points are derived on first use and kept: ``field``
+    is GF(q) (`field_from_q`), and ``logs`` is the |X| x s integer matrix of
+    primitive-power exponents of the canonical coordinates, rows sorted
+    lexicographically.  Only code evaluation reads them.  Immutable after
+    construction.
     """
 
     def __init__(
         self,
-        field: FiniteField,
-        logs: np.ndarray,
+        q: int,
         gens: np.ndarray,
         orders: tuple[int, ...],
         chars: np.ndarray,
         source: str,
     ):
-        logs = np.asarray(logs, dtype=np.int64)
+        field_order(*prime_power(q))
         gens = np.array(gens, dtype=np.int64)
         chars = np.array(chars, dtype=np.int64)
-        if logs.ndim != 2 or gens.ndim != 2 or chars.ndim != 2:
-            raise ValueError("logs, gens and chars must be 2-d")
-        if gens.shape[0] != logs.shape[1] or chars.shape[0] != logs.shape[1]:
+        if gens.ndim != 2 or chars.ndim != 2:
+            raise ValueError("gens and chars must be 2-d")
+        if gens.shape[0] != chars.shape[0]:
             raise ValueError("gens and chars need one row per coordinate")
-        if logs.size and (logs.min() < 0 or logs.max() >= field.q - 1):
-            raise ValueError("exponents out of range")
-        if len(orders) != chars.shape[1] or prod(orders) != logs.shape[0]:
-            raise ValueError("orders need one entry per column of chars, with product |X|")
+        if len(orders) != chars.shape[1] or any(o < 1 or (q - 1) % o for o in orders):
+            raise ValueError("orders need one entry per column of chars, each dividing q-1")
         if chars.size and (chars.min() < 0 or (chars >= np.array(orders)).any()):
             raise ValueError("character coordinates out of range")
-        self.field = field
-        self.logs = logs
+        self.q = q
         self.gens = gens
         self.chars = chars
-        for a in (logs, gens, chars):
+        for a in (gens, chars):
             a.setflags(write=False)
         self.orders = tuple(int(o) for o in orders)
         self.source = source
 
     @property
     def s(self) -> int:
-        return self.logs.shape[1]
+        return self.chars.shape[0]
 
     def __len__(self):
-        return self.logs.shape[0]
+        return prod(self.orders)
+
+    @cached_property
+    def field(self) -> FiniteField:
+        return field_from_q(self.q)
+
+    @cached_property
+    def logs(self) -> np.ndarray:
+        """X as the image of the box prod [0, o_j) under b -> sum_j b_j
+        (m/o_j) c_j mod m, c_j the column j of chars, rows sorted
+        lexicographically."""
+        m = self.q - 1
+        S = np.zeros((1, self.s), dtype=np.int64)
+        # the first column ends up most significant, so that the box of the
+        # torus comes out sorted
+        for c, o in zip(self.chars.T[::-1], self.orders[::-1]):
+            if o > 1:
+                steps = np.arange(o, dtype=np.int64)[:, None] * (c * (m // o)) % m  # o x s
+                S = ((steps[:, None, :] + S[None, :, :]) % m).reshape(-1, self.s)
+        S = S[_lex_order(S, m)]
+        S.setflags(write=False)
+        return S
 
     def __repr__(self):
-        return f"ToricSet({len(self)} points in P^{self.s - 1} over {self.field!r}, {self.source})"
-
-
-def _from_box(
-    F: FiniteField, gens: np.ndarray, orders, chars: np.ndarray, source: str, budget: int
-) -> ToricSet:
-    """X as the image of the box prod [0, o_j) under b -> sum_j b_j (m/o_j)
-    c_j mod m, c_j the column j of chars, rows sorted lexicographically.
-    Raises BudgetExceededError from prod o_j, before anything is built."""
-    size = prod(orders)
-    if size > budget:
-        raise BudgetExceededError(f"X would reach {size} points > budget {budget}")
-    m = F.q - 1
-    s = chars.shape[0]
-    S = np.zeros((1, s), dtype=np.int64)
-    # the first column ends up most significant, so that the box of the
-    # torus comes out sorted
-    for c, o in zip(chars.T[::-1], orders[::-1]):
-        if o > 1:
-            steps = np.arange(o, dtype=np.int64)[:, None] * (c * (m // o)) % m  # o x s
-            S = ((steps[:, None, :] + S[None, :, :]) % m).reshape(-1, s)
-    return ToricSet(F, S[_lex_order(S, m)], gens, orders, chars, source)
+        return f"ToricSet({len(self)} points in P^{self.s - 1} over GF({self.q}), {self.source})"
 
 
 def _lex_order(S: np.ndarray, m: int) -> np.ndarray:
@@ -141,6 +148,13 @@ def _lex_order(S: np.ndarray, m: int) -> np.ndarray:
     return np.lexsort(keys[::-1])
 
 
+def _within(X: ToricSet, budget: int) -> ToricSet:
+    """X, or BudgetExceededError when |X| passes the budget."""
+    if len(X) > budget:
+        raise BudgetExceededError(f"X would reach {len(X)} points > budget {budget}")
+    return X
+
+
 def size_of_X(C: Clutter, q: int) -> int:
     """|X| over GF(q) without building X: prod m/gcd(m, d_i), m = q-1, over
     the Smith invariant factors d_i of the difference matrix."""
@@ -148,17 +162,18 @@ def size_of_X(C: Clutter, q: int) -> int:
     return prod(m // gcd(m, d) for d in difference_factors(C))
 
 
-def enumerate_X(C: Clutter, F: FiniteField, budget: int = DEFAULT_ENUM_BUDGET) -> ToricSet:
-    """All points [ (x^v1 : ... : x^vs) ] for x in the affine torus (K*)^n.
+def clutter_set(C: Clutter, q: int) -> ToricSet:
+    """X over GF(q): all points [ (x^v1 : ... : x^vs) ] for x in the
+    affine torus (K*)^n, as its Smith presentation.  No field and no point
+    is built; `enumerate_X` is the same with a budget on |X|.
 
     X is a group: the image of (Z/(q-1))^n under the difference matrix
     B = V - V[0], whose columns are the images of the coordinate
-    characters of (K*)^n.  It is built from the Smith presentation of B,
-    with O(n |X|) work and never a walk over the (q-1)^n tuples; raises
-    BudgetExceededError before |X| would pass the budget.
+    characters of (K*)^n.
     """
+    field_order(*prime_power(q))
     B = difference_matrix(C)  # s x n; row 0 is zero, giving the canonical 0 column
-    m = F.q - 1
+    m = q - 1
     facts = lattice_facts(C)
     d = facts.difference_factors
     # gcd(m, 0) = m: the columns past the rank have order 1
@@ -166,20 +181,30 @@ def enumerate_X(C: Clutter, F: FiniteField, budget: int = DEFAULT_ENUM_BUDGET) -
     # B Q mod m is divisible by gcd(m, d_j) in column j, as B Q is by d_j
     Q = np.array([[x % m for x in row] for row in facts.transform], dtype=np.int64)
     chars = B @ Q % m // unit
-    return _from_box(F, B, tuple((m // unit).tolist()), chars, f"X({C})", budget)
+    return ToricSet(q, B, tuple((m // unit).tolist()), chars, f"X({C})")
 
 
-def projective_torus(s: int, F: FiniteField, budget: int = DEFAULT_ENUM_BUDGET) -> ToricSet:
-    """The torus T in P^(s-1): all points with every coordinate nonzero.
+def enumerate_X(C: Clutter, q: int, budget: int = DEFAULT_ENUM_BUDGET) -> ToricSet:
+    """X of the clutter C over GF(q) (`clutter_set`); raises
+    BudgetExceededError, from the orders alone, when |X| passes the
+    budget.  Its points are built from the box of the Smith presentation,
+    with O(s |X|) work and never a walk over the (q-1)^n tuples, when
+    first read."""
+    return _within(clutter_set(C, q), budget)
 
-    Built from the box of enumerate_X over gens [0; I_(s-1)], which is
-    already in Smith form: Q = I and every order is q-1.  The budget
+
+def projective_torus(s: int, q: int, budget: int = DEFAULT_ENUM_BUDGET) -> ToricSet:
+    """The torus T in P^(s-1) over GF(q): all points with every coordinate
+    nonzero.
+
+    Its presentation is that of enumerate_X for gens [0; I_(s-1)], which
+    is already in Smith form: Q = I and every order is q-1.  The budget
     bounds |T| = (q-1)^(s-1) in the same way.
     """
     if s < 2:
         raise ValueError("need s >= 2")
     gens = np.eye(s, s - 1, k=-1, dtype=np.int64)  # [0; I_(s-1)]
-    return _from_box(F, gens, (F.q - 1,) * (s - 1), gens, f"T(s={s})", budget)
+    return _within(ToricSet(q, gens, (q - 1,) * (s - 1), gens, f"T(s={s})"), budget)
 
 
 def equals_torus(X: ToricSet) -> bool:
@@ -188,7 +213,7 @@ def equals_torus(X: ToricSet) -> bool:
     Every X lies in T (its coordinates are units and its first log is 0),
     so equality is a size test.
     """
-    return len(X) == (X.field.q - 1) ** (X.s - 1)
+    return len(X) == (X.q - 1) ** (X.s - 1)
 
 
 def profile(C: Clutter, q: int) -> dict:

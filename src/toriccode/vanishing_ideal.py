@@ -14,20 +14,28 @@ standard monomials).  One pass over them
 products of a monomial of some N_d and a variable whose divisors are all
 standard, each with the standard monomial of its key as the tail of its
 basis element t^e - tail.  They have degree at most r+1, since N_(r+1) is
-empty.  `binomial_in_IX` needs no points: two monomials of one degree agree
+empty.  The basis stays in two integer arrays, the exponents of the leading
+terms and of the tails (`ReducedGB.leads`, `ReducedGB.tails`); every
+element is t^lead - t^tail, so its coefficients are 1 and -1 in any field,
+and the structure checks, the degree complexity and the written basis
+read those arrays: none builds GF(q) or a point of X.  Only
+`vanishing_defect` reads the points.  `ReducedGB.elements` gives the basis
+as `HomogPoly` objects on request.
+`binomial_in_IX` needs no points either: two monomials of one degree agree
 on X exactly when A maps their exponents to the same class mod q-1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
 from .clutter import Clutter, incidence
 from .errors import BudgetExceededError
-from .eval_code import evaluate_rows, walk_of
-from .finite_field import FiniteField
+from .eval_code import _CELL_CAP, walk_of
+from .finite_field import FiniteField, prime_power
 from .toric_set import ToricSet
 
 
@@ -83,56 +91,79 @@ def _mono_str(expo) -> str:
     return "*".join(parts) if parts else "1"
 
 
+def minus_one_index(q: int) -> int:
+    """The serialization index (`FiniteField.to_index`) of -1 in GF(q), in
+    closed form: -1 = g^((q-1)/2) for odd q, and -1 = 1 = g^0 for even q."""
+    return (q - 1) // 2 + 1 if q % 2 else 1
+
+
 @dataclass
 class ReducedGB:
-    field: FiniteField
+    """The reduced revlex basis of I(X) as binomials t^lead - t^tail: row j
+    of ``leads`` and of ``tails`` (read-only integer arrays, s columns) are
+    the two exponent vectors of element j.  ``elements`` builds the same
+    basis as `HomogPoly` objects, on request."""
+
+    q: int
     s: int
-    elements: list[HomogPoly]
+    leads: np.ndarray
+    tails: np.ndarray
     standard_counts: dict[int, int] = dc_field(default_factory=dict)
+
+    @cached_property
+    def elements(self) -> list[HomogPoly]:
+        # the encoding of -1 is its one base-p digit, p - 1
+        minus_one = prime_power(self.q)[0] - 1
+        return [
+            HomogPoly(terms=((lead, 1), (tail, minus_one)), lead=lead)
+            for lead, tail in zip(self.leading_terms, map(tuple, self.tails.tolist()))
+        ]
 
     @property
     def leading_terms(self) -> list[tuple[int, ...]]:
-        return [g.lead for g in self.elements]
+        return list(map(tuple, self.leads.tolist()))
+
+    def term_strings(self) -> list[str]:
+        """`HomogPoly.term_string` of each element: "lead - tail", and
+        "lead + tail" in characteristic 2, where -1 = 1."""
+        sign = "-" if self.q % 2 else "+"
+        return [
+            f"{_mono_str(lead)} {sign} {_mono_str(tail)}"
+            for lead, tail in zip(self.leads.tolist(), self.tails.tolist())
+        ]
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.leads)
 
 
 def interpolate_gb(X: ToricSet) -> ReducedGB:
     """The reduced revlex Groebner basis of I(X), from one pass over the
     standard-monomial walk, elements sorted by degree and then descending
-    revlex leading term."""
-    F = X.field
-    minus_one = int(F.neg(1))
+    revlex leading term.  No field and no point is built."""
     walk = walk_of(X)
     leads, tails = walk.reduced_basis()
-    elements = [
-        HomogPoly(terms=((lead, 1), (tail, minus_one)), lead=lead)
-        for lead, tail in zip(map(tuple, leads.tolist()), map(tuple, tails.tolist()))
-    ]
     counts = {d: walk.hilbert(d) for d in range(walk.regularity + 2)}
-    return ReducedGB(field=F, s=X.s, elements=elements, standard_counts=counts)
+    return ReducedGB(q=X.q, s=X.s, leads=leads, tails=tails, standard_counts=counts)
 
 
 def degree_complexity(G: ReducedGB) -> int:
     """Largest degree of a reduced-basis element."""
-    if not G.elements:
+    if not len(G):
         raise ValueError("empty basis")
-    return max(g.degree for g in G.elements)
-
-
-def evaluate_poly(g: HomogPoly, X: ToricSet) -> np.ndarray:
-    """Vector of values of g at the canonical representatives of X."""
-    F = X.field
-    E = np.array([expo for expo, _ in g.terms], dtype=np.int64)
-    rows = evaluate_rows(X, E)
-    coeffs = np.array([enc for _, enc in g.terms], dtype=F.dtype)
-    return F.sum_axis(F.mul(coeffs[:, None], rows), axis=0)
+    return int(G.leads.sum(axis=1).max())
 
 
 def vanishing_defect(G: ReducedGB, X: ToricSet) -> int:
-    """How many basis elements fail to vanish identically on X (0 = all vanish)."""
-    return sum(1 for g in G.elements if np.any(evaluate_poly(g, X)))
+    """How many basis elements fail to vanish identically on X (0 = all
+    vanish): t^lead - t^tail vanishes at a point exactly when both
+    monomials take the same primitive-power exponent there.  Elements are
+    taken in blocks of at most _CELL_CAP exponents."""
+    m, diff = X.q - 1, G.leads - G.tails
+    block = max(1, _CELL_CAP // len(X))
+    return sum(
+        int((diff[i : i + block] @ X.logs.T % m).any(axis=1).sum())
+        for i in range(0, len(diff), block)
+    )
 
 
 def verify_gb_structure(G: ReducedGB, q: int) -> dict:
@@ -142,33 +173,22 @@ def verify_gb_structure(G: ReducedGB, q: int) -> dict:
     (ii) every element has per-variable degree <= q-1,
     (iii) every element is a homogeneous binomial with disjoint supports.
     """
-    s = G.s
-    minus_one = int(G.field.neg(1))
-    pure_needed = set()
-    for i in range(s - 1):
-        lead = tuple((q - 1) if j == i else 0 for j in range(s))
-        tail = tuple((q - 1) if j == s - 1 else 0 for j in range(s))
-        pure_needed.add((lead, tail))
-    pure_found = set()
-    per_var_ok = True
-    binomial_ok = True
-    for g in G.elements:
-        for expo, _ in g.terms:
-            if any(e > q - 1 for e in expo):
-                per_var_ok = False
-        if not (g.is_binomial() and g.support_disjoint()):
-            binomial_ok = False
-            continue
-        (a, ca), (b, cb) = g.terms
-        if sum(a) != sum(b):
-            binomial_ok = False
-        if ca == 1 and cb == minus_one and (a, b) in pure_needed:
-            pure_found.add((a, b))
+    s, leads, tails = G.s, G.leads, G.tails
+    powers = (q - 1) * np.eye(s, dtype=np.int64)  # row i is (q-1) e_i
+    pure_tail = (tails == powers[-1]).all(axis=1)
+    # (lead, tail) pairs sort as the leads do, which fall as i grows
+    missing = [
+        (tuple(lead.tolist()), tuple(powers[-1].tolist()))
+        for lead in powers[-2::-1]
+        if not ((leads == lead).all(axis=1) & pure_tail).any()
+    ]
     return {
-        "pure_powers_present": pure_found == pure_needed,
-        "per_variable_degree_le_q_minus_1": per_var_ok,
-        "homogeneous_binomials_disjoint_support": binomial_ok,
-        "missing_pure_powers": sorted(pure_needed - pure_found),
+        "pure_powers_present": not missing,
+        "per_variable_degree_le_q_minus_1": bool((leads <= q - 1).all() and (tails <= q - 1).all()),
+        "homogeneous_binomials_disjoint_support": bool(
+            ((leads == 0) | (tails == 0)).all() and (leads.sum(axis=1) == tails.sum(axis=1)).all()
+        ),
+        "missing_pure_powers": missing,
     }
 
 
@@ -188,7 +208,7 @@ def binomial_in_IX(a_plus, a_minus, C: Clutter, q: int, X: ToricSet | None = Non
         raise ValueError("a+ and a- must have disjoint supports")
     if q < 3:
         raise ValueError("need q >= 3")
-    if X is not None and (X.s != s or X.field.q != q):
+    if X is not None and (X.s != s or X.q != q):
         raise ValueError("provided X does not match the clutter/field")
     if sum(a_plus) != sum(a_minus):
         return False

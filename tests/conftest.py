@@ -15,7 +15,9 @@ facts from one integer echelon per clutter.  It builds X from the Smith
 form of its generators; here X is the image of every unit tuple
 (`oracle_enumerate_X`) or the closure over its generators
 (`oracle_span`), and binomial membership is decided by evaluation on X
-(`oracle_binomial_in_IX`).
+(`oracle_binomial_in_IX`).  The structure checks of a reduced basis run
+element by element over its `HomogPoly` form (`oracle_verify_gb_structure`),
+where the package reads its two exponent arrays.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from toriccode import Clutter, incidence, parse_clutter, torus_distance, uniformity
+from toriccode import Clutter, field_from_q, incidence, parse_clutter, torus_distance, uniformity
 from toriccode._linalg import rank, rref
 from toriccode.eval_code import evaluate_rows
 
@@ -752,3 +754,39 @@ def oracle_interpolate_gb(X):
             stable_at = d
     elements.sort(key=lambda t: (sum(t[0][0]), tuple(reversed(t[0][0]))))
     return elements, counts
+
+
+def oracle_verify_gb_structure(G, q: int) -> dict:
+    """The structure checks of `verify_gb_structure`, element by element
+    over `G.elements` with their field coefficients: (i) every pure
+    binomial ti^(q-1) - ts^(q-1), i < s, is an element, with coefficients
+    1 and -1; (ii) no exponent exceeds q-1; (iii) every element is a
+    homogeneous binomial with disjoint supports."""
+    s = G.s
+    minus_one = int(field_from_q(q).neg(1))
+    pure_needed = set()
+    for i in range(s - 1):
+        lead = tuple((q - 1) if j == i else 0 for j in range(s))
+        tail = tuple((q - 1) if j == s - 1 else 0 for j in range(s))
+        pure_needed.add((lead, tail))
+    pure_found = set()
+    per_var_ok = True
+    binomial_ok = True
+    for g in G.elements:
+        for expo, _ in g.terms:
+            if any(e > q - 1 for e in expo):
+                per_var_ok = False
+        if not (g.is_binomial() and g.support_disjoint()):
+            binomial_ok = False
+            continue
+        (a, ca), (b, cb) = g.terms
+        if sum(a) != sum(b):
+            binomial_ok = False
+        if ca == 1 and cb == minus_one and (a, b) in pure_needed:
+            pure_found.add((a, b))
+    return {
+        "pure_powers_present": pure_found == pure_needed,
+        "per_variable_degree_le_q_minus_1": per_var_ok,
+        "homogeneous_binomials_disjoint_support": binomial_ok,
+        "missing_pure_powers": sorted(pure_needed - pure_found),
+    }

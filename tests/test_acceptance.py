@@ -69,7 +69,7 @@ def _delta_one_certified(X, d):
 
 def test_criterion_1_triangle_gf9():
     with reporting(1, "triangle over GF(9): full parameter table"):
-        X = enumerate_X(BATTERY["C3"], make_field(3, 2))
+        X = enumerate_X(BATTERY["C3"], 9)
         assert len(X) == 64
         assert equals_torus(X)
         dims = [hilbert_function(X, d) for d in range(1, 15)]
@@ -85,7 +85,7 @@ def test_criterion_1_triangle_gf9():
 def test_criterion_2_k4_gf3():
     with reporting(2, "K4 over GF(3): Singleton, closed-form bound, brute force"):
         C = BATTERY["K4"]
-        X = enumerate_X(C, make_field(3, 1))
+        X = enumerate_X(C, 3)
         assert len(X) == 8
         assert [len(X) - hilbert_function(X, d) + 1 for d in (1, 2, 3)] == [3, 1, 1]
         assert [torus_distance(3, C.n, d) for d in (1, 2, 3)] == [4, 2, 1]
@@ -96,7 +96,7 @@ def test_criterion_2_k4_gf3():
 def test_criterion_3_k4_gf4():
     with reporting(3, "K4 over GF(4): brute force d=1, information-set d=2..6"):
         C = BATTERY["K4"]
-        X = enumerate_X(C, make_field(2, 2))
+        X = enumerate_X(C, 4)
         assert len(X) == 27
         bounds = [len(X) - hilbert_function(X, d) + 1 for d in range(1, 7)]
         assert bounds == [22, 9, 1, 1, 1, 1]
@@ -118,7 +118,7 @@ def test_criterion_4_torus_suite():
                 if (q - 1) ** (s - 1) > 10**4:
                     continue
                 F = field_from_q(q)
-                T = projective_torus(s, F)
+                T = projective_torus(s, F.q)
                 assert len(T) == (q - 1) ** (s - 1)
                 assert regularity(T) == (s - 1) * (q - 2)
                 assert h_vector(T) == oracle_torus_h_vector(s, q)
@@ -148,7 +148,7 @@ def test_criterion_5_ci_battery():
                 rep = ci_classify(C, q)
                 assert rep.applicable, name
                 assert rep.is_ci == CI_EXPECTED[name], (name, q)
-                X = enumerate_X(C, F)
+                X = enumerate_X(C, F.q)
                 geometric = len(X) == (F.q - 1) ** (X.s - 1)
                 assert rep.is_ci == geometric, (name, q)
                 assert equals_torus(X) == geometric, (name, q)
@@ -159,7 +159,7 @@ def test_criterion_6_groebner_structure():
         for q in (3, 4):
             F = field_from_q(q)
             for name, C in BATTERY.items():
-                X = enumerate_X(C, F)
+                X = enumerate_X(C, F.q)
                 G = interpolate_gb(X)
                 checks = verify_gb_structure(G, q)
                 assert checks["pure_powers_present"], (name, q, checks)
@@ -175,10 +175,10 @@ def test_criterion_7_hilbert_equality():
         for q in (4, 5):
             F = field_from_q(q)
             for name, C in BATTERY.items():
-                X = enumerate_X(C, F)
+                X = enumerate_X(C, F.q)
                 for d in range(1, q - 1):
                     assert hilbert_function(X, d) == hilbert_IA(C, d), (name, q, d)
-        X9 = enumerate_X(BATTERY["C3"], make_field(3, 2))
+        X9 = enumerate_X(BATTERY["C3"], 9)
         for d in range(1, 8):
             assert hilbert_function(X9, d) == hilbert_IA(BATTERY["C3"], d), d
 
@@ -192,7 +192,7 @@ def test_criterion_8_bound_suite():
             F = field_from_q(q)
             for name in names:
                 C = BATTERY[name]
-                X = enumerate_X(C, F)
+                X = enumerate_X(C, F.q)
                 reg = regularity(X)
                 assert reg <= (q - 2) * (X.s - 1), (name, q)
                 assert _delta_one_certified(X, reg), (name, q)
@@ -213,7 +213,7 @@ def test_criterion_8_bound_suite():
         ]:
             F = field_from_q(q)
             C = BATTERY[name]
-            X = enumerate_X(C, F)
+            X = enumerate_X(C, F.q)
             for d in ds:
                 cd = code(X, d)
                 classes = (F.q**cd.dimension - 1) // (F.q - 1)
@@ -233,7 +233,7 @@ def test_criterion_9_low_degree_binomials():
                 s = C.s
                 if s > 4:
                     continue
-                X = enumerate_X(C, field_from_q(q))
+                X = enumerate_X(C, q)
                 for b in range(1, q):
                     tails = exponent_matrix(s, b)
                     for i in range(s):

@@ -50,7 +50,7 @@ _CLUTTERS = settings(
 @given(clutters_over_fields(max_torus=256))
 def test_invariants_match_gf_elimination(case):
     C, q = case
-    X = enumerate_X(C, field_from_q(q))
+    X = enumerate_X(C, q)
     reg = regularity(X)
     assert reg == oracle_regularity(X)
     for d in range(reg + 2):
@@ -71,7 +71,7 @@ def test_walk_lists_the_standard_monomials(case):
     no leading term of the GF(q) basis divides, in ascending revlex; it is
     closed under division, and its size is the GF(q) rank of degree d."""
     C, q = case
-    X = enumerate_X(C, field_from_q(q))
+    X = enumerate_X(C, q)
     elements, counts = oracle_interpolate_gb(X)  # counts run through reg+1
     leads = [terms[0][0] for terms in elements]
     below = set()
@@ -127,14 +127,14 @@ def _check_walk_against_oracle(X):
 @given(clutters_over_fields(max_torus=4096))
 def test_walk_matches_sorting_walk(case):
     C, q = case
-    _check_walk_against_oracle(enumerate_X(C, field_from_q(q)))
+    _check_walk_against_oracle(enumerate_X(C, q))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.sampled_from(FIELD_SIZES), st.integers(2, 6))
 def test_walk_matches_sorting_walk_on_tori(q, s):
     assume((q - 1) ** (s - 1) <= 4096)
-    _check_walk_against_oracle(projective_torus(s, field_from_q(q)))
+    _check_walk_against_oracle(projective_torus(s, q))
 
 
 def _labels(X):
@@ -156,24 +156,24 @@ def _labels(X):
 def test_labels_are_a_permutation(case):
     """X has |X| characters, and their labels are 0, ..., |X| - 1."""
     C, q = case
-    X = enumerate_X(C, field_from_q(q))
+    X = enumerate_X(C, q)
     assert sorted(_labels(X)) == list(range(len(X)))
 
 
 @pytest.mark.parametrize("s,q", [(2, 7), (3, 5), (4, 4), (3, 9)])
 def test_torus_labels_are_a_permutation(s, q):
-    T = projective_torus(s, field_from_q(q))
+    T = projective_torus(s, q)
     assert sorted(_labels(T)) == list(range(len(T)))
 
 
 def test_exponents_past_one_byte():
     # on the torus in P^1 over GF(263) every monomial of degree <= 261 is
     # standard, exponents past 255 among them
-    T = projective_torus(2, field_from_q(263))
+    T = projective_torus(2, 263)
     std = StandardWalk(T).standard(257)
     assert std.tolist() == [[a, 257 - a] for a in range(258)]
     # over GF(257): regularity 255, and one basis element, of degree 256
     F = field_from_q(257)
-    T = projective_torus(2, F)
+    T = projective_torus(2, F.q)
     assert regularity(T) == 255
     assert [g.term_string(F) for g in interpolate_gb(T).elements] == ["t1^256 - t2^256"]

@@ -18,7 +18,7 @@ import pytest
 
 from conftest import BATTERY, BATTERY_DOCS
 from toriccode import FiniteField, enumerate_X, intlattice, make_field, regularity, size_of_X
-from toriccode.finite_field import prime_power
+from toriccode.toric_set import clutter_set
 from toriccode.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, _build_parser, main
 
 K4_DOC = '{"n": 4, "edges": [[1,2],[1,3],[1,4],[2,3],[2,4],[3,4]]}'
@@ -337,7 +337,7 @@ class TestClosedFormSize:
         cases = [(cmd, "--clutter", k4_file, *rest) for cmd, *rest in self.ARGVS]
         cases += [(cmd, "--torus", "3", "--q", "4") for cmd in ("ci", "profile")]
         before = [run(*argv) for argv in cases]
-        monkeypatch.setattr(cli, "enumerate_X", refuse)
+        monkeypatch.setattr(cli, "clutter_set", refuse)
         monkeypatch.setattr(cli, "projective_torus", refuse)
         monkeypatch.setattr(FiniteField, "__init__", refuse)
         make_field.cache_clear()
@@ -348,6 +348,7 @@ class TestClosedFormSize:
         assert json.loads(after[2][1])["points"] == 8
 
     def test_dump_points_builds_X(self, run, k4_file, tmp_path, monkeypatch):
+        # the points file holds primitive-power indices: no field is needed
         import toriccode.cli as cli
 
         calls, fields = [], []
@@ -355,7 +356,7 @@ class TestClosedFormSize:
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return enumerate_X(*args, **kwargs)
+            return clutter_set(*args, **kwargs)
 
         def counted_field(self, p, k):
             fields.append((p, k))
@@ -366,11 +367,11 @@ class TestClosedFormSize:
         plain = run(*argv)
         run(*argv, "--dump-points", str(dump))
         points = dump.read_text()
-        monkeypatch.setattr(cli, "enumerate_X", counted)
+        monkeypatch.setattr(cli, "clutter_set", counted)
         monkeypatch.setattr(FiniteField, "__init__", counted_field)
         make_field.cache_clear()
         dumped = run(*argv, "--dump-points", str(dump))
-        assert dumped == plain and len(calls) == 1 and fields == [(2, 2)]
+        assert dumped == plain and len(calls) == 1 and fields == []
         assert dump.read_text() == points
         assert len(points.strip().splitlines()) == 1 + 27
 
@@ -479,7 +480,7 @@ class TestDegreesBeforePoints:
             raise AssertionError("no size, field or point may be computed")
 
         monkeypatch.setattr(cli, "size_of_X", refuse)
-        monkeypatch.setattr(cli, "enumerate_X", refuse)
+        monkeypatch.setattr(cli, "clutter_set", refuse)
         monkeypatch.setattr(cli, "projective_torus", refuse)
         monkeypatch.setattr(FiniteField, "__init__", refuse)
         make_field.cache_clear()
@@ -487,6 +488,91 @@ class TestDegreesBeforePoints:
             for source in (("--clutter", k4_file), ("--torus", "3")):
                 got = run(command, *source, "--q", "9", "--budget", "1", *rest)
                 assert got == (EXIT_INPUT, "", f"input error: {message}\n"), (command, rest)
+
+
+class TestNoFieldNoPoints:
+    """groebner (text, csv, json) and params --method formula read only the
+    Smith presentation of X: with FiniteField.__init__ and the point build
+    (ToricSet.logs) patched to raise, their output is unchanged on the
+    battery.  mindist still builds the field and the points, once each."""
+
+    QS = ("3", "4", "5", "8", "9")
+
+    def _cases(self, tmp_path):
+        cases = []
+        for name, doc in BATTERY_DOCS.items():
+            f = tmp_path / f"{name}.json"
+            f.write_text(json.dumps(doc))
+            for q in self.QS:
+                if size_of_X(BATTERY[name], int(q)) > 5000:
+                    continue
+                source = ("--clutter", str(f), "--q", q)
+                cases += [("groebner", *source, "--format", fmt) for fmt in ("text", "csv", "json")]
+                cases += [("params", *source, "--method", "formula", "--format", fmt)
+                          for fmt in ("text", "json")]
+        cases += [("groebner", "--torus", "3", "--q", "4"),
+                  ("params", "--torus", "4", "--q", "3", "--method", "formula", "--full")]
+        return cases
+
+    def test_groebner_and_formula_build_neither(self, run, tmp_path, monkeypatch):
+        from toriccode.toric_set import ToricSet
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("no field and no point of X may be built")
+
+        cases = self._cases(tmp_path)
+        assert len(cases) > 150
+        before = [run(*argv) for argv in cases]
+        monkeypatch.setattr(FiniteField, "__init__", refuse)
+        monkeypatch.setattr(ToricSet, "logs", property(refuse))
+        make_field.cache_clear()
+        after = [run(*argv) for argv in cases]
+        assert after == before
+        # params --method formula exits 2 where delta'_d does not apply
+        assert {argv[0] for argv, (rc, _, _) in zip(cases, after) if rc != EXIT_OK} == {"params"}
+        assert sum(rc == EXIT_OK for rc, _, _ in after) > 150
+
+    def test_mindist_builds_both_once(self, run, k4_file, monkeypatch):
+        from functools import cached_property
+
+        from toriccode.toric_set import ToricSet
+
+        fields, points = [], []
+        init, build = FiniteField.__init__, ToricSet.__dict__["logs"].func
+
+        def counted_field(self, p, k):
+            fields.append((p, k))
+            init(self, p, k)
+
+        def counted_points(self):
+            points.append(len(self))
+            return build(self)
+
+        logs = cached_property(counted_points)
+        logs.__set_name__(ToricSet, "logs")
+        argv = ("mindist", "--clutter", k4_file, "--q", "4", "--d", "1", "--format", "json")
+        plain = run(*argv)
+        monkeypatch.setattr(FiniteField, "__init__", counted_field)
+        monkeypatch.setattr(ToricSet, "logs", logs)
+        make_field.cache_clear()
+        assert run(*argv) == plain and plain[0] == EXIT_OK
+        assert fields == [(2, 2)] and points == [27]
+
+
+def test_isd_class_budget_bounds_the_search(run, tmp_path):
+    """Information-set search stops at the class budget: K4 over GF(7),
+    d = 2 ([216, 19]) ran for minutes unbounded; the default budget of 10^7
+    messages stops it before weight 5 with an interval."""
+    f = tmp_path / "K4.json"
+    f.write_text(json.dumps(BATTERY_DOCS["K4"]))
+    start = time.monotonic()
+    rc, out, _ = run("mindist", "--clutter", str(f), "--q", "7", "--d", "2",
+                     "--method", "isd", "--format", "json")
+    assert rc == EXIT_OK and time.monotonic() - start < 30
+    body = json.loads(out)
+    assert body["delta_exact"] is False and body["delta_method"] == "isd"
+    # Chen's bound after weight 4: ceil(216 * 5 / 19)
+    assert body["delta_lower"] == 57 < body["delta"] <= body["delta_prime"]
 
 
 JSON_REPORTS = json.loads((Path(__file__).parent / "json_reports.json").read_text())
@@ -659,7 +745,7 @@ class TestWalksPerJob:
         f.write_text(json.dumps(BATTERY_DOCS[name]))
         argv = (command, "--clutter", str(f), "--q", q, "--format", "json", *rest)
         plain = run(*argv)
-        r = regularity(enumerate_X(BATTERY[name], make_field(*prime_power(int(q)))))
+        r = regularity(enumerate_X(BATTERY[name], int(q)))
         calls, steps = [], []
         original = eval_code.standard_walk
 

@@ -29,7 +29,7 @@ from toriccode.vanishing_ideal import _mono_str
 def _torus_standard(s, q, d):
     """Delta_d of the torus in P^(s-1) over GF(q): every degree-d monomial
     when d <= q-2, as I(T) starts in degree q-1."""
-    return StandardWalk(projective_torus(s, field_from_q(q))).standard(d)
+    return StandardWalk(projective_torus(s, q)).standard(d)
 
 
 class TestMonomialOrder:
@@ -58,20 +58,20 @@ class TestEvaluation:
     def test_torus_s2_q3_matrix(self):
         # T = {(1:1), (1:2)}; degree-1 monomials t1, t2
         F = make_field(3, 1)
-        T = projective_torus(2, F)
+        T = projective_torus(2, F.q)
         M = evaluate_rows(T, np.eye(2, dtype=np.int64))
         assert M.shape == (2, 2)
         cols = sorted(tuple(int(x) for x in col) for col in M.T)
         assert cols == [(1, 1), (1, 2)]
 
     def test_code_dimensions_triangle_gf9(self, triangle):
-        X = enumerate_X(triangle, make_field(3, 2))
+        X = enumerate_X(triangle, 9)
         expect = [3, 6, 10, 15, 21, 28, 36, 43, 49, 54, 58, 61, 63, 64]
         got = [hilbert_function(X, d) for d in range(1, 15)]
         assert got == expect
 
     def test_code_object(self, k4):
-        X = enumerate_X(k4, make_field(3, 1))
+        X = enumerate_X(k4, 3)
         cd = code(X, 1)
         assert cd.length == 8 and cd.dimension == 6
         assert cd.generator.shape == (6, 8)
@@ -83,12 +83,12 @@ class TestEvaluation:
     def test_dimension_equals_hilbert(self, battery):
         F = make_field(3, 1)
         for C in (battery["C4"], battery["star4"]):
-            X = enumerate_X(C, F)
+            X = enumerate_X(C, F.q)
             for d in (1, 2):
                 assert code(X, d).dimension == hilbert_function(X, d)
 
     def test_d0_and_negative(self, triangle):
-        X = enumerate_X(triangle, make_field(3, 1))
+        X = enumerate_X(triangle, 3)
         assert hilbert_function(X, 0) == 1
         with pytest.raises(ValueError):
             hilbert_function(X, -1)
@@ -98,32 +98,32 @@ class TestEvaluation:
 
 class TestRegularityAndHVector:
     def test_triangle_gf9(self, triangle):
-        X = enumerate_X(triangle, make_field(3, 2))
+        X = enumerate_X(triangle, 9)
         assert regularity(X) == 14
         assert h_vector(X) == oracle_torus_h_vector(3, 9)
 
     def test_k4(self, k4):
-        X3 = enumerate_X(k4, make_field(3, 1))
+        X3 = enumerate_X(k4, 3)
         assert regularity(X3) == 2
         assert h_vector(X3) == [1, 5, 2]
-        X4 = enumerate_X(k4, make_field(2, 2))
+        X4 = enumerate_X(k4, 4)
         assert regularity(X4) == 3
         assert h_vector(X4) == [1, 5, 13, 8]
 
     @pytest.mark.parametrize("s,q", [(2, 3), (2, 5), (3, 4), (4, 3)])
     def test_torus_closed_forms(self, s, q):
-        T = projective_torus(s, field_from_q(q))
+        T = projective_torus(s, q)
         assert regularity(T) == (s - 1) * (q - 2)
         assert h_vector(T) == oracle_torus_h_vector(s, q)
 
     def test_h_vector_sums_to_size(self, battery):
         F = make_field(3, 1)
         for C in battery.values():
-            X = enumerate_X(C, F)
+            X = enumerate_X(C, F.q)
             assert sum(h_vector(X)) == len(X)
 
     def test_monotone_until_regularity(self, k4):
-        X = enumerate_X(k4, make_field(2, 2))
+        X = enumerate_X(k4, 4)
         r = regularity(X)
         vals = [hilbert_function(X, d) for d in range(r + 2)]
         assert all(a < b for a, b in zip(vals[: r + 1], vals[1 : r + 1]))
@@ -138,7 +138,7 @@ def _singleton(X, d):
 def test_standard_walk_in_any_order(k4):
     """One StandardWalk asked for degrees in any order, around its counts,
     gives what a walk from degree 0 to each degree gives."""
-    X = enumerate_X(k4, field_from_q(5))
+    X = enumerate_X(k4, 5)
     fresh = {d: StandardWalk(X).standard(d) for d in range(8)}
     walk = StandardWalk(X)
     counts = None
@@ -163,7 +163,7 @@ def test_one_walk_per_point_set(k4, monkeypatch):
     monkeypatch.setattr(eval_code, "standard_walk", counted)
     gc.collect()
     kept = len(eval_code._WALKS)
-    X = enumerate_X(k4, field_from_q(5))
+    X = enumerate_X(k4, 5)
     r = regularity(X)
     assert [hilbert_function(X, d) for d in range(r + 2)] == [*walk_of(X).hilbert_counts, len(X)]
     assert sum(h_vector(X)) == len(X)
@@ -180,14 +180,14 @@ def test_one_walk_per_point_set(k4, monkeypatch):
 
 class TestSingleton:
     def test_k4_gf3_values(self, k4):
-        X = enumerate_X(k4, make_field(3, 1))
+        X = enumerate_X(k4, 3)
         assert [_singleton(X, d) for d in (1, 2, 3)] == [3, 1, 1]
 
     def test_k4_gf4_values(self, k4):
-        X = enumerate_X(k4, make_field(2, 2))
+        X = enumerate_X(k4, 4)
         assert [_singleton(X, d) for d in range(1, 7)] == [22, 9, 1, 1, 1, 1]
 
     def test_triangle_gf9_values(self, triangle):
-        X = enumerate_X(triangle, make_field(3, 2))
+        X = enumerate_X(triangle, 9)
         expect = [62, 59, 55, 50, 44, 37, 29, 22, 16, 11, 7, 4, 2, 1]
         assert [_singleton(X, d) for d in range(1, 15)] == expect

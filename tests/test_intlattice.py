@@ -272,7 +272,7 @@ def _check_lattice_facts(C, q):
     # the CI verdict, phi and delta'_d
     assert _verdict(ci_classify(C, q)) == oracle_ci_classify(C, q)
     assert phi_injective(C, q) == oracle_phi_injective(C, q)
-    X = enumerate_X(C, field_from_q(q))
+    X = enumerate_X(C, q)
     for d in (1, 2, 3):
         assert delta_prime(C, X, d) == oracle_delta_prime(C, q, d)
 

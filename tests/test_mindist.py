@@ -91,18 +91,18 @@ class TestBruteforce:
                 assert int(np.count_nonzero(got.witness)) == got.value
 
     def test_triangle_gf3_d1(self, triangle):
-        X = enumerate_X(triangle, make_field(3, 1))
+        X = enumerate_X(triangle, 3)
         r = min_distance_bruteforce(code(X, 1))
         assert r.value == torus_distance(3, 3, 1) == 2
 
     def test_k4_gf3_column(self, k4):
-        X = enumerate_X(k4, make_field(3, 1))
+        X = enumerate_X(k4, 3)
         got = [min_distance_bruteforce(code(X, d)).value for d in (1, 2, 3)]
         assert got == [2, 1, 1]
 
     def test_witness_is_a_codeword_of_reported_weight(self, k4):
         F = make_field(3, 1)
-        X = enumerate_X(k4, F)
+        X = enumerate_X(k4, F.q)
         cd = code(X, 1)
         r = min_distance_bruteforce(cd)
         w = np.asarray(r.witness)
@@ -126,14 +126,14 @@ class TestBruteforce:
         assert r.exact and r.value == oracle_one_form_isd(3, G)
 
     def test_budget_raises(self, k4):
-        X = enumerate_X(k4, make_field(3, 1))
+        X = enumerate_X(k4, 3)
         with pytest.raises(BudgetExceededError):
             min_distance_bruteforce(code(X, 2), class_budget=10)
 
     def test_budget_counts_messages_weighed(self, k4):
         # q^(k-1) messages with first coefficient 1, not the larger
         # (q^k - 1)/(q - 1) projective classes
-        cd = code(enumerate_X(k4, make_field(3, 1)), 1)
+        cd = code(enumerate_X(k4, 3), 1)
         messages = 3 ** (cd.dimension - 1)
         assert min_distance_bruteforce(cd, class_budget=messages).exact
         with pytest.raises(BudgetExceededError, match=f"^{messages} messages"):
@@ -142,7 +142,7 @@ class TestBruteforce:
 
 class TestIsd:
     def test_k4_gf4_d1_matches_brute(self, k4):
-        X = enumerate_X(k4, make_field(2, 2))
+        X = enumerate_X(k4, 4)
         cd = code(X, 1)
         brute = min_distance_bruteforce(cd)
         isd = min_distance_isd(cd)
@@ -150,7 +150,7 @@ class TestIsd:
         assert isd.value == brute.value == 12
 
     def test_k4_gf4_d2(self, k4):
-        X = enumerate_X(k4, make_field(2, 2))
+        X = enumerate_X(k4, 4)
         r = min_distance_isd(code(X, 2))
         assert r.exact and r.value == 3
 
@@ -178,7 +178,7 @@ class TestIsd:
 
     def test_witness_validity(self, k4):
         F = make_field(2, 2)
-        X = enumerate_X(k4, F)
+        X = enumerate_X(k4, F.q)
         cd = code(X, 2)
         r = min_distance_isd(cd)
         w = np.asarray(r.witness)
@@ -189,13 +189,13 @@ class TestIsd:
     def test_time_budget_inexact(self, triangle, k4):
         # K4/GF(5) d=3 has floor 1: a zero budget stops the search before
         # weight 1
-        cd = code(enumerate_X(k4, make_field(5, 1)), 3)
+        cd = code(enumerate_X(k4, 5), 3)
         r = min_distance_isd(cd, time_budget=0.0)
         assert cd.floor == 1 and not r.exact
         assert r.value >= 4  # an upper bound on the true delta
         # on the triangle over GF(9), d=3, the lightest systematic row meets
         # the floor, so even a zero budget gives the exact distance
-        cd = code(enumerate_X(triangle, make_field(3, 2)), 3)
+        cd = code(enumerate_X(triangle, 9), 3)
         r = min_distance_isd(cd, time_budget=0.0)
         assert r.exact and r.value == cd.floor == torus_distance(9, 3, 3)
 
@@ -203,7 +203,7 @@ class TestIsd:
 class TestDistanceReport:
     def test_torus_uses_formula(self, triangle):
         F = make_field(3, 2)
-        X = enumerate_X(triangle, F)
+        X = enumerate_X(triangle, F.q)
         rep = distance_report(triangle, X, 5, method="auto")
         assert rep["delta"] == 24
         assert rep["delta_method"] == "formula" and rep["delta_exact"]
@@ -211,7 +211,7 @@ class TestDistanceReport:
         assert rep["delta_prime"] == 24
 
     def test_non_torus_auto_small_uses_bruteforce(self, k4):
-        X = enumerate_X(k4, make_field(3, 1))
+        X = enumerate_X(k4, 3)
         rep = distance_report(k4, X, 1, method="auto")
         assert rep["delta"] == 2
         assert rep["delta_method"] == "bruteforce"
@@ -219,7 +219,7 @@ class TestDistanceReport:
         assert rep["singleton"] == 3
 
     def test_forced_formula_on_non_torus_is_bound_only(self, k4):
-        X = enumerate_X(k4, make_field(3, 1))
+        X = enumerate_X(k4, 3)
         rep = distance_report(k4, X, 1, method="formula")
         assert rep["delta"] == 4 and rep["delta_exact"] is False
         assert rep["delta_method"] == "bound-only"
@@ -228,7 +228,7 @@ class TestDistanceReport:
         # P3 is a tree: rank(A) = n - 1, X = torus though, so formula applies
         C = parse_clutter({"n": 3, "edges": [[1, 2], [2, 3]]})
         F = make_field(3, 1)
-        rep = distance_report(C, enumerate_X(C, F), 1, method="formula")
+        rep = distance_report(C, enumerate_X(C, F.q), 1, method="formula")
         assert rep["delta_exact"] is True  # torus route
         # non-uniform, non-torus: no formula route at all
         C2 = parse_clutter(
@@ -236,14 +236,14 @@ class TestDistanceReport:
         )
         from toriccode import equals_torus
 
-        X2 = enumerate_X(C2, F)
+        X2 = enumerate_X(C2, F.q)
         assert not equals_torus(X2)
         with pytest.raises(ValueError):
             distance_report(C2, X2, 1, method="formula")
 
     def test_bad_method(self, k4):
         with pytest.raises(ValueError):
-            distance_report(k4, enumerate_X(k4, make_field(3, 1)), 1, method="magic")
+            distance_report(k4, enumerate_X(k4, 3), 1, method="magic")
 
 
 def _translate(X, G, i):
@@ -268,9 +268,9 @@ def test_points_of_X_permute_the_code(name, q):
     """The fact the one-form ISD bound rests on: p -> x*p maps C_X(d) to itself."""
     F = field_from_q(q)
     if name.startswith("torus"):
-        X = projective_torus(int(name[5:]), F)
+        X = projective_torus(int(name[5:]), F.q)
     else:
-        X = enumerate_X(BATTERY[name], F)
+        X = enumerate_X(BATTERY[name], F.q)
     rng = np.random.default_rng(len(X) * q)
     reg = regularity(X)
     for d in sorted({1, reg // 2, reg - 1} - {0}):
@@ -297,7 +297,7 @@ def test_isd_on_random_codes_matches_exhaustive_weight(case):
     [lower, value]."""
     C, q = case
     F = field_from_q(q)
-    X = enumerate_X(C, F)
+    X = enumerate_X(C, F.q)
     counts = walk_of(X).hilbert_counts
     for d in range(1, len(counts)):
         if q ** counts[d] > _MAX_MESSAGES:
@@ -314,7 +314,7 @@ def test_isd_on_random_codes_matches_exhaustive_weight(case):
 def _small_codes(case):
     """Every C_X(d) of a drawn clutter with at most _MAX_MESSAGES messages."""
     C, q = case
-    X = enumerate_X(C, field_from_q(q))
+    X = enumerate_X(C, q)
     counts = walk_of(X).hilbert_counts
     for d in range(1, len(counts)):
         if q ** counts[d] > _MAX_MESSAGES:
@@ -385,7 +385,7 @@ def test_searches_over_odd_extension_fields(q):
     # at k = 3 brute force adds the head words to words in the span of the
     # tail rows
     for s, d in [(2, 1), (2, 2), (3, 1)]:
-        cd = code(projective_torus(s, F), d)
+        cd = code(projective_torus(s, F.q), d)
         delta = torus_distance(q, s, d)
         R, pivots = rref(F, cd.generator)
         for cap, floor in itertools.product(
@@ -467,7 +467,7 @@ def test_transitive_bruteforce_weighs_first_coefficient_one(C, q, d):
     messages with first coefficient 1, for the delta that ISD finds.  The
     floor is dropped, as it would end three of the searches at the
     generator rows."""
-    cd = dataclasses.replace(code(enumerate_X(C, field_from_q(q)), d), floor=1)
+    cd = dataclasses.replace(code(enumerate_X(C, q), d), floor=1)
     k = cd.dimension
     result, words = _weighed_words(cd)
     assert words == k + q ** (k - 1)
@@ -519,7 +519,7 @@ def test_one_form_isd_enumerates_every_message(cd):
 @pytest.mark.parametrize("name", sorted(BATTERY))
 def test_isd_matches_bruteforce_on_battery(name, q):
     """Every C_X(d) below the regularity with at most 10^4 codeword classes."""
-    X = enumerate_X(BATTERY[name], field_from_q(q))
+    X = enumerate_X(BATTERY[name], q)
     counts = walk_of(X).hilbert_counts
     for d in range(1, len(counts) - 1):
         if (q ** counts[d] - 1) // (q - 1) > 10 ** 4:
@@ -532,14 +532,14 @@ def test_isd_matches_bruteforce_on_battery(name, q):
 def test_k5_gf5_d1_isd_exact():
     # n = 256, k = 10: the search stops after weight 5, where
     # ceil(256 * 6 / 10) = 154 >= 144
-    X = enumerate_X(BATTERY["K5"], field_from_q(5))
+    X = enumerate_X(BATTERY["K5"], 5)
     r = min_distance_isd(code(X, 1))
     assert r.exact and r.value == r.lower == 144
 
 
 class TestIntervals:
     def test_isd_stopped_reports_interval(self, k4):
-        cd = code(enumerate_X(k4, field_from_q(5)), 3)
+        cd = code(enumerate_X(k4, 5), 3)
         r = min_distance_isd(cd, time_budget=0.0)
         # nothing enumerated yet: only ceil(n/k) = ceil(64/44) is proven,
         # and the lightest systematic row is the witness
@@ -547,14 +547,30 @@ class TestIntervals:
         assert repr(r) == "DistanceResult([2, 4], isd)"
         assert int(np.count_nonzero(r.witness)) == 4
 
+    def test_isd_class_budget(self, k4):
+        # n = 64, k = 44, floor 1: weight 1 weighs 44 messages and weight 2
+        # C(44, 2) * 4 = 3784; Chen's bound is 2, 3, 5 after weights 0, 1, 2
+        cd = code(enumerate_X(k4, 5), 3)
+        assert (cd.length, cd.dimension, cd.floor) == (64, 44, 1)
+        stops = {43: (2, 4), 44: (3, 4), 44 + 3783: (3, 4)}
+        for budget, interval in stops.items():
+            r = min_distance_isd(cd, class_budget=budget)
+            assert not r.exact and (r.lower, r.value) == interval, budget
+            assert int(np.count_nonzero(r.witness)) == r.value
+        r = min_distance_isd(cd, class_budget=44 + 3784)
+        assert r.exact and r.value == 4
+        # min_distance hands the budget to the search it picks
+        r = min_distance(enumerate_X(k4, 5), 3, method="isd", class_budget=44)
+        assert not r.exact and (r.lower, r.value) == (3, 4)
+
     def test_exact_lower_equals_value(self, k4):
-        r = min_distance_isd(code(enumerate_X(k4, field_from_q(5)), 3))
+        r = min_distance_isd(code(enumerate_X(k4, 5), 3))
         assert r.exact and r.lower == r.value == 4
         assert repr(r) == "DistanceResult(4, isd, exact)"
 
     def test_bruteforce_time_budget(self, k4):
         F = field_from_q(4)
-        cd = code(enumerate_X(k4, F), 1)  # [27, 6]: six message blocks
+        cd = code(enumerate_X(k4, F.q), 1)  # [27, 6]: six message blocks
         r = min_distance_bruteforce(cd, time_budget=0.0)
         assert not r.exact and r.method == "bruteforce"
         # the floor is the lower end: delta = 12, its footprint bound 7
@@ -564,34 +580,34 @@ class TestIntervals:
 
 class TestMinDistance:
     def test_torus_formula_first(self, triangle):
-        X = enumerate_X(triangle, make_field(3, 2))
+        X = enumerate_X(triangle, 9)
         r = min_distance(X, 20)
         assert (r.value, r.method, r.exact) == (1, "formula", True)
 
     def test_regularity_shortcut(self, k4):
-        rep = distance_report(k4, enumerate_X(k4, make_field(3, 1)), 2)
+        rep = distance_report(k4, enumerate_X(k4, 3), 2)
         assert rep["delta"] == 1 and rep["delta_method"] == "regularity"
         assert rep["delta_exact"] and rep["delta_one_shortcut"]
 
     def test_forced_methods_skip_shortcut(self, k4):
-        X = enumerate_X(k4, make_field(3, 1))
+        X = enumerate_X(k4, 3)
         for method in ("bruteforce", "isd"):
             r = min_distance(X, 2, method)
             assert (r.value, r.method, r.exact) == (1, method, True)
 
     def test_class_budget_picks_isd(self, k4):
-        X = enumerate_X(k4, make_field(3, 1))
+        X = enumerate_X(k4, 3)
         r = min_distance(X, 1, class_budget=10)
         assert (r.value, r.method, r.exact) == (2, "isd", True)
 
     def test_class_budget_picks_bruteforce_at_messages(self, k4):
-        X = enumerate_X(k4, make_field(3, 1))
+        X = enumerate_X(k4, 3)
         messages = 3 ** (code(X, 1).dimension - 1)
         assert min_distance(X, 1, class_budget=messages).method == "bruteforce"
         assert min_distance(X, 1, class_budget=messages - 1).method == "isd"
 
     def test_rejects_degree_zero(self, k4):
-        X = enumerate_X(k4, make_field(3, 1))
+        X = enumerate_X(k4, 3)
         with pytest.raises(ValueError):
             min_distance(X, 0)
 
@@ -602,7 +618,7 @@ def test_floor_is_the_torus_distance(s, q):
     """On the torus in P^(s-1) the footprint bound is exact: it equals the
     closed formula below the regularity (q-2)(s-1), counted one monomial
     per block too, and is 1 from there on."""
-    walk = walk_of(projective_torus(s, field_from_q(q)))
+    walk = walk_of(projective_torus(s, q))
     assert walk.regularity == (q - 2) * (s - 1)
     degrees = range(1, walk.regularity + 2)
     expected = [torus_distance(q, s, d) for d in degrees]
@@ -619,7 +635,7 @@ def test_searches_stop_at_the_floor(C, q, d):
     torus in P^(s-1); there the floor is delta, and the lightest row of
     the RREF meets it: both searches return delta exactly without building
     the table S."""
-    X = enumerate_X(C, field_from_q(q))
+    X = enumerate_X(C, q)
     cd = code(X, d)
     delta = torus_distance(q, X.s, d)
     R, pivots = rref(cd.field, cd.generator)

@@ -64,7 +64,7 @@ def _check_presentation(X):
 def test_clutter_presentation(case):
     C, q = case
     F = field_from_q(q)
-    X = enumerate_X(C, F)
+    X = enumerate_X(C, F.q)
     assert np.array_equal(X.logs, oracle_enumerate_X(C, F))
     assert len(X) == size_of_X(C, q)
     _check_presentation(X)
@@ -83,7 +83,7 @@ def test_smith_transform(case):
     d = [*factors, *[0] * (C.n - len(factors))]
     B = difference_matrix(C).tolist()
     BQ = [[sum(b * Q[k][j] for k, b in enumerate(row)) for j in range(C.n)] for row in B]
-    X = enumerate_X(C, field_from_q(q))
+    X = enumerate_X(C, q)
     assert X.orders == tuple(m // gcd(m, dj) for dj in d)
     for i, row in enumerate(BQ):
         for j, x in enumerate(row):
@@ -97,7 +97,7 @@ def test_smith_transform(case):
 def test_torus_presentation(q, s):
     m = q - 1
     assume(m ** (s - 1) <= 4096)
-    T = projective_torus(s, field_from_q(q))
+    T = projective_torus(s, q)
     assert T.orders == (m,) * (s - 1) and np.array_equal(T.chars, T.gens)
     rows = [(0, *b) for b in itertools.product(range(m), repeat=s - 1)]
     assert T.logs.tolist() == [list(r) for r in rows]
@@ -115,7 +115,7 @@ _CSV_CASES = [
 
 @pytest.mark.parametrize("name,q", _CSV_CASES)
 def test_points_csv_matches_per_row_form(name, q):
-    X = enumerate_X(BATTERY[name], field_from_q(q))
+    X = enumerate_X(BATTERY[name], q)
     assert points_csv(X) == oracle_points_csv(X)
 
 
@@ -124,6 +124,6 @@ def test_budget_before_building():
     # budget of one point less, are refused from the orders alone
     F = field_from_q(9)
     with pytest.raises(BudgetExceededError, match=f"{8 ** 7} points"):
-        projective_torus(8, F, budget=8 ** 7 - 1)
+        projective_torus(8, F.q, budget=8 ** 7 - 1)
     with pytest.raises(BudgetExceededError, match=f"{8 ** 6} points"):
-        enumerate_X(BATTERY["C7"], F, budget=8 ** 6 - 1)
+        enumerate_X(BATTERY["C7"], F.q, budget=8 ** 6 - 1)

@@ -26,7 +26,7 @@ from toriccode import (
     size_of_X,
     smith_normal_form,
 )
-from toriccode.toric_set import points_csv
+from toriccode.toric_set import ToricSet, points_csv
 
 
 def _as_enc_set(X):
@@ -42,7 +42,7 @@ class TestEnumerate:
     def test_matches_bruteforce_oracle(self, name, q):
         C = BATTERY[name]
         F = field_from_q(q)
-        X = enumerate_X(C, F)
+        X = enumerate_X(C, F.q)
         assert _as_enc_set(X) == oracle_toric_points(C, F)
 
     @pytest.mark.parametrize("q", [3, 4])
@@ -50,24 +50,24 @@ class TestEnumerate:
         # row i of gens is the character of t_i: the points are gens @ a
         F = field_from_q(q)
         m = F.q - 1
-        for X in (enumerate_X(BATTERY["U4"], F), projective_torus(3, F)):
+        for X in (enumerate_X(BATTERY["U4"], F.q), projective_torus(3, F.q)):
             A = np.array(list(itertools.product(range(m), repeat=X.gens.shape[1])))
             assert {tuple(r) for r in (A @ X.gens.T) % m} == {tuple(r) for r in X.logs}
 
     def test_triangle_gf9_size(self, triangle):
-        X = enumerate_X(triangle, make_field(3, 2))
+        X = enumerate_X(triangle, 9)
         assert len(X) == 64
 
     def test_k4_sizes(self, k4):
-        assert len(enumerate_X(k4, make_field(3, 1))) == 8
-        assert len(enumerate_X(k4, make_field(2, 2))) == 27
+        assert len(enumerate_X(k4, 3)) == 8
+        assert len(enumerate_X(k4, 4)) == 27
 
     @pytest.mark.parametrize("name", sorted(BATTERY))
     @pytest.mark.parametrize("q", [3, 4])
     def test_size_divides_torus_order(self, name, q):
         # X is a subgroup of the projective torus
         F = field_from_q(q)
-        X = enumerate_X(BATTERY[name], F)
+        X = enumerate_X(BATTERY[name], F.q)
         assert (F.q - 1) ** (X.s - 1) % len(X) == 0
 
     @pytest.mark.parametrize("q", [3, 4, 5])
@@ -75,12 +75,12 @@ class TestEnumerate:
         F = field_from_q(q)
         for name in NON_BIPARTITE:
             C = BATTERY[name]
-            assert len(enumerate_X(C, F)) == (F.q - 1) ** (C.n - 1)
+            assert len(enumerate_X(C, F.q)) == (F.q - 1) ** (C.n - 1)
 
     def test_group_closure(self, triangle):
         # coordinatewise product of two points of X lies in X
         F = make_field(3, 2)
-        X = enumerate_X(triangle, F)
+        X = enumerate_X(triangle, F.q)
         logs = X.logs
         pts = {tuple(r) for r in logs}
         m = F.q - 1
@@ -91,29 +91,52 @@ class TestEnumerate:
             assert prod in pts
 
     def test_first_log_coordinate_zero(self, k4):
-        X = enumerate_X(k4, make_field(2, 2))
+        X = enumerate_X(k4, 4)
         assert np.all(X.logs[:, 0] == 0)
 
     def test_rows_strictly_sorted_unique(self, k4):
-        X = enumerate_X(k4, make_field(3, 1))
+        X = enumerate_X(k4, 3)
         logs = [tuple(r) for r in X.logs]
         assert logs == sorted(set(logs))
 
     def test_budget(self, triangle):
         with pytest.raises(BudgetExceededError):
-            enumerate_X(triangle, make_field(3, 2), budget=7)
+            enumerate_X(triangle, 9, budget=7)
 
     def test_logs_read_only(self, triangle):
-        X = enumerate_X(triangle, make_field(3, 1))
+        X = enumerate_X(triangle, 3)
         with pytest.raises(ValueError):
             X.logs[0, 0] = 1
+
+    def test_field_and_points_built_on_first_use(self, k4):
+        X = enumerate_X(k4, 4)
+        assert (len(X), X.s, X.q) == (27, 6, 4)
+        assert repr(X).startswith("ToricSet(27 points in P^5 over GF(4), X(Clutter(n=4")
+        assert "field" not in vars(X) and "logs" not in vars(X)
+        logs = X.logs
+        assert logs is X.logs and X.field is field_from_q(4)
+        assert logs.shape == (27, 6)
+
+    @pytest.mark.parametrize("q", [1, 2, 6, 2 ** 17])
+    def test_bad_field_size(self, k4, q):
+        with pytest.raises(ValueError):
+            enumerate_X(k4, q)
+        with pytest.raises(ValueError):
+            projective_torus(3, q)
+
+    def test_presentation_checked(self):
+        gens = np.eye(3, 2, k=-1, dtype=np.int64)
+        for orders, chars in [((4, 4, 4), gens), ((4, 3), gens), ((4, 0), gens),
+                              ((4, 4), gens * 4), ((4, 4), -gens)]:
+            with pytest.raises(ValueError):
+                ToricSet(5, gens, orders, chars, "T")
 
 
 def _check_against_tuple_walk(C, q):
     # the subgroup closure, and the closed form prod m/gcd(m, d_i) over the
     # Smith invariant factors d_i of the difference matrix, against the
     # walk over all (q-1)^n tuples
-    X = enumerate_X(C, field_from_q(q))
+    X = enumerate_X(C, q)
     walked = oracle_enumerate_X(C, X.field)
     assert np.array_equal(X.logs, walked)
     assert size_of_X(C, q) == len(walked)
@@ -133,7 +156,7 @@ TORSION = parse_clutter({"n": 5, "edges": [[1, 2, 3], [2, 4], [1, 5], [3, 4, 5]]
 
 @pytest.mark.parametrize("q", [3, 4, 5, 9])
 def test_torsion_matches_tuple_walk(q):
-    X = enumerate_X(TORSION, field_from_q(q))
+    X = enumerate_X(TORSION, q)
     assert smith_normal_form(X.gens).invariant_factors == [1, 1, 2]
     _check_against_tuple_walk(TORSION, q)
 
@@ -152,24 +175,24 @@ def test_random_clutters_match_tuple_walk(case):
 class TestTorus:
     @pytest.mark.parametrize("s,q", [(2, 3), (3, 3), (3, 4), (4, 3), (2, 9)])
     def test_order(self, s, q):
-        T = projective_torus(s, field_from_q(q))
+        T = projective_torus(s, q)
         assert len(T) == (q - 1) ** (s - 1)
         assert equals_torus(T)
 
     def test_tree_parameterizes_torus(self):
         for q in (3, 4, 5):
-            X = enumerate_X(BATTERY["P3"], field_from_q(q))
+            X = enumerate_X(BATTERY["P3"], q)
             assert equals_torus(X)
 
     def test_even_cycle_does_not(self):
-        X = enumerate_X(BATTERY["C4"], make_field(3, 1))
+        X = enumerate_X(BATTERY["C4"], 3)
         assert not equals_torus(X)
 
     def test_torus_contains_every_X(self, battery):
         F = make_field(3, 1)
         for C in battery.values():
-            X = enumerate_X(C, F)
-            T = projective_torus(X.s, F)
+            X = enumerate_X(C, F.q)
+            T = projective_torus(X.s, F.q)
             tset = {tuple(r) for r in T.logs}
             assert all(tuple(r) in tset for r in X.logs)
 
@@ -186,7 +209,7 @@ class TestProfileAndCsv:
     @pytest.mark.parametrize("q", [3, 4, 5])
     def test_profile_agrees_with_points(self, battery, q):
         for C in battery.values():
-            X = enumerate_X(C, field_from_q(q))
+            X = enumerate_X(C, q)
             body = profile(C, q)
             assert body["points"] == len(X)
             assert body["equals_ambient_torus"] == equals_torus(X)
@@ -202,7 +225,7 @@ class TestProfileAndCsv:
 
     def test_points_csv_round_trip(self, triangle):
         F = make_field(3, 1)
-        X = enumerate_X(triangle, F)
+        X = enumerate_X(triangle, F.q)
         text = points_csv(X)
         lines = text.strip().splitlines()
         assert lines[0] == "t1,t2,t3"
