@@ -16,7 +16,7 @@ from .eval_code import (
     hilbert_function,
     regularity,
 )
-from .finite_field import FieldElement, FiniteField, field_from_q, make_field
+from .finite_field import FiniteField, field_from_q, make_field
 from .intlattice import (
     CiReport,
     ci_classify,
@@ -39,7 +39,6 @@ from .vanishing_ideal import (
     degree_complexity,
     hilbert_IA,
     interpolate_gb,
-    vanishing_defect,
     verify_gb_structure,
 )
 
@@ -51,7 +50,6 @@ __all__ = [
     "Clutter",
     "ClutterError",
     "DistanceResult",
-    "FieldElement",
     "FiniteField",
     "IncidenceMatrix",
     "LinearCode",
@@ -85,6 +83,5 @@ __all__ = [
     "smith_normal_form",
     "torus_distance",
     "uniformity",
-    "vanishing_defect",
     "verify_gb_structure",
 ]

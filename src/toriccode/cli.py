@@ -155,6 +155,7 @@ def _point_inputs(args):
     """(C, X): _lattice_inputs, then X as its Smith presentation, within
     the budget _lattice_inputs has checked.  X builds GF(q) and its points
     only when a code is evaluated."""
+    # clutter_set, not enumerate_X: perfbench/tracing.py reads enumerate_X's q as a field
     C, q, _ = _lattice_inputs(args)
     if C is None:
         return None, projective_torus(args.torus, q, budget=args.budget)
@@ -283,7 +284,7 @@ def _cmd_ci(args) -> int:
 def _cmd_groebner(args) -> int:
     _, X = _point_inputs(args)
     G = interpolate_gb(X)
-    checks = verify_gb_structure(G, X.q)
+    checks = verify_gb_structure(G)
     if args.fmt == "json":
         # every element is t^lead - t^tail: coefficient indices 1 and that of -1
         minus_one = minus_one_index(X.q)

@@ -4,14 +4,15 @@ Degree-d forms are evaluated at the canonical representatives of X; since
 those have first coordinate 1, plain evaluation already agrees with the
 normalization by t1^d.
 
-On X the monomial t^e is the character with key e @ X.gens mod q-1, and
-distinct characters of a finite group are linearly independent (Artin).
-So two degree-d monomials agree on X exactly when their keys agree, I(X)
-is spanned by the binomials t^e - t^e' of equal keys, and the revlex-least
-monomial of each key is standard.  In the Smith coordinates of X
-(`ToricSet.orders`, `ToricSet.chars`) a character is a vector c with
-0 <= c_j < o_j, labelled by its mixed-radix value in [0, |X|); multiplying
-by t_i adds c(t_i), so one table (`shift_table`) moves every label.
+On X the monomial t^e is a character, and distinct characters of a
+finite group are linearly independent (Artin).  In the Smith coordinates
+of X (`ToricSet.orders`, `ToricSet.chars`) the character of t^e is the
+vector c = e @ X.chars mod X.orders, with 0 <= c_j < o_j, labelled by its
+mixed-radix value in [0, |X|).  So two degree-d monomials agree on X
+exactly when their labels agree, I(X) is spanned by the binomials
+t^e - t^e' of equal degree and label, and the revlex-least monomial of
+each label is standard.  Multiplying by t_i adds c(t_i), so one table
+(`shift_table`) moves every label.
 
 Every point of X has unit coordinates, so ts is a nonzerodivisor mod I(X),
 and in revlex then mod the initial ideal too (Bayer-Stillman): Delta_d,
@@ -44,7 +45,6 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -74,7 +74,11 @@ def shift_table(chars: np.ndarray, orders) -> np.ndarray:
 
 
 def standard_walk(shift: np.ndarray):
-    """Yield (N_d, labels of N_d) for d = 0, 1, ..., r, r the regularity.
+    """Yield the walk through N_d, for d = 0, 1, ..., r, r the regularity:
+    (rows, labels, last), the monomials of N_0, ..., N_d one after another,
+    the label of each and its last variable below ts (0 for the monomial
+    1).  Each is a prefix of one array of |X| entries that the walk fills
+    degree by degree, so the last yield is all of it.
 
     N_d holds the degree-d standard monomials prime to ts, in ascending
     revlex.  A monomial u stands for the character key(u) - deg(u) key(ts),
@@ -103,7 +107,7 @@ def standard_walk(shift: np.ndarray):
     owner[0] = 0
     descending = np.arange(s - 2, -1, -1)[:, None]
     lo, hi = 0, 1
-    yield rows[:1], labels[:1]
+    yield rows[:1], labels[:1], last[:1]
     while lo < hi < size:
         v, parent = np.nonzero(last[lo:hi] <= descending)
         parent += lo
@@ -124,7 +128,7 @@ def standard_walk(shift: np.ndarray):
         last[hi:end] = i
         owner[labels[hi:end]] = index
         lo, hi = hi, end
-        yield rows[lo:hi], labels[lo:hi]
+        yield rows[:hi], labels[:hi], last[:hi]
 
 
 def evaluate_rows(X: ToricSet, E: np.ndarray) -> np.ndarray:
@@ -165,33 +169,34 @@ class StandardWalk:
     """The standard monomials of X from one walk, taken at construction
     through the regularity r.
 
-    ``artinian`` holds N_0, ..., N_r, |X| monomials in all; N_d is empty
-    past r.  ``h_vector`` is (|N_0|, ..., |N_r|) and ``hilbert_counts`` is
-    (H_X(0), ..., H_X(r)).  All are read-only, as `walk_of` hands one walk
-    to every caller that asks about X.
+    ``rows`` holds N_0, ..., N_r one after another, |X| monomials in all
+    (N_d is empty past r), ``labels`` the label of each and ``last`` its
+    last variable below ts: the arrays of the walk.  N_d is the slice
+    ``rows[H_X(d-1):H_X(d)]``.  ``h_vector`` is (|N_0|, ..., |N_r|) and
+    ``hilbert_counts`` is (H_X(0), ..., H_X(r)).  All are read-only, as
+    `walk_of` hands one walk to every caller that asks about X.
     """
 
     def __init__(self, X: ToricSet):
         # the walk keeps no reference to X, so the memo of walk_of does not
         # keep X alive
         self._shift = shift_table(X.chars, X.orders)
-        artinian, labels = [], []
-        for N, L in standard_walk(self._shift):
-            N.setflags(write=False)
-            artinian.append(N)
-            labels.append(L)
-        self._labels = np.concatenate(labels)
-        self.artinian = tuple(artinian)
-        self.h_vector = tuple(len(N) for N in self.artinian)
-        self.hilbert_counts = tuple(accumulate(self.h_vector))
-        self.regularity = len(self.artinian) - 1
+        ends = []
+        for rows, labels, last in standard_walk(self._shift):
+            ends.append(len(rows))
+        for a in (rows, labels, last):
+            a.setflags(write=False)
+        self.rows, self.labels, self.last = rows, labels, last
+        self.hilbert_counts = tuple(ends)
+        self.h_vector = tuple(b - a for a, b in zip((0, *ends), ends))
+        self.regularity = len(ends) - 1
 
     def standard(self, d: int) -> np.ndarray:
         """Delta_d = ts^d N_0, ts^(d-1) N_1, ..., N_d in ascending revlex."""
-        blocks = [N.copy() for N in self.artinian[: d + 1]]
-        for j, N in enumerate(blocks):
-            N[:, -1] += d - j
-        return np.concatenate(blocks)
+        h = self.h_vector[: d + 1]
+        delta = self.rows[: sum(h)].copy()
+        delta[:, -1] += np.repeat(d - np.arange(len(h)), h)  # ts^(d-j) N_j
+        return delta
 
     def hilbert(self, d: int) -> int:
         """H_X(d) = |N_0| + ... + |N_d|."""
@@ -206,7 +211,7 @@ class StandardWalk:
         if d >= self.regularity:
             return 1
         # the N_j are prime to ts: their other exponents are the affine ones
-        standard = np.concatenate(self.artinian)[:, :-1]
+        standard = self.rows[:, :-1]
         bounded = standard[: self.hilbert(d)]
         block = max(1, _CELL_CAP // standard.size)
         return min(
@@ -231,19 +236,16 @@ class StandardWalk:
         the label inverse[k, label(p)].  Its tail is the owner of its label
         times ts^(d - j), d its degree and j that of the owner.
         """
-        rows = np.concatenate(self.artinian)
+        rows, labels, last, shift = self.rows, self.labels, self.last, self._shift
         size, s = rows.shape
-        shift, labels = self._shift, self._labels
         index = np.arange(size)
         owner = np.empty(size, dtype=np.int64)
         owner[labels] = index
         inverse = np.empty_like(shift)
         inverse[np.arange(s - 1)[:, None], shift] = index
         degree = np.repeat(np.arange(len(self.h_vector)), self.h_vector)
-        last = s - 2 - np.argmax(rows[1:, -2::-1] > 0, axis=1)
         standard = np.zeros((s - 1, size), dtype=bool)  # whether p t_i is standard, by [i, p]
-        standard[last, owner[inverse[last, labels[1:]]]] = True
-        last = np.concatenate(([0], last))
+        standard[last[1:], owner[inverse[last[1:], labels[1:]]]] = True
 
         descending = np.arange(s - 2, -1, -1)[:, None]
         v, p = np.nonzero((last <= descending) & ~standard[::-1])

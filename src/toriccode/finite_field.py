@@ -8,10 +8,11 @@ Fields are constructed deterministically:
   of multiplicative order q-1.
 
 Elements are encoded as integers in [0, q): the base-p digits of the
-encoding are the coordinates in the power basis 1, x, ..., x^(k-1).
-Besides scalar elements the field exposes vectorized kernels (add, mul,
-inv, ...) that act on numpy arrays of encodings; the rest of the package
-does its linear algebra through these.
+encoding are the coordinates in the power basis 1, x, ..., x^(k-1).  The
+tables `exp` and `log` map i to the encoding of g^i, g the primitive
+element (`exp[1]`), and back.  The field exposes vectorized kernels (add,
+mul, inv, ...) that act on numpy arrays of encodings; the rest of the
+package does its linear algebra through these.
 
 For many additions in a row there is a packed form (`pack`, `add_packed`,
 `unpack`).  Each base-p digit sits in its own field of b+1 bits,
@@ -135,7 +136,6 @@ class FiniteField:
         self.log[self.exp] = np.arange(q - 1)
         if (self.log[1:] < 0).any():
             raise AssertionError("primitive element order mismatch")
-        self._primitive_enc = prim
 
         self._add_table = self._mul_table = None
         if q <= _TABLE_LIMIT:
@@ -296,21 +296,6 @@ class FiniteField:
         r = self.exp[(self.q - 1 - self.log[a]) % (self.q - 1)]
         return r.astype(self.dtype)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def pow_int(self, a, e: int):
-        """Elementwise a**e for a python integer exponent of any sign."""
-        a = np.asarray(a, dtype=np.int64)
-        zero = a == 0
-        if e == 0:
-            return np.ones_like(a).astype(self.dtype)  # 0**0 == 1 convention
-        if e < 0 and np.any(zero):
-            raise ZeroDivisionError("negative power of zero")
-        la = self.log[np.where(zero, 1, a)]
-        r = self.exp[(la * (e % (self.q - 1))) % (self.q - 1)]
-        return np.where(zero, 0, r).astype(self.dtype)
-
     def sum_axis(self, a, axis=0):
         """Field sum along an axis of an encoding array."""
         a = np.asarray(a)
@@ -349,171 +334,8 @@ class FiniteField:
             enc += ((x >> shift) & self._digit_mask).astype(np.int64) * weight
         return enc.astype(self.dtype)
 
-    # -- elements and serialization --
-
-    def element(self, value) -> "FieldElement":
-        """Element from an encoding int or a coefficient tuple.
-
-        A bare int is always the encoding sum(c_i p^i), identical to how
-        the vectorized kernels and the tables index elements.
-        """
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise ValueError("element belongs to a different field")
-            return value
-        if isinstance(value, (tuple, list)):
-            if len(value) != self.k:
-                raise ValueError(f"need {self.k} coefficients")
-            enc = sum((int(c) % self.p) * self.p ** i for i, c in enumerate(value))
-            return FieldElement(self, enc)
-        return FieldElement(self, int(value))
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    @property
-    def primitive(self) -> "FieldElement":
-        return FieldElement(self, self._primitive_enc)
-
-    def units(self) -> list["FieldElement"]:
-        """All nonzero elements, ordered as successive powers of the primitive."""
-        return [FieldElement(self, int(e)) for e in self.exp]
-
-    def to_index(self, enc: int) -> int:
-        """Serialize: 0 for zero, i+1 for primitive**i."""
-        if enc == 0:
-            return 0
-        return int(self.log[enc]) + 1
-
-    def from_index(self, idx: int) -> int:
-        if idx == 0:
-            return 0
-        if not 1 <= idx <= self.q - 1:
-            raise ValueError(f"index {idx} out of range for GF({self.q})")
-        return int(self.exp[idx - 1])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FiniteField)
-            and self.p == other.p
-            and self.k == other.k
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.k, self.modulus))
-
     def __repr__(self):
         return f"GF({self.q})"
-
-
-class FieldElement:
-    """Immutable element of a FiniteField, with operator arithmetic."""
-
-    __slots__ = ("field", "enc")
-
-    def __init__(self, field: FiniteField, enc: int):
-        if not 0 <= enc < field.q:
-            raise ValueError(f"encoding {enc} out of range for {field!r}")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "enc", int(enc))
-
-    def __setattr__(self, *a):
-        raise AttributeError("FieldElement is immutable")
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return tuple(_digits_of(self.enc, self.field.p, self.field.k))
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError("operands from different fields")
-            return other
-        if isinstance(other, (int, np.integer)):
-            return self.field.element(int(other))
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, int(self.field.add(self.enc, o.enc)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FieldElement(self.field, int(self.field.neg(self.enc)))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, int(self.field.sub(self.enc, o.enc)))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, int(self.field.sub(o.enc, self.enc)))
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, int(self.field.mul(self.enc, o.enc)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, int(self.field.div(self.enc, o.enc)))
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, int(self.field.div(o.enc, self.enc)))
-
-    def __pow__(self, e):
-        if not isinstance(e, (int, np.integer)):
-            return NotImplemented
-        return FieldElement(self.field, int(self.field.pow_int(self.enc, int(e))))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.enc == other.enc
-        if isinstance(other, (int, np.integer)):
-            return self == self.field.element(int(other))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.enc))
-
-    def __bool__(self):
-        return self.enc != 0
-
-    def __repr__(self):
-        if self.field.k == 1:
-            return f"{self.enc}#GF({self.field.q})"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                v = "x" if i == 1 else f"x^{i}"
-                terms.append(v if c == 1 else f"{c}*{v}")
-        body = "+".join(terms) if terms else "0"
-        return f"{body}#GF({self.field.q})"
 
 
 def field_order(p: int, k: int) -> int:

@@ -37,6 +37,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .clutter import Clutter, uniformity
+from .finite_field import field_order, prime_power
 
 
 def _to_int_rows(M) -> list[list[int]]:
@@ -270,8 +271,7 @@ def incidence_rank(C: Clutter) -> int:
 def phi_injective(C: Clutter, q: int) -> bool:
     """Injectivity of multiplication by q-1 on Z^n / Z{v_i - v_1}: no
     torsion factor of the quotient shares a prime with q-1."""
-    if q < 3:
-        raise ValueError("need q >= 3")
+    field_order(*prime_power(q))
     return all(gcd(q - 1, d) == 1 for d in difference_factors(C))
 
 
@@ -285,15 +285,14 @@ class CiReport:
 
 
 def ci_classify(C: Clutter, q: int) -> CiReport:
-    """Complete-intersection classification for uniform clutters, q >= 3:
+    """Complete-intersection classification for uniform clutters over GF(q):
     I(X) is a complete intersection when the edge vectors are independent
     (incidence_rank) and phi_injective holds (difference_factors).
 
     For non-uniform clutters the algebraic test is out of scope and the
     report says so (applicable = False).
     """
-    if q < 3:
-        raise ValueError("need q >= 3")
+    field_order(*prime_power(q))
     uniform, _ = uniformity(C)
     if not uniform:
         return CiReport(

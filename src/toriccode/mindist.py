@@ -68,7 +68,7 @@ import numpy as np
 from .clutter import Clutter, uniformity
 from .errors import BudgetExceededError
 from .eval_code import _CELL_CAP, LinearCode, code, walk_of
-from .finite_field import FiniteField
+from .finite_field import FiniteField, field_order, prime_power
 from .intlattice import incidence_rank
 from .toric_set import ToricSet, equals_torus
 
@@ -289,8 +289,7 @@ def min_distance_isd(
 def torus_distance(q: int, n: int, d: int) -> int:
     """Closed-form minimum distance of the degree-d code on the full torus
     in P^(n-1) over GF(q)."""
-    if q < 3:
-        raise ValueError("need q >= 3")
+    field_order(*prime_power(q))
     if n < 2:
         raise ValueError("need n >= 2")
     if d < 1:

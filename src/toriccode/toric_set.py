@@ -57,16 +57,13 @@ class ToricSet:
     """A finite set of all-unit projective points over GF(q), given by its
     Smith presentation.
 
-    ``gens`` is an s x n integer matrix whose row i is the character of
-    t_i: X is the image of (Z/(q-1))^n under a -> gens @ a mod q-1, so the
-    monomial t^e takes the value g^(a . (e @ gens)) at the point of a.
-
     ``orders`` (o_1, ..., o_n) and ``chars`` are the Smith presentation of
     X as prod Z/o_j (see the module docstring): |X| is the product of the
     orders, and row i of the s x n matrix ``chars`` holds the character
     coordinates of t_i, c_j in [0, o_j).  The character of t^e is e @ chars
-    mod o, and its label sum_j c_j prod_(i<j) o_i is a bijection from the
-    characters of X onto [0, |X|).
+    mod o: t^e takes the value g^(sum_j (m/o_j) c_j b_j), m = q-1, at the
+    point of b in the box prod [0, o_j).  Its label sum_j c_j prod_(i<j) o_i
+    is a bijection from the characters of X onto [0, |X|).
 
     The field and the points are derived on first use and kept: ``field``
     is GF(q) (`field_from_q`), and ``logs`` is the |X| x s integer matrix of
@@ -75,30 +72,18 @@ class ToricSet:
     construction.
     """
 
-    def __init__(
-        self,
-        q: int,
-        gens: np.ndarray,
-        orders: tuple[int, ...],
-        chars: np.ndarray,
-        source: str,
-    ):
+    def __init__(self, q: int, orders: tuple[int, ...], chars: np.ndarray, source: str):
         field_order(*prime_power(q))
-        gens = np.array(gens, dtype=np.int64)
         chars = np.array(chars, dtype=np.int64)
-        if gens.ndim != 2 or chars.ndim != 2:
-            raise ValueError("gens and chars must be 2-d")
-        if gens.shape[0] != chars.shape[0]:
-            raise ValueError("gens and chars need one row per coordinate")
+        if chars.ndim != 2:
+            raise ValueError("chars must be 2-d")
         if len(orders) != chars.shape[1] or any(o < 1 or (q - 1) % o for o in orders):
             raise ValueError("orders need one entry per column of chars, each dividing q-1")
         if chars.size and (chars.min() < 0 or (chars >= np.array(orders)).any()):
             raise ValueError("character coordinates out of range")
         self.q = q
-        self.gens = gens
         self.chars = chars
-        for a in (gens, chars):
-            a.setflags(write=False)
+        chars.setflags(write=False)
         self.orders = tuple(int(o) for o in orders)
         self.source = source
 
@@ -157,8 +142,9 @@ def _within(X: ToricSet, budget: int) -> ToricSet:
 
 def size_of_X(C: Clutter, q: int) -> int:
     """|X| over GF(q) without building X: prod m/gcd(m, d_i), m = q-1, over
-    the Smith invariant factors d_i of the difference matrix."""
-    m = q - 1
+    the Smith invariant factors d_i of the difference matrix.  q must name
+    a field (`field_order`)."""
+    m = field_order(*prime_power(q)) - 1
     return prod(m // gcd(m, d) for d in difference_factors(C))
 
 
@@ -181,7 +167,7 @@ def clutter_set(C: Clutter, q: int) -> ToricSet:
     # B Q mod m is divisible by gcd(m, d_j) in column j, as B Q is by d_j
     Q = np.array([[x % m for x in row] for row in facts.transform], dtype=np.int64)
     chars = B @ Q % m // unit
-    return ToricSet(q, B, tuple((m // unit).tolist()), chars, f"X({C})")
+    return ToricSet(q, tuple((m // unit).tolist()), chars, f"X({C})")
 
 
 def enumerate_X(C: Clutter, q: int, budget: int = DEFAULT_ENUM_BUDGET) -> ToricSet:
@@ -197,14 +183,15 @@ def projective_torus(s: int, q: int, budget: int = DEFAULT_ENUM_BUDGET) -> Toric
     """The torus T in P^(s-1) over GF(q): all points with every coordinate
     nonzero.
 
-    Its presentation is that of enumerate_X for gens [0; I_(s-1)], which
-    is already in Smith form: Q = I and every order is q-1.  The budget
-    bounds |T| = (q-1)^(s-1) in the same way.
+    Its presentation is that of enumerate_X for the generator matrix
+    [0; I_(s-1)], which is already in Smith form: Q = I, every order is
+    q-1, and the character coordinates are that matrix.  The budget bounds
+    |T| = (q-1)^(s-1) in the same way.
     """
     if s < 2:
         raise ValueError("need s >= 2")
-    gens = np.eye(s, s - 1, k=-1, dtype=np.int64)  # [0; I_(s-1)]
-    return _within(ToricSet(q, gens, (q - 1,) * (s - 1), gens, f"T(s={s})"), budget)
+    chars = np.eye(s, s - 1, k=-1, dtype=np.int64)  # [0; I_(s-1)]
+    return _within(ToricSet(q, (q - 1,) * (s - 1), chars, f"T(s={s})"), budget)
 
 
 def equals_torus(X: ToricSet) -> bool:

@@ -1,8 +1,9 @@
 """Reduced revlex Groebner basis of the vanishing ideal I(X).
 
-On X the monomial t^e is the character with key e @ X.gens mod q-1, and
-distinct characters are linearly independent (Artin).  So I(X) is spanned
-by the binomials t^e - t^e' of equal degree and key: it is a lattice ideal,
+On X the monomial t^e is a character, with Smith coordinates
+e @ X.chars mod X.orders (see `toric_set`), and distinct characters are
+linearly independent (Artin).  So I(X) is spanned by the binomials
+t^e - t^e' of equal degree and equal character: it is a lattice ideal,
 and its reduced revlex basis consists of such binomials.  Every point of X
 has unit coordinates, so ts is a nonzerodivisor mod I(X) and mod its
 revlex initial ideal: no leading term is divisible by ts.  The basis
@@ -12,30 +13,29 @@ monomials prime to ts, r the regularity (the least degree with |X|
 standard monomials).  One pass over them
 (`eval_code.StandardWalk.reduced_basis`) finds the leading terms t^e, the
 products of a monomial of some N_d and a variable whose divisors are all
-standard, each with the standard monomial of its key as the tail of its
-basis element t^e - tail.  They have degree at most r+1, since N_(r+1) is
+standard, each with the standard monomial of its character as the tail of
+its basis element t^e - tail.  They have degree at most r+1, since N_(r+1) is
 empty.  The basis stays in two integer arrays, the exponents of the leading
 terms and of the tails (`ReducedGB.leads`, `ReducedGB.tails`); every
 element is t^lead - t^tail, so its coefficients are 1 and -1 in any field,
 and the structure checks, the degree complexity and the written basis
-read those arrays: none builds GF(q) or a point of X.  Only
-`vanishing_defect` reads the points.  `ReducedGB.elements` gives the basis
-as `HomogPoly` objects on request.
+read those arrays: none builds GF(q) or a point of X.
+`ReducedGB.elements` gives the basis as `HomogPoly` objects on request.
 `binomial_in_IX` needs no points either: two monomials of one degree agree
 on X exactly when A maps their exponents to the same class mod q-1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .clutter import Clutter, incidence
 from .errors import BudgetExceededError
-from .eval_code import _CELL_CAP, walk_of
-from .finite_field import FiniteField, prime_power
+from .eval_code import walk_of
+from .finite_field import field_order, prime_power
 from .toric_set import ToricSet
 
 
@@ -46,39 +46,6 @@ class HomogPoly:
 
     terms: tuple[tuple[tuple[int, ...], int], ...]  # sorted descending revlex
     lead: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return sum(self.lead)
-
-    def is_binomial(self) -> bool:
-        return len(self.terms) == 2
-
-    def support_disjoint(self) -> bool:
-        if len(self.terms) != 2:
-            return False
-        (a, _), (b, _) = self.terms
-        return all(x == 0 or y == 0 for x, y in zip(a, b))
-
-    def term_string(self, F: FiniteField) -> str:
-        parts = []
-        for expo, enc in self.terms:
-            mono = _mono_str(expo)
-            if enc == 1:
-                coeff = ""
-            elif enc == int(F.neg(1)):
-                coeff = "-"
-            else:
-                coeff = f"g^{int(F.log[enc])}*"
-            if not parts:
-                parts.append(f"{coeff}{mono}" if coeff != "-" else f"-{mono}")
-            elif coeff == "-":
-                parts.append(f"- {mono}")
-            elif coeff == "":
-                parts.append(f"+ {mono}")
-            else:
-                parts.append(f"+ {coeff}{mono}")
-        return " ".join(parts)
 
 
 def _mono_str(expo) -> str:
@@ -92,8 +59,9 @@ def _mono_str(expo) -> str:
 
 
 def minus_one_index(q: int) -> int:
-    """The serialization index (`FiniteField.to_index`) of -1 in GF(q), in
-    closed form: -1 = g^((q-1)/2) for odd q, and -1 = 1 = g^0 for even q."""
+    """The serialization index (log + 1, as `toric_set.points_csv` writes
+    points) of -1 in GF(q), in closed form: -1 = g^((q-1)/2) for odd q, and
+    -1 = 1 = g^0 for even q."""
     return (q - 1) // 2 + 1 if q % 2 else 1
 
 
@@ -108,7 +76,6 @@ class ReducedGB:
     s: int
     leads: np.ndarray
     tails: np.ndarray
-    standard_counts: dict[int, int] = dc_field(default_factory=dict)
 
     @cached_property
     def elements(self) -> list[HomogPoly]:
@@ -124,8 +91,8 @@ class ReducedGB:
         return list(map(tuple, self.leads.tolist()))
 
     def term_strings(self) -> list[str]:
-        """`HomogPoly.term_string` of each element: "lead - tail", and
-        "lead + tail" in characteristic 2, where -1 = 1."""
+        """Each element as text: "lead - tail", and "lead + tail" in
+        characteristic 2, where -1 = 1."""
         sign = "-" if self.q % 2 else "+"
         return [
             f"{_mono_str(lead)} {sign} {_mono_str(tail)}"
@@ -140,10 +107,8 @@ def interpolate_gb(X: ToricSet) -> ReducedGB:
     """The reduced revlex Groebner basis of I(X), from one pass over the
     standard-monomial walk, elements sorted by degree and then descending
     revlex leading term.  No field and no point is built."""
-    walk = walk_of(X)
-    leads, tails = walk.reduced_basis()
-    counts = {d: walk.hilbert(d) for d in range(walk.regularity + 2)}
-    return ReducedGB(q=X.q, s=X.s, leads=leads, tails=tails, standard_counts=counts)
+    leads, tails = walk_of(X).reduced_basis()
+    return ReducedGB(q=X.q, s=X.s, leads=leads, tails=tails)
 
 
 def degree_complexity(G: ReducedGB) -> int:
@@ -153,27 +118,14 @@ def degree_complexity(G: ReducedGB) -> int:
     return int(G.leads.sum(axis=1).max())
 
 
-def vanishing_defect(G: ReducedGB, X: ToricSet) -> int:
-    """How many basis elements fail to vanish identically on X (0 = all
-    vanish): t^lead - t^tail vanishes at a point exactly when both
-    monomials take the same primitive-power exponent there.  Elements are
-    taken in blocks of at most _CELL_CAP exponents."""
-    m, diff = X.q - 1, G.leads - G.tails
-    block = max(1, _CELL_CAP // len(X))
-    return sum(
-        int((diff[i : i + block] @ X.logs.T % m).any(axis=1).sum())
-        for i in range(0, len(diff), block)
-    )
-
-
-def verify_gb_structure(G: ReducedGB, q: int) -> dict:
-    """Structure checks on a reduced basis:
+def verify_gb_structure(G: ReducedGB) -> dict:
+    """Structure checks on a reduced basis over GF(G.q):
 
     (i) the pure binomials ti^(q-1) - ts^(q-1), i < s, are all present,
     (ii) every element has per-variable degree <= q-1,
     (iii) every element is a homogeneous binomial with disjoint supports.
     """
-    s, leads, tails = G.s, G.leads, G.tails
+    q, s, leads, tails = G.q, G.s, G.leads, G.tails
     powers = (q - 1) * np.eye(s, dtype=np.int64)  # row i is (q-1) e_i
     pure_tail = (tails == powers[-1]).all(axis=1)
     # (lead, tail) pairs sort as the leads do, which fall as i grows
@@ -206,8 +158,7 @@ def binomial_in_IX(a_plus, a_minus, C: Clutter, q: int, X: ToricSet | None = Non
         raise ValueError("exponents must be non-negative")
     if any(p and m for p, m in zip(a_plus, a_minus)):
         raise ValueError("a+ and a- must have disjoint supports")
-    if q < 3:
-        raise ValueError("need q >= 3")
+    field_order(*prime_power(q))
     if X is not None and (X.s != s or X.q != q):
         raise ValueError("provided X does not match the clutter/field")
     if sum(a_plus) != sum(a_minus):

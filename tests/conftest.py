@@ -1,8 +1,9 @@
 """Shared fixtures and independent oracles.
 
 Most oracles here deliberately avoid the package's vectorized kernels:
-they use Fraction arithmetic, scalar field operations and exhaustive
-loops so that test expectations are derived by a second, simpler route.
+they use Fraction arithmetic, scalar integer arithmetic on field tables
+built here (`oracle_field_ops`) and exhaustive loops so that test
+expectations are derived by a second, simpler route.
 The GF(q) oracles for H_X, the generator matrix and the reduced basis
 instead do the linear algebra that the package replaces by integer
 character keys: rank and reduced row echelon form of evaluation matrices.
@@ -15,9 +16,11 @@ facts from one integer echelon per clutter.  It builds X from the Smith
 form of its generators; here X is the image of every unit tuple
 (`oracle_enumerate_X`) or the closure over its generators
 (`oracle_span`), and binomial membership is decided by evaluation on X
-(`oracle_binomial_in_IX`).  The structure checks of a reduced basis run
-element by element over its `HomogPoly` form (`oracle_verify_gb_structure`),
-where the package reads its two exponent arrays.
+(`oracle_binomial_in_IX`), and a basis vanishes on X when each element
+does (`oracle_vanishing_defect`).  The structure checks of a reduced basis
+run element by element over its `HomogPoly` form
+(`oracle_verify_gb_structure`), where the package reads its two exponent
+arrays.
 """
 
 from __future__ import annotations
@@ -451,19 +454,20 @@ def oracle_snf_minor_gcd(M) -> list[int]:
 
 def oracle_toric_points(C: Clutter, F) -> frozenset:
     """Brute-force canonical point set: loop over all unit tuples with
-    scalar field arithmetic, canonicalize by dividing by the first
-    coordinate, collect encoded tuples."""
-    units = F.units()
+    scalar integer arithmetic (`oracle_field_ops`), canonicalize by
+    dividing by the first coordinate, collect encoded tuples."""
+    _, mul, exp, log = oracle_field_ops(F)
+    m = F.q - 1
     pts = set()
-    for x in itertools.product(units, repeat=C.n):
+    for x in itertools.product(range(1, F.q), repeat=C.n):
         coords = []
         for edge in C.edges:
-            val = F.element(F.one.enc)
+            val = 1
             for v in edge:
-                val = val * x[v - 1]
+                val = mul(val, x[v - 1])
             coords.append(val)
-        first_inv = coords[0] ** (-1)
-        pts.add(tuple((c * first_inv).enc for c in coords))
+        first_inv = exp[-log[coords[0]] % m]
+        pts.add(tuple(mul(c, first_inv) for c in coords))
     return frozenset(pts)
 
 
@@ -561,24 +565,40 @@ def oracle_field_tables(p: int, k: int, modulus, primitive: int):
     return digits, exp, log
 
 
+def oracle_field_ops(F):
+    """(add, mul, exp, log) of GF(q) on integer encodings, from the tables
+    of `oracle_field_tables` for F.modulus and the primitive element
+    F.exp[1]: a sum adds base-p digits mod p, a product adds logs mod q-1.
+    No FiniteField kernel is called."""
+    p, m = F.p, F.q - 1
+    digits, exp, log = oracle_field_tables(p, F.k, F.modulus, int(F.exp[1]))
+
+    def add(a: int, b: int) -> int:
+        return sum((x + y) % p * p ** j for j, (x, y) in enumerate(zip(digits[a], digits[b])))
+
+    def mul(a: int, b: int) -> int:
+        return exp[(log[a] + log[b]) % m] if a and b else 0
+
+    return add, mul, exp, log
+
+
 def oracle_min_weight(F, G) -> int:
-    """Exhaustive minimum weight over all nonzero messages, scalar loop.
-    Only usable for q**k up to a few thousand."""
+    """Exhaustive minimum weight over all nonzero messages, scalar loop
+    with the arithmetic of `oracle_field_ops`.  Only usable for q**k up to
+    a few thousand."""
+    add, mul, _, _ = oracle_field_ops(F)
     k, n = G.shape
-    rows = [[F.element(int(e)) for e in row] for row in np.asarray(G)]
+    rows = [[int(e) for e in row] for row in np.asarray(G)]
     best = None
-    elems = [F.element(i) for i in range(F.q)]
-    zero = F.element(0)
-    for msg in itertools.product(elems, repeat=k):
-        if all(m.enc == 0 for m in msg):
+    for msg in itertools.product(range(F.q), repeat=k):
+        if not any(msg):
             continue
         w = 0
         for j in range(n):
-            acc = zero
+            acc = 0
             for i in range(k):
-                acc = acc + msg[i] * rows[i][j]
-            if acc.enc != 0:
-                w += 1
+                acc = add(acc, mul(msg[i], rows[i][j]))
+            w += acc != 0
         if best is None or w < best:
             best = w
     return best
@@ -756,13 +776,13 @@ def oracle_interpolate_gb(X):
     return elements, counts
 
 
-def oracle_verify_gb_structure(G, q: int) -> dict:
+def oracle_verify_gb_structure(G) -> dict:
     """The structure checks of `verify_gb_structure`, element by element
-    over `G.elements` with their field coefficients: (i) every pure
+    over `G.elements` with their coefficients in GF(G.q): (i) every pure
     binomial ti^(q-1) - ts^(q-1), i < s, is an element, with coefficients
     1 and -1; (ii) no exponent exceeds q-1; (iii) every element is a
     homogeneous binomial with disjoint supports."""
-    s = G.s
+    q, s = G.q, G.s
     minus_one = int(field_from_q(q).neg(1))
     pure_needed = set()
     for i in range(s - 1):
@@ -776,7 +796,7 @@ def oracle_verify_gb_structure(G, q: int) -> dict:
         for expo, _ in g.terms:
             if any(e > q - 1 for e in expo):
                 per_var_ok = False
-        if not (g.is_binomial() and g.support_disjoint()):
+        if not (is_binomial(g) and support_disjoint(g)):
             binomial_ok = False
             continue
         (a, ca), (b, cb) = g.terms
@@ -790,3 +810,58 @@ def oracle_verify_gb_structure(G, q: int) -> dict:
         "homogeneous_binomials_disjoint_support": binomial_ok,
         "missing_pure_powers": sorted(pure_needed - pure_found),
     }
+
+
+def oracle_vanishing_defect(G, X) -> int:
+    """How many basis elements t^lead - t^tail fail to vanish on X (0 = all
+    vanish): an element vanishes at a point exactly when both monomials
+    take the same primitive-power exponent there."""
+    return int(((G.leads - G.tails) @ X.logs.T % (X.q - 1)).any(axis=1).sum())
+
+
+def torus_gens(s: int) -> np.ndarray:
+    """[0; I_(s-1)], the s x (s-1) generator matrix of the projective
+    torus in exponent space: X is the image of (Z/m)^(s-1) under it."""
+    return np.eye(s, s - 1, k=-1, dtype=np.int64)
+
+
+# helpers on the HomogPoly form of a basis element
+
+def degree(g) -> int:
+    return sum(g.lead)
+
+
+def is_binomial(g) -> bool:
+    return len(g.terms) == 2
+
+
+def support_disjoint(g) -> bool:
+    if len(g.terms) != 2:
+        return False
+    (a, _), (b, _) = g.terms
+    return all(x == 0 or y == 0 for x, y in zip(a, b))
+
+
+def term_string(g, F) -> str:
+    """The terms of g as text: a coefficient 1 is left out, -1 is a sign,
+    and any other is g^i for its log i."""
+    parts = []
+    for expo, enc in g.terms:
+        mono = "*".join(
+            f"t{i + 1}" if e == 1 else f"t{i + 1}^{e}" for i, e in enumerate(expo) if e
+        ) or "1"
+        if enc == 1:
+            coeff = ""
+        elif enc == int(F.neg(1)):
+            coeff = "-"
+        else:
+            coeff = f"g^{int(F.log[enc])}*"
+        if not parts:
+            parts.append(f"{coeff}{mono}" if coeff != "-" else f"-{mono}")
+        elif coeff == "-":
+            parts.append(f"- {mono}")
+        elif coeff == "":
+            parts.append(f"+ {mono}")
+        else:
+            parts.append(f"+ {coeff}{mono}")
+    return " ".join(parts)

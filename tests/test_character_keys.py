@@ -25,6 +25,8 @@ from conftest import (
     oracle_interpolate_gb,
     oracle_regularity,
     oracle_standard_walk,
+    term_string,
+    torus_gens,
 )
 from toriccode import (
     code,
@@ -35,6 +37,7 @@ from toriccode import (
     projective_torus,
     regularity,
 )
+from toriccode.clutter import difference_matrix
 from toriccode.eval_code import StandardWalk, shift_table, standard_walk
 
 
@@ -61,7 +64,7 @@ def test_invariants_match_gf_elimination(case):
     elements, counts = oracle_interpolate_gb(X)
     assert [g.terms for g in G.elements] == elements
     assert G.leading_terms == [terms[0][0] for terms in elements]
-    assert G.standard_counts == counts
+    assert {d: hilbert_function(X, d) for d in counts} == counts
 
 
 @_CLUTTERS
@@ -98,22 +101,28 @@ def _labels_of(X, E):
     return c @ weight
 
 
-def _check_walk_against_oracle(X):
+def _check_walk_against_oracle(X, gens):
     """Through degree r+1 the Artinian walk gives, by way of StandardWalk,
-    the Delta_d of the sorting walk over all standard monomials, and the
-    one-pass basis the same leading terms and tails, degree by degree in
-    descending revlex; the walk stops at r, with sum |N_d| = |X|, each N_d
-    labelled by its characters, and N_(r+1) empty."""
+    the Delta_d of the sorting walk over all standard monomials on the
+    generator matrix gens of X, and the one-pass basis the same leading
+    terms and tails, degree by degree in descending revlex; the walk stops
+    at r, with sum |N_d| = |X|, each N_d labelled by its characters, with
+    the last variable below ts of each monomial, and N_(r+1) empty."""
     steps = list(standard_walk(shift_table(X.chars, X.orders)))
     r = len(steps) - 1
-    assert sum(len(N) for N, _ in steps) == len(X)
-    for N, labels in steps:
-        assert np.array_equal(labels, _labels_of(X, N))
-    oracle = list(oracle_standard_walk(X.gens, X.field.q - 1, r + 1))
+    rows, labels, last = steps[-1]
+    assert len(rows) == len(X)
+    for step in steps:  # each yield is a prefix of the last
+        assert all(np.array_equal(a, b[: len(a)]) for a, b in zip(step, steps[-1]))
+    assert np.array_equal(labels, _labels_of(X, rows))
+    below_ts = rows[:, :-1] > 0
+    assert last.tolist() == [int(np.flatnonzero(e).max(initial=0)) for e in below_ts]
+    ends = [0] + [len(step[0]) for step in steps]
+    oracle = list(oracle_standard_walk(gens, X.q - 1, r + 1))
     walk = StandardWalk(X)
     for d, (delta, _, _) in enumerate(oracle):
         assert np.array_equal(walk.standard(d), delta), d
-        N = steps[d][0] if d <= r else delta[:0]
+        N = rows[ends[d] : ends[d + 1]] if d <= r else delta[:0]
         assert np.array_equal(N, delta[delta[:, -1] == 0]), d
     leads, tails = walk.reduced_basis()
     assert np.array_equal(leads, np.concatenate([lt[::-1] for _, lt, _ in oracle]))
@@ -127,25 +136,26 @@ def _check_walk_against_oracle(X):
 @given(clutters_over_fields(max_torus=4096))
 def test_walk_matches_sorting_walk(case):
     C, q = case
-    _check_walk_against_oracle(enumerate_X(C, q))
+    _check_walk_against_oracle(enumerate_X(C, q), difference_matrix(C))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.sampled_from(FIELD_SIZES), st.integers(2, 6))
 def test_walk_matches_sorting_walk_on_tori(q, s):
     assume((q - 1) ** (s - 1) <= 4096)
-    _check_walk_against_oracle(projective_torus(s, q))
+    _check_walk_against_oracle(projective_torus(s, q), torus_gens(s))
 
 
-def _labels(X):
+def _labels(X, gens):
     """The label sum_j c_j prod_(i<j) o_i of every distinct key
-    k = e @ gens mod m, e over all exponent vectors mod m, with c = e @ chars
-    mod o; monomials of one key get one label."""
-    m = X.field.q - 1
+    k = e @ gens mod m, gens the generator matrix of X, e over all exponent
+    vectors mod m, with c = e @ chars mod o; monomials of one key get one
+    label."""
+    m = X.q - 1
     E = np.array(list(itertools.product(range(m), repeat=X.s)), dtype=np.int64)
     weight = np.cumprod([1, *X.orders])[:-1]
     labels = {}
-    for key, label in zip(map(tuple, (E @ X.gens % m).tolist()),
+    for key, label in zip(map(tuple, (E @ gens % m).tolist()),
                           ((E @ X.chars % np.array(X.orders)) @ weight).tolist()):
         assert labels.setdefault(key, label) == label, key
     return list(labels.values())
@@ -157,13 +167,13 @@ def test_labels_are_a_permutation(case):
     """X has |X| characters, and their labels are 0, ..., |X| - 1."""
     C, q = case
     X = enumerate_X(C, q)
-    assert sorted(_labels(X)) == list(range(len(X)))
+    assert sorted(_labels(X, difference_matrix(C))) == list(range(len(X)))
 
 
 @pytest.mark.parametrize("s,q", [(2, 7), (3, 5), (4, 4), (3, 9)])
 def test_torus_labels_are_a_permutation(s, q):
     T = projective_torus(s, q)
-    assert sorted(_labels(T)) == list(range(len(T)))
+    assert sorted(_labels(T, torus_gens(s))) == list(range(len(T)))
 
 
 def test_exponents_past_one_byte():
@@ -176,4 +186,4 @@ def test_exponents_past_one_byte():
     F = field_from_q(257)
     T = projective_torus(2, F.q)
     assert regularity(T) == 255
-    assert [g.term_string(F) for g in interpolate_gb(T).elements] == ["t1^256 - t2^256"]
+    assert [term_string(g, F) for g in interpolate_gb(T).elements] == ["t1^256 - t2^256"]

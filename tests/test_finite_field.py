@@ -3,8 +3,26 @@
 import numpy as np
 import pytest
 
-from conftest import oracle_field_tables
-from toriccode import FiniteField, field_from_q, make_field
+from conftest import (
+    BATTERY,
+    oracle_field_ops,
+    oracle_field_tables,
+    oracle_min_weight,
+    oracle_toric_points,
+)
+from toriccode import (
+    FiniteField,
+    binomial_in_IX,
+    ci_classify,
+    code,
+    enumerate_X,
+    field_from_q,
+    make_field,
+    phi_injective,
+    profile,
+    size_of_X,
+    torus_distance,
+)
 from toriccode.finite_field import _is_irreducible, _poly_mod, field_order, prime_power
 
 
@@ -108,7 +126,8 @@ class TestSharedFields:
         assert field_from_q(9) is F and make_field(3, 2) is F
         assert make_field(3, 1) is not F
         fresh = FiniteField(3, 2)
-        assert fresh is not F and fresh == F
+        assert fresh is not F and fresh.modulus == F.modulus
+        assert np.array_equal(fresh.exp, F.exp) and np.array_equal(fresh.log, F.log)
 
     @pytest.mark.parametrize("p,k", [(3, 2), (2, 3), (7, 1), (3, 6), (2, 9)])
     def test_tables_are_read_only(self, p, k):
@@ -153,45 +172,38 @@ class TestSharedFields:
 
 
 class TestPrimitiveAndTables:
+    """The primitive element is exp[1], and 1 is the encoding 1."""
+
     def test_gf3_primitive(self):
-        assert make_field(3, 1).primitive.enc == 2
+        assert make_field(3, 1).exp[1] == 2
 
     def test_gf4_primitive_is_x(self):
-        assert make_field(2, 2).primitive.enc == 2
+        assert make_field(2, 2).exp[1] == 2
 
     def test_gf9_primitive_is_x_plus_1(self):
         # mod x^2+1: x has order 4, x+1 has order 8
-        assert make_field(3, 2).primitive.enc == 4
+        assert make_field(3, 2).exp[1] == 4
 
     def test_primitive_order(self):
         for p, k in [(2, 2), (3, 2), (5, 1), (7, 1), (2, 4)]:
             F = make_field(p, k)
-            g = F.primitive
+            g = int(F.exp[1])
             seen = set()
-            acc = F.one
+            acc = 1
             for _ in range(F.q - 1):
-                acc = acc * g
-                seen.add(acc.enc)
+                acc = int(F.mul(acc, g))
+                seen.add(acc)
             assert len(seen) == F.q - 1
-            assert acc == F.one
+            assert acc == 1
 
     def test_units_enumeration(self):
         F = make_field(3, 2)
-        u = F.units()
+        u = F.exp.tolist()
         assert len(u) == 8
-        assert sorted(x.enc for x in u) == list(range(1, 9))
+        assert sorted(u) == list(range(1, 9))
         # ordered as successive powers of the primitive
-        assert u[0] == F.one
-        assert all(u[i] * F.primitive == u[(i + 1) % 8] for i in range(8))
-
-    def test_serialization_index_round_trip(self):
-        for q in (3, 4, 9, 25):
-            F = field_from_q(q)
-            for i in range(q):
-                assert F.to_index(F.from_index(i)) == i
-            assert F.from_index(0) == 0
-            assert F.from_index(1) == F.one.enc
-            assert F.from_index(2) == F.primitive.enc
+        assert u[0] == 1
+        assert all(F.mul(u[i], u[1]) == u[(i + 1) % 8] for i in range(8))
 
 
 def _axiom_check(F):
@@ -199,7 +211,7 @@ def _axiom_check(F):
     elems = list(range(q))
     add = {(a, b): int(F.add(np.array(a), np.array(b))) for a in elems for b in elems}
     mul = {(a, b): int(F.mul(np.array(a), np.array(b))) for a in elems for b in elems}
-    zero, one = 0, F.one.enc
+    zero, one = 0, 1
     for a in elems:
         assert add[(a, zero)] == a
         assert mul[(a, one)] == a
@@ -224,20 +236,17 @@ def test_field_axioms_exhaustive(p, k):
 class TestKernels:
     @pytest.mark.parametrize("p,k", [(3, 1), (2, 2), (3, 2), (2, 4), (7, 1)])
     def test_kernels_match_scalar_elements(self, p, k):
+        """add, sub and mul against the scalar integer arithmetic of
+        conftest.oracle_field_ops."""
         F = make_field(p, k)
+        add, mul, _, _ = oracle_field_ops(F)
         rng = np.random.default_rng(17)
         a = rng.integers(0, F.q, size=200)
         b = rng.integers(0, F.q, size=200)
-        ea = [F.element(int(x)) for x in a]
-        eb = [F.element(int(x)) for x in b]
-        assert list(F.add(a, b)) == [(x + y).enc for x, y in zip(ea, eb)]
-        assert list(F.sub(a, b)) == [(x - y).enc for x, y in zip(ea, eb)]
-        assert list(F.mul(a, b)) == [(x * y).enc for x, y in zip(ea, eb)]
-        nz = b.copy()
-        nz[nz == 0] = 1
-        assert list(F.div(a, nz)) == [
-            (x / F.element(int(y))).enc for x, y in zip(ea, nz)
-        ]
+        pairs = list(zip(a.tolist(), b.tolist()))
+        assert F.add(a, b).tolist() == [add(x, y) for x, y in pairs]
+        assert F.add(F.sub(a, b), b).tolist() == a.tolist()
+        assert F.mul(a, b).tolist() == [mul(x, y) for x, y in pairs]
 
     @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 16, 27, 251])
     def test_additive_kernels_are_digitwise_mod_p(self, q):
@@ -261,24 +270,11 @@ class TestKernels:
             a = rng.integers(1, F.q, size=64)
             b = rng.integers(1, F.q, size=64)
             ab = F.mul(a, b)
-            assert np.all(F.div(ab, b) == a)
+            assert np.all(F.mul(ab, F.inv(b)) == a)
             assert np.all(F.add(a, F.neg(a)) == 0)
-            assert np.all(F.mul(a, F.inv(a)) == F.one.enc)
+            assert np.all(F.mul(a, F.inv(a)) == 1)
             s = F.sub(a, b)
             assert np.all(F.add(s, b) == a)
-
-    def test_pow_int(self):
-        F = make_field(3, 2)
-        a = np.arange(9)
-        assert np.all(F.pow_int(a, 0) == F.one.enc)
-        assert np.all(F.pow_int(a, 1) == a)
-        p2 = F.pow_int(a, 2)
-        assert list(p2) == [int(F.mul(np.array(x), np.array(x))) for x in a]
-        # Fermat: a^(q-1) = 1 for units
-        u = np.array([x.enc for x in F.units()])
-        assert np.all(F.pow_int(u, F.q - 1) == F.one.enc)
-        with pytest.raises(ZeroDivisionError):
-            F.pow_int(np.array([0]), -1)
 
     def test_inv_of_zero_raises(self):
         F = make_field(3, 1)
@@ -309,12 +305,12 @@ def test_tables_match_scalar_oracle(q):
     """The digit, exp and log tables equal those of scalar loops, and the
     primitive element is the first encoding of order q-1."""
     F = field_from_q(q)
-    digits, exp, log = oracle_field_tables(F.p, F.k, F.modulus, F._primitive_enc)
+    digits, exp, log = oracle_field_tables(F.p, F.k, F.modulus, int(F.exp[1]))
     assert F._digits.tolist() == digits
     assert F.exp.tolist() == exp
     assert F.log.tolist() == log
     orders = (q - 1) // np.gcd(F.log[1:], q - 1)
-    assert F._primitive_enc == 1 + int(np.argmax(orders == q - 1))
+    assert F.exp[1] == 1 + int(np.argmax(orders == q - 1))
 
 
 class TestPackedForm:
@@ -368,31 +364,57 @@ class TestPackedForm:
 
 
 class TestElements:
-    def test_repr_and_coeffs(self):
-        F = make_field(3, 2)
-        x = F.element(4)
-        assert x.coeffs == (1, 1)
-        assert "GF(9)" in repr(x)
-
-    def test_cross_field_mixing_rejected(self):
-        a = make_field(3, 1).element(1)
-        b = make_field(5, 1).element(1)
-        with pytest.raises(ValueError):
-            a + b
-
-    def test_int_coercion(self):
-        F = make_field(5, 1)
-        assert (F.element(2) + 4).enc == 1
-        assert (F.element(2) * 3).enc == 1
-        assert (2 * F.element(4)).enc == 3
-
-    def test_power_negative(self):
-        F = make_field(7, 1)
-        a = F.element(3)
-        assert (a ** (-1)) * a == F.one
-        assert a ** 0 == F.one
-
     def test_poly_mod_helper(self):
         # (x^2) mod (x^2 + 1) = -1 = 2 over GF(3); coefficients constant-first,
         # remainder padded to deg(b) entries
         assert _poly_mod([0, 0, 1], [1, 0, 1], 3) == [2, 0]
+
+
+_KERNELS = [
+    name for name, f in vars(FiniteField).items() if callable(f) and not name.startswith("__")
+]
+
+
+@pytest.mark.parametrize("q", [5, 9])
+def test_oracles_call_no_field_kernel(q, monkeypatch):
+    """oracle_toric_points and oracle_min_weight give the same values with
+    every method of FiniteField raising: their arithmetic is their own."""
+    F = field_from_q(q)
+    C = BATTERY["C3"] if q == 9 else BATTERY["U4"]
+    G = code(enumerate_X(C, q), 1).generator
+    points, weight = oracle_toric_points(C, F), oracle_min_weight(F, G)
+    assert points == {tuple(row) for row in F.exp[enumerate_X(C, q).logs].tolist()}
+
+    def raising(*args, **kwargs):
+        raise AssertionError("a FiniteField kernel was called")
+
+    assert {"add", "mul", "inv", "sum_axis", "_mul_enc", "_add_formula"} <= set(_KERNELS)
+    for name in _KERNELS:
+        monkeypatch.setattr(FiniteField, name, raising)
+    with pytest.raises(AssertionError, match="kernel was called"):
+        F.mul(1, 1)
+    assert oracle_toric_points(C, F) == points
+    assert oracle_min_weight(F, G) == weight
+
+
+_NOT_FIELDS = [1, 2, 6, 2 ** 17]
+_TAKES_Q = {
+    "size_of_X": lambda q: size_of_X(BATTERY["C3"], q),
+    "profile": lambda q: profile(BATTERY["C3"], q),
+    "phi_injective": lambda q: phi_injective(BATTERY["C3"], q),
+    "ci_classify": lambda q: ci_classify(BATTERY["C3"], q),
+    "binomial_in_IX": lambda q: binomial_in_IX([1, 0, 0], [0, 0, 1], BATTERY["C3"], q),
+    "torus_distance": lambda q: torus_distance(q, 3, 1),
+}
+
+
+@pytest.mark.parametrize("q", _NOT_FIELDS)
+@pytest.mark.parametrize("entry", sorted(_TAKES_Q))
+def test_every_entry_checks_q_as_a_field_size(entry, q):
+    """A q that names no field is refused with the error of field_order,
+    by every public function that takes q."""
+    with pytest.raises(ValueError) as expected:
+        field_order(*prime_power(q))
+    with pytest.raises(ValueError) as got:
+        _TAKES_Q[entry](q)
+    assert str(got.value) == str(expected.value)

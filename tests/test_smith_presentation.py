@@ -25,6 +25,7 @@ from conftest import (
     oracle_enumerate_X,
     oracle_points_csv,
     oracle_span,
+    torus_gens,
 )
 from toriccode import BudgetExceededError, enumerate_X, field_from_q, projective_torus, size_of_X
 from toriccode.clutter import difference_matrix
@@ -49,9 +50,9 @@ def _box_points(X) -> list[tuple[int, ...]]:
     return [tuple(p) for p in ((B * unit) @ X.chars.T % m).tolist()]
 
 
-def _check_presentation(X):
-    m = X.field.q - 1
-    assert np.array_equal(X.logs, oracle_span(X.gens, m))
+def _check_presentation(X, gens):
+    m = X.q - 1
+    assert np.array_equal(X.logs, oracle_span(gens, m))
     assert prod(X.orders) == len(X)
     # the point of label sum_j b_j prod_(i<j) o_i: a bijection onto X
     points = _box_points(X)
@@ -67,7 +68,7 @@ def test_clutter_presentation(case):
     X = enumerate_X(C, F.q)
     assert np.array_equal(X.logs, oracle_enumerate_X(C, F))
     assert len(X) == size_of_X(C, q)
-    _check_presentation(X)
+    _check_presentation(X, difference_matrix(C))
 
 
 @_CLUTTERS
@@ -98,10 +99,10 @@ def test_torus_presentation(q, s):
     m = q - 1
     assume(m ** (s - 1) <= 4096)
     T = projective_torus(s, q)
-    assert T.orders == (m,) * (s - 1) and np.array_equal(T.chars, T.gens)
+    assert T.orders == (m,) * (s - 1) and np.array_equal(T.chars, torus_gens(s))
     rows = [(0, *b) for b in itertools.product(range(m), repeat=s - 1)]
     assert T.logs.tolist() == [list(r) for r in rows]
-    _check_presentation(T)
+    _check_presentation(T, torus_gens(s))
 
 
 # the battery over every field, up to the 32768 points of U6 over GF(9)

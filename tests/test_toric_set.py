@@ -13,6 +13,7 @@ from conftest import (
     clutters_over_fields,
     oracle_enumerate_X,
     oracle_toric_points,
+    torus_gens,
 )
 from toriccode import (
     BudgetExceededError,
@@ -26,6 +27,7 @@ from toriccode import (
     size_of_X,
     smith_normal_form,
 )
+from toriccode.clutter import difference_matrix
 from toriccode.toric_set import ToricSet, points_csv
 
 
@@ -47,12 +49,13 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("q", [3, 4])
     def test_gens_parameterize_points(self, q):
-        # row i of gens is the character of t_i: the points are gens @ a
-        F = field_from_q(q)
-        m = F.q - 1
-        for X in (enumerate_X(BATTERY["U4"], F.q), projective_torus(3, F.q)):
-            A = np.array(list(itertools.product(range(m), repeat=X.gens.shape[1])))
-            assert {tuple(r) for r in (A @ X.gens.T) % m} == {tuple(r) for r in X.logs}
+        # row i of the generator matrix is the character of t_i: the points
+        # are gens @ a
+        m = q - 1
+        for X, gens in ((enumerate_X(BATTERY["U4"], q), difference_matrix(BATTERY["U4"])),
+                        (projective_torus(3, q), torus_gens(3))):
+            A = np.array(list(itertools.product(range(m), repeat=gens.shape[1])))
+            assert {tuple(r) for r in (A @ gens.T) % m} == {tuple(r) for r in X.logs}
 
     def test_triangle_gf9_size(self, triangle):
         X = enumerate_X(triangle, 9)
@@ -127,9 +130,9 @@ class TestEnumerate:
     def test_presentation_checked(self):
         gens = np.eye(3, 2, k=-1, dtype=np.int64)
         for orders, chars in [((4, 4, 4), gens), ((4, 3), gens), ((4, 0), gens),
-                              ((4, 4), gens * 4), ((4, 4), -gens)]:
+                              ((4, 4), gens * 4), ((4, 4), -gens), ((4, 4), gens[1])]:
             with pytest.raises(ValueError):
-                ToricSet(5, gens, orders, chars, "T")
+                ToricSet(5, orders, chars, "T")
 
 
 def _check_against_tuple_walk(C, q):
@@ -156,8 +159,7 @@ TORSION = parse_clutter({"n": 5, "edges": [[1, 2, 3], [2, 4], [1, 5], [3, 4, 5]]
 
 @pytest.mark.parametrize("q", [3, 4, 5, 9])
 def test_torsion_matches_tuple_walk(q):
-    X = enumerate_X(TORSION, q)
-    assert smith_normal_form(X.gens).invariant_factors == [1, 1, 2]
+    assert smith_normal_form(difference_matrix(TORSION)).invariant_factors == [1, 1, 2]
     _check_against_tuple_walk(TORSION, q)
 
 
@@ -233,5 +235,5 @@ class TestProfileAndCsv:
         # indices decode back to the canonical coordinates
         M = F.exp[X.logs]
         for line, row in zip(lines[1:], M):
-            decoded = [F.from_index(int(tok)) for tok in line.split(",")]
+            decoded = [int(F.exp[int(tok) - 1]) if int(tok) else 0 for tok in line.split(",")]
             assert decoded == [int(v) for v in row]
