@@ -29,7 +29,10 @@ revlex Groebner basis (all prime to ts, of degree at most r+1) and their
 tails come from the N_d in one pass (`StandardWalk.reduced_basis`).  Only the
 generator matrix of C_X(d) is computed over GF(q), as the reduced row
 echelon form of the evaluations of Delta_d; RREF is unique for a row space,
-so the choice of monomials does not show in it.
+so the choice of monomials does not show in it.  When Delta_d holds more
+than half of the characters of X, `code` eliminates instead the smaller
+generator of the dual, the inverse characters outside Delta_d, and reads
+the same RREF off it.
 
 Setting ts = 1 takes the revlex basis to a degree-compatible basis of the
 affine vanishing ideal of X, whose standard monomials are the N_d.  A
@@ -37,8 +40,16 @@ nonzero form of degree d reduces to an affine f of degree at most d with
 leading monomial M in N_0, ..., N_d, and f is nonzero at no fewer points of
 X than there are multiples of M among the N_j: the footprint bound
 (Geil-Hoeholdt 2000; Martinez-Bernal, Pitones and Villarreal 2017).  So
-delta_d is at least the least such count, `StandardWalk.footprint(d)`,
-which `code` records on C_X(d) as the floor of both distance searches.
+delta_d is at least the least such count, `StandardWalk.footprint(d)`.
+In its Smith coordinates X is a grid of roots of unity, and C_X(d) a
+monomial-Cartesian code on it, so the footprint of a Cartesian grid,
+maximized over every shift of the characters of Delta_d, bounds delta_d
+too (`box_bound`).  `code` records the larger of the two on C_X(d) as the
+floor of both distance searches.
+
+Blocked loops (the footprint count, the box scan, the searches of
+`mindist`) allocate no array of more than _CELL_CAP = 2^18 cells: 2 MiB at
+8 bytes a cell, the size of a per-core L2 cache.
 """
 
 from __future__ import annotations
@@ -52,7 +63,8 @@ from . import _linalg
 from .finite_field import FiniteField
 from .toric_set import ToricSet
 
-_CELL_CAP = 1 << 20  # cells of the largest array a block of a count or search allocates
+_CELL_CAP = 1 << 18  # cells of the largest array a block of a count, a scan or a search allocates
+_BOX_BUDGET = 1 << 24  # (shift, monomial) pairs the box bound of one code weighs
 
 
 def shift_table(chars: np.ndarray, orders) -> np.ndarray:
@@ -174,7 +186,8 @@ class StandardWalk:
     last variable below ts: the arrays of the walk.  N_d is the slice
     ``rows[H_X(d-1):H_X(d)]``.  ``h_vector`` is (|N_0|, ..., |N_r|) and
     ``hilbert_counts`` is (H_X(0), ..., H_X(r)).  All are read-only, as
-    `walk_of` hands one walk to every caller that asks about X.
+    `walk_of` hands one walk to every caller that asks about X; the walk
+    adds only the footprint of each degree it is asked for.
     """
 
     def __init__(self, X: ToricSet):
@@ -190,6 +203,7 @@ class StandardWalk:
         self.hilbert_counts = tuple(ends)
         self.h_vector = tuple(b - a for a, b in zip((0, *ends), ends))
         self.regularity = len(ends) - 1
+        self._least = {}  # degree d -> the least count of multiples over N_d
 
     def standard(self, d: int) -> np.ndarray:
         """Delta_d = ts^d N_0, ts^(d-1) N_1, ..., N_d in ascending revlex."""
@@ -202,22 +216,35 @@ class StandardWalk:
         """H_X(d) = |N_0| + ... + |N_d|."""
         return self.hilbert_counts[min(d, self.regularity)]
 
+    def dual(self, d: int) -> np.ndarray:
+        """The exponents of t^(-u) ts^(deg u - d) for u in N_(d+1), ...,
+        N_r: their evaluations span the dual of C_X(d) (see `code`)."""
+        h = self.h_vector
+        dual = -self.rows[self.hilbert(d) :]
+        dual[:, -1] = np.repeat(np.arange(1, len(h) - d), h[d + 1 :])
+        return dual
+
     def footprint(self, d: int) -> int:
         """The least number of multiples in N_0, ..., N_r of a monomial of
         N_0, ..., N_d: a lower bound on delta_d (see the module docstring).
-        It is 1, with no count, from the regularity on.  The monomials are
-        counted in blocks of rows, so that no array exceeds _CELL_CAP
-        cells."""
+        A monomial of N_d, d >= 1, is a multiple of its parent in N_(d-1)
+        (see `standard_walk`), which so has at least as many multiples: the
+        least count over N_d alone is the bound.  It is 1, with no count,
+        from the regularity on.  Each degree is counted once, on its first
+        request, and kept; the monomials are counted in blocks of rows, so
+        that no array exceeds _CELL_CAP cells."""
         if d >= self.regularity:
             return 1
-        # the N_j are prime to ts: their other exponents are the affine ones
-        standard = self.rows[:, :-1]
-        bounded = standard[: self.hilbert(d)]
-        block = max(1, _CELL_CAP // standard.size)
-        return min(
-            int((standard >= bounded[i : i + block, None]).all(axis=2).sum(axis=1).min())
-            for i in range(0, len(bounded), block)
-        )
+        if d not in self._least:
+            # the N_j are prime to ts: their other exponents are the affine ones
+            standard = self.rows[:, :-1]
+            counted = standard[self.hilbert(d) - self.h_vector[d] : self.hilbert(d)]
+            block = max(1, _CELL_CAP // standard.size)
+            self._least[d] = min(
+                int((standard >= counted[i : i + block, None]).all(axis=2).sum(axis=1).min())
+                for i in range(0, len(counted), block)
+            )
+        return self._least[d]
 
     def reduced_basis(self) -> tuple[np.ndarray, np.ndarray]:
         """The leading terms of the reduced revlex basis and, row by row,
@@ -288,33 +315,103 @@ def walk_of(X: ToricSet) -> StandardWalk:
     return walk
 
 
+def box_bound(X: ToricSet, d: int, stop: int) -> int:
+    """The shifted box bound on delta_d, scanned until it reaches ``stop``.
+
+    In the Smith coordinates of X the point of b in prod [0, o_j) gives t^e
+    the value prod_j zeta_j^(c_j b_j), zeta_j of order o_j and
+    c = e @ X.chars mod X.orders: X is the grid mu_(o_1) x ... x mu_(o_r),
+    and C_X(d) is spanned by the evaluations of the monomials x^a, a in A,
+    the characters of Delta_d.  A nonzero f = sum_(a in A) f_a x^a has a
+    leading exponent M in A, and is nonzero at no fewer than
+    prod_j (o_j - M_j) points of the grid (the footprint of a Cartesian
+    set).  Multiplying f by the unit x^b keeps its weight and moves its
+    exponents to A + b mod o.  So delta_d is at least the max over shifts b
+    of the min over a in A of prod_j (o_j - (a_j + b_j) mod o_j).
+
+    The shifts are taken in the order of their labels, in blocks of at most
+    _CELL_CAP (shift, monomial) pairs.  The scan stops once the max reaches
+    ``stop``, or after _BOX_BUDGET pairs; a partial max is a proven bound
+    too.  Coordinates with o_j = 1 add a factor 1 and are dropped.
+    """
+    walk = walk_of(X)
+    orders = np.array(X.orders, dtype=np.int64)
+    kept = orders > 1
+    A = (walk.standard(d) @ X.chars % orders)[:, kept]
+    orders = orders[kept]
+    weights = np.cumprod(np.concatenate(([1], orders[:-1])))  # of each digit in a label
+    # factors[j][a_j + b_j] = o_j - (a_j + b_j) mod o_j, as a_j + b_j < 2 o_j - 1
+    factors = [o - np.arange(2 * o - 1) % o for o in orders]
+    shifts = min(len(X), max(1, _BOX_BUDGET // len(A)))
+    block = max(1, _CELL_CAP // len(A))
+    best = 0
+    for first in range(0, shifts, block):
+        labels = np.arange(first, min(first + block, shifts))
+        least = np.ones((len(labels), len(A)), dtype=np.int64)
+        for a, o, weight, factor in zip(A.T, orders, weights, factors):
+            least *= factor[a + (labels // weight % o)[:, None]]
+        best = max(best, int(least.min(axis=1).max()))
+        if best >= stop:
+            break
+    return best
+
+
 def code(X: ToricSet, d: int) -> LinearCode:
     """The parameterized code C_X(d) with its canonical generator matrix,
-    from Delta_d of the walk of X.
+    from the walk of X.
 
     X acts regularly on the coordinates: x in X moves the point p to x*p,
     which only rescales the evaluation row of each monomial t^e (by
     t^e(x)), so it maps C_X(d) to itself; C_X(d) is an abelian group code.
-    Its floor is the footprint bound of the walk.
+
+    The generator is the RREF of the evaluations of Delta_d, k = H_X(d)
+    rows, when 2k <= |X|.  Otherwise the smaller generator of the dual is
+    eliminated.  Distinct characters are orthogonal over X, and |X| divides
+    q-1, so the dual of C_X(d) is spanned by the inverses of the characters
+    outside Delta_d: the evaluations of `StandardWalk.dual`, |X| - k rows.
+    Its RREF on the reversed columns has as pivots, read back, the
+    complement J of the lexicographically first information set I of
+    C_X(d) (matroid duality), and I holds the pivots of the RREF of
+    C_X(d).  With the dual's rows [A on I | identity on J], the RREF of
+    C_X(d) is [identity on I | -A^T on J]: the same matrix, as RREF is
+    unique for a row space.
+
+    Its floor is the footprint bound of the walk and, when that is below
+    the lightest generator row, the larger box bound (`box_bound`), scanned
+    until it reaches that row.
     """
     if d < 1:
         raise ValueError("need d >= 1")
     walk = walk_of(X)
+    F, n, k = X.field, len(X), walk.hilbert(d)
     if d >= walk.regularity:
         # the code is all of GF(q)^|X|, whose RREF basis is the identity;
         # elimination would cost O(|X|^3)
-        G = np.eye(len(X), dtype=X.field.dtype)
+        G = np.eye(n, dtype=F.dtype)
+    elif 2 * k > n:
+        R, pivots = _linalg.rref(F, evaluate_rows(X, walk.dual(d))[:, ::-1])
+        J = n - 1 - np.array(pivots, dtype=np.int64)
+        information = np.ones(n, dtype=bool)
+        information[J] = False
+        I = np.flatnonzero(information)
+        G = np.zeros((k, n), dtype=F.dtype)
+        G[np.arange(k), I] = 1
+        G[:, J] = F.neg(R[: len(J), ::-1][:, I].T)
     else:
-        R, pivots = _linalg.rref(X.field, evaluate_rows(X, walk.standard(d)))
+        R, pivots = _linalg.rref(F, evaluate_rows(X, walk.standard(d)))
         G = R[: len(pivots)]
+    floor = walk.footprint(d)
+    lightest = int((G != 0).sum(axis=1).min())
+    if floor < lightest:
+        floor = max(floor, box_bound(X, d, lightest))
     return LinearCode(
         generator=G,
-        length=len(X),
+        length=n,
         dimension=len(G),
         d=d,
-        field=X.field,
+        field=F,
         source=X.source,
-        floor=walk.footprint(d),
+        floor=floor,
     )
 
 

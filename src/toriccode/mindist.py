@@ -9,12 +9,14 @@ read the regularity, H_X(d) and Delta_d from the one walk of X
 (`eval_code.walk_of`).  Every result is an interval [lower, value] that
 holds delta; it is a single number when exact.
 
-`code(X, d)` records on C_X(d) the footprint bound of that walk as
-`LinearCode.floor`, a proven lower bound on delta.  Both searches start
-from the lightest generator row and stop, with an exact result, as soon as
-their lightest codeword reaches the floor: when that row already does,
-before any table is built.  A search stopped by its time budget reports the
-floor as its lower end when nothing better is proven.
+`code(X, d)` records on C_X(d) as `LinearCode.floor` a proven lower bound
+on delta: the footprint bound of that walk, or the shifted box bound on the
+Smith grid of X when that is larger (`eval_code.box_bound`), scanned until
+it reaches the lightest generator row.  Both searches start from that row
+and stop, with an exact result, as soon as their lightest codeword reaches
+the floor: when the row already does, before any table is built.  A search
+stopped by its time budget reports the floor as its lower end when nothing
+better is proven.
 
 The class budget bounds the messages either search weighs.  Brute force
 refuses a code whose q^(k-1) messages exceed it (BudgetExceededError);
@@ -53,7 +55,9 @@ comparing a with every word b of such a set weighs every a + b as well.
 Brute force compares each head word with the whole span of the tail rows
 at once; information-set search compares the sum of w-1 scaled rows with
 the unit multiples of the w-th.  Apart from S, no array either search
-allocates exceeds max(_CELL_CAP, (q-1)n) cells.
+allocates exceeds max(_CELL_CAP, (q-1)n) cells, _CELL_CAP = 2^18 of
+`eval_code`: a span of 2^20 cells cost more in page faults than the larger
+blocks saved.
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 
 from conftest import (
     BATTERY,
@@ -33,7 +32,6 @@ from toriccode import (
     hilbert_IA,
     hilbert_function,
     interpolate_gb,
-    make_field,
     min_distance_bruteforce,
     min_distance_isd,
     projective_torus,

@@ -32,6 +32,13 @@ def k4_file(tmp_path):
 
 
 @pytest.fixture
+def c6_file(tmp_path):
+    f = tmp_path / "c6.json"
+    f.write_text(json.dumps(BATTERY_DOCS["C6"]))
+    return str(f)
+
+
+@pytest.fixture
 def run(capsys):
     def _run(*argv):
         rc = main(list(argv))
@@ -165,32 +172,40 @@ class TestMindist:
         rc, _, err = run("mindist", "--clutter", k4_file, "--q", "3")
         assert rc == EXIT_INPUT and "needs --d" in err
 
-    def test_time_budget_stops_bruteforce(self, run, k4_file):
+    def test_time_budget_stops_bruteforce(self, run, c6_file):
         rc, out, _ = run(
-            "mindist", "--clutter", k4_file, "--q", "4", "--d", "1",
+            "mindist", "--clutter", c6_file, "--q", "4", "--d", "1",
             "--method", "bruteforce", "--time-budget", "0", "--format", "json",
         )
         body = json.loads(out)
         assert rc == EXIT_OK
         assert body["delta_method"] == "bruteforce" and body["delta_exact"] is False
-        assert body["delta"] >= 12
+        assert body["delta"] >= 50
 
-    def test_stopped_search_prints_interval(self, run, k4_file):
-        # K4/GF(5) d=3 is [64, 44]; stopped before weight 1, only
-        # ceil(64/44) = 2 is proven, and the lightest row of the systematic
-        # form (weight 4) is the best codeword known
-        argv = ["--clutter", k4_file, "--q", "5", "--d", "3",
+    def test_stopped_search_prints_interval(self, run, c6_file, k4_file):
+        # C6/GF(4) d=1 is [81, 6]; stopped before weight 1, the floor 36 is
+        # proven (above ceil(81/6) = 14), and the lightest row of the
+        # systematic form (weight 50) is the best codeword known
+        argv = ["--clutter", c6_file, "--q", "4", "--d", "1",
                 "--method", "isd", "--time-budget", "0"]
         rc, out, _ = run("mindist", *argv, "--format", "json")
         body = json.loads(out)
         assert rc == EXIT_OK and body["delta_exact"] is False
-        assert (body["delta_lower"], body["delta"]) == (2, 4)
+        assert (body["delta_lower"], body["delta"]) == (36, 50)
         rc, out, _ = run("mindist", *argv)
-        assert rc == EXIT_OK and "delta: [2, 4]" in out.splitlines()
+        assert rc == EXIT_OK and "delta: [36, 50]" in out.splitlines()
         rc, out, _ = run("params", *argv)
-        assert rc == EXIT_OK and out.splitlines()[1].split()[3:5] == ["[2,", "4]"]
+        assert rc == EXIT_OK and out.splitlines()[1].split()[3:5] == ["[36,", "50]"]
         rc, out, _ = run("params", *argv, "--format", "csv")
-        assert out.splitlines()[1] == "3,64,44,4,2,isd,16,21"
+        assert out.splitlines()[1] == "1,81,6,50,36,isd,,76"
+        # K4/GF(5) d=3: the box bound meets the lightest row, so even a zero
+        # budget gives the exact distance
+        argv = ["--clutter", k4_file, "--q", "5", "--d", "3",
+                "--method", "isd", "--time-budget", "0"]
+        rc, out, _ = run("mindist", *argv)
+        assert rc == EXIT_OK and "delta: 4" in out.splitlines()
+        rc, out, _ = run("params", *argv, "--format", "csv")
+        assert out.splitlines()[1] == "3,64,44,4,4,isd,16,21"
 
     def test_torus_report(self, run):
         rc, out, _ = run("mindist", "--torus", "3", "--q", "4", "--d", "2", "--format", "json")
@@ -560,19 +575,20 @@ class TestNoFieldNoPoints:
 
 
 def test_isd_class_budget_bounds_the_search(run, tmp_path):
-    """Information-set search stops at the class budget: K4 over GF(7),
-    d = 2 ([216, 19]) ran for minutes unbounded; the default budget of 10^7
-    messages stops it before weight 5 with an interval."""
-    f = tmp_path / "K4.json"
-    f.write_text(json.dumps(BATTERY_DOCS["K4"]))
+    """Information-set search stops at the class budget: on two triangles
+    with a common vertex over GF(5), d = 5 ([256, 192], floor 3), weight 3
+    alone has C(192, 3) 4^2 > 1.8 * 10^7 messages; the default budget of
+    10^7 stops the search before it with an interval."""
+    f = tmp_path / "bowtie.json"
+    f.write_text(json.dumps({"n": 5, "edges": [[1, 2], [2, 3], [1, 3], [3, 4], [4, 5], [3, 5]]}))
     start = time.monotonic()
-    rc, out, _ = run("mindist", "--clutter", str(f), "--q", "7", "--d", "2",
+    rc, out, _ = run("mindist", "--clutter", str(f), "--q", "5", "--d", "5",
                      "--method", "isd", "--format", "json")
     assert rc == EXIT_OK and time.monotonic() - start < 30
     body = json.loads(out)
     assert body["delta_exact"] is False and body["delta_method"] == "isd"
-    # Chen's bound after weight 4: ceil(216 * 5 / 19)
-    assert body["delta_lower"] == 57 < body["delta"] <= body["delta_prime"]
+    # Chen's bound after weight 2: ceil(256 * 3 / 192)
+    assert body["delta_lower"] == 4 < body["delta"] <= body["delta_prime"]
 
 
 JSON_REPORTS = json.loads((Path(__file__).parent / "json_reports.json").read_text())

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toriccode import Clutter, ClutterError, incidence, load_clutter, parse_clutter, uniformity
+from toriccode import ClutterError, incidence, load_clutter, parse_clutter, uniformity
 
 
 class TestParse:

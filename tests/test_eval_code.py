@@ -3,16 +3,23 @@
 import gc
 import weakref
 from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
-from conftest import oracle_standard_count, oracle_torus_h_vector
+from conftest import (
+    BATTERY,
+    clutters_over_fields,
+    oracle_rref,
+    oracle_standard_count,
+    oracle_torus_h_vector,
+)
 from toriccode import (
     code,
     distance_report,
     enumerate_X,
-    field_from_q,
     h_vector,
     hilbert_function,
     interpolate_gb,
@@ -21,7 +28,7 @@ from toriccode import (
     projective_torus,
     regularity,
 )
-from toriccode import eval_code
+from toriccode import _linalg, eval_code
 from toriccode.eval_code import StandardWalk, evaluate_rows, walk_of
 from toriccode.vanishing_ideal import _mono_str
 
@@ -191,3 +198,85 @@ class TestSingleton:
         X = enumerate_X(triangle, 9)
         expect = [62, 59, 55, 50, 44, 37, 29, 22, 16, 11, 7, 4, 2, 1]
         assert [_singleton(X, d) for d in range(1, 15)] == expect
+
+
+def _eliminated_shapes(X, d):
+    """The generator of C_X(d) and the shape of each matrix `code` hands
+    to `_linalg.rref`."""
+    with mock.patch.object(_linalg, "rref", wraps=_linalg.rref) as rref:
+        G = code(X, d).generator
+    return G, [call.args[1].shape for call in rref.call_args_list]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(clutters_over_fields(max_torus=256))
+def test_generator_from_either_side_is_the_rref(case):
+    """Below the regularity, `code` eliminates the k = H_X(d) evaluations
+    of Delta_d when 2k <= |X| and the |X| - k rows of the dual otherwise;
+    either way the generator is, byte for byte, the RREF of the
+    evaluations of Delta_d."""
+    X = enumerate_X(*case)
+    walk = walk_of(X)
+    n = len(X)
+    for d in range(1, walk.regularity):
+        k = walk.hilbert(d)
+        R, pivots = oracle_rref(X.field, evaluate_rows(X, walk.standard(d)))
+        G, shapes = _eliminated_shapes(X, d)
+        assert shapes == [(n - k, n) if 2 * k > n else (k, n)]
+        assert G.dtype == R.dtype and G.shape == (k, n)
+        assert G.tobytes() == R[: len(pivots)].tobytes()
+
+
+@pytest.mark.parametrize("name,q,d,side", [
+    ("C4", 4, 1, -1), ("C4", 8, 4, 1), ("P3", 8, 2, -1), ("P3", 8, 3, 1),
+])
+def test_generator_next_to_half_the_length(name, q, d, side):
+    """2k = |X| + side: the last code eliminated on its own side and the
+    first eliminated on the side of its dual give the RREF of Delta_d."""
+    X = enumerate_X(BATTERY[name], q)
+    walk = walk_of(X)
+    n, k = len(X), walk.hilbert(d)
+    assert 2 * k == n + side
+    R, pivots = oracle_rref(X.field, evaluate_rows(X, walk.standard(d)))
+    G, shapes = _eliminated_shapes(X, d)
+    assert shapes == [(n - k, n) if side > 0 else (k, n)]
+    assert G.dtype == R.dtype and G.tobytes() == R[: len(pivots)].tobytes()
+
+
+def test_dual_rows_are_orthogonal_to_the_code(k4):
+    """The evaluations of `StandardWalk.dual(d)` are orthogonal to those
+    of Delta_d and have rank |X| - H_X(d): they span the dual."""
+    X = enumerate_X(k4, 5)
+    F, walk = X.field, walk_of(X)
+    for d in range(1, walk.regularity):
+        code_rows = evaluate_rows(X, walk.standard(d))
+        dual_rows = evaluate_rows(X, walk.dual(d))
+        products = F.mul(code_rows[:, None, :], dual_rows[None, :, :])
+        assert not F.sum_axis(products, axis=2).any()
+        assert _linalg.rank(F, dual_rows) == len(dual_rows) == len(X) - walk.hilbert(d)
+
+
+def _oracle_footprint(X, d):
+    """min over M in N_0..N_d of the number of N in N_0..N_r that M
+    divides, by a scalar loop over the affine exponents of the walk."""
+    walk = walk_of(X)
+    rows = [tuple(int(e) for e in row[:-1]) for row in walk.rows]
+    return min(
+        sum(all(n >= m for m, n in zip(M, N)) for N in rows)
+        for M in rows[: walk.hilbert(d)]
+    )
+
+
+def test_footprint_counts_each_degree_once():
+    """footprint(d), the least count of multiples over N_0..N_d, is taken
+    from N_d alone, counted on the first request for degree d and kept, in
+    any order of requests."""
+    X = enumerate_X(BATTERY["C6"], 5)
+    walk = StandardWalk(X)
+    expected = {d: _oracle_footprint(X, d) for d in range(walk.regularity)}
+    assert walk.footprint(2) == expected[2] and list(walk._least) == [2]
+    for d in (1, 0, 2, 4, 3, 1):
+        assert walk.footprint(d) == expected[d]
+    assert sorted(walk._least) == [0, 1, 2, 3, 4]
+    assert walk.footprint(walk.regularity) == 1 and len(walk._least) == 5

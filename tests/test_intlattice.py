@@ -27,7 +27,6 @@ from conftest import (
 from toriccode import (
     ci_classify,
     enumerate_X,
-    field_from_q,
     incidence,
     parse_clutter,
     rank_rational,

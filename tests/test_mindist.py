@@ -34,7 +34,7 @@ from toriccode import (
 )
 from toriccode import eval_code, mindist
 from toriccode._linalg import rref
-from toriccode.eval_code import LinearCode, walk_of
+from toriccode.eval_code import LinearCode, box_bound, walk_of
 
 
 class TestTorusDistanceFormula:
@@ -187,12 +187,16 @@ class TestIsd:
         assert row_space_contains(F, R, piv, w)
 
     def test_time_budget_inexact(self, triangle, k4):
-        # K4/GF(5) d=3 has floor 1: a zero budget stops the search before
-        # weight 1
+        # C6/GF(4) d=1 has floor 36 < delta = 50: a zero budget stops the
+        # search before weight 1
+        cd = code(enumerate_X(BATTERY["C6"], 4), 1)
+        r = min_distance_isd(cd, time_budget=0.0)
+        assert cd.floor == 36 and not r.exact
+        assert r.value >= 50  # an upper bound on the true delta
+        # K4/GF(5) d=3: the box bound meets the lightest systematic row, 4
         cd = code(enumerate_X(k4, 5), 3)
         r = min_distance_isd(cd, time_budget=0.0)
-        assert cd.floor == 1 and not r.exact
-        assert r.value >= 4  # an upper bound on the true delta
+        assert r.exact and r.value == cd.floor == 4
         # on the triangle over GF(9), d=3, the lightest systematic row meets
         # the floor, so even a zero budget gives the exact distance
         cd = code(enumerate_X(triangle, 9), 3)
@@ -538,43 +542,46 @@ def test_k5_gf5_d1_isd_exact():
 
 
 class TestIntervals:
-    def test_isd_stopped_reports_interval(self, k4):
-        cd = code(enumerate_X(k4, 5), 3)
+    def test_isd_stopped_reports_interval(self):
+        cd = code(enumerate_X(BATTERY["C6"], 4), 1)
         r = min_distance_isd(cd, time_budget=0.0)
-        # nothing enumerated yet: only ceil(n/k) = ceil(64/44) is proven,
-        # and the lightest systematic row is the witness
-        assert not r.exact and (r.lower, r.value) == (2, 4)
-        assert repr(r) == "DistanceResult([2, 4], isd)"
-        assert int(np.count_nonzero(r.witness)) == 4
+        # nothing enumerated yet: ceil(n/k) = ceil(81/6) = 14 is below the
+        # floor 36, and the lightest systematic row is the witness
+        assert not r.exact and (r.lower, r.value) == (36, 50)
+        assert repr(r) == "DistanceResult([36, 50], isd)"
+        assert int(np.count_nonzero(r.witness)) == 50
 
-    def test_isd_class_budget(self, k4):
-        # n = 64, k = 44, floor 1: weight 1 weighs 44 messages and weight 2
-        # C(44, 2) * 4 = 3784; Chen's bound is 2, 3, 5 after weights 0, 1, 2
-        cd = code(enumerate_X(k4, 5), 3)
-        assert (cd.length, cd.dimension, cd.floor) == (64, 44, 1)
-        stops = {43: (2, 4), 44: (3, 4), 44 + 3783: (3, 4)}
+    def test_isd_class_budget(self):
+        # n = 81, k = 6, floor 36: weight 1 weighs 6 messages, weight 2
+        # C(6, 2) * 3 = 45 and weight 3 C(6, 3) * 9 = 180; Chen's bound is
+        # 14, 27, 41, 54 after weights 0, 1, 2, 3
+        X = enumerate_X(BATTERY["C6"], 4)
+        cd = code(X, 1)
+        assert (cd.length, cd.dimension, cd.floor) == (81, 6, 36)
+        stops = {5: (36, 50), 6: (36, 50), 6 + 44: (36, 50), 6 + 45: (41, 50),
+                 6 + 45 + 179: (41, 50)}
         for budget, interval in stops.items():
             r = min_distance_isd(cd, class_budget=budget)
             assert not r.exact and (r.lower, r.value) == interval, budget
             assert int(np.count_nonzero(r.witness)) == r.value
-        r = min_distance_isd(cd, class_budget=44 + 3784)
-        assert r.exact and r.value == 4
+        r = min_distance_isd(cd, class_budget=6 + 45 + 180)
+        assert r.exact and r.value == 50
         # min_distance hands the budget to the search it picks
-        r = min_distance(enumerate_X(k4, 5), 3, method="isd", class_budget=44)
-        assert not r.exact and (r.lower, r.value) == (3, 4)
+        r = min_distance(X, 1, method="isd", class_budget=6 + 45)
+        assert not r.exact and (r.lower, r.value) == (41, 50)
 
     def test_exact_lower_equals_value(self, k4):
         r = min_distance_isd(code(enumerate_X(k4, 5), 3))
         assert r.exact and r.lower == r.value == 4
         assert repr(r) == "DistanceResult(4, isd, exact)"
 
-    def test_bruteforce_time_budget(self, k4):
+    def test_bruteforce_time_budget(self):
         F = field_from_q(4)
-        cd = code(enumerate_X(k4, F.q), 1)  # [27, 6]: six message blocks
+        cd = code(enumerate_X(BATTERY["C6"], F.q), 1)  # [81, 6]
         r = min_distance_bruteforce(cd, time_budget=0.0)
         assert not r.exact and r.method == "bruteforce"
-        # the floor is the lower end: delta = 12, its footprint bound 7
-        assert r.lower == cd.floor == 7 and r.value >= 12
+        # the floor is the lower end: delta = 50, its box bound 36
+        assert r.lower == cd.floor == 36 and r.value >= 50
         assert int(np.count_nonzero(r.witness)) == r.value
 
 
@@ -615,33 +622,100 @@ class TestMinDistance:
 @pytest.mark.parametrize("q", [3, 4, 5, 7])
 @pytest.mark.parametrize("s", [2, 3, 4])
 def test_floor_is_the_torus_distance(s, q):
-    """On the torus in P^(s-1) the footprint bound is exact: it equals the
-    closed formula below the regularity (q-2)(s-1), counted one monomial
-    per block too, and is 1 from there on."""
-    walk = walk_of(projective_torus(s, q))
+    """On the torus in P^(s-1) the footprint bound and the box bound are
+    exact: both equal the closed formula below the regularity (q-2)(s-1),
+    the footprint counted one monomial per block too, and are 1 from there
+    on."""
+    X = projective_torus(s, q)
+    walk = walk_of(X)
     assert walk.regularity == (q - 2) * (s - 1)
     degrees = range(1, walk.regularity + 2)
     expected = [torus_distance(q, s, d) for d in degrees]
     assert [walk.footprint(d) for d in degrees] == expected
     with mock.patch.object(eval_code, "_CELL_CAP", 1):
-        assert [walk.footprint(d) for d in degrees] == expected
+        # a walk of its own: walk_of(X) keeps the counts already taken
+        fresh = eval_code.StandardWalk(X)
+        assert [fresh.footprint(d) for d in degrees] == expected
+    assert [box_bound(X, d, len(X) + 1) for d in degrees] == expected
 
 
-@pytest.mark.parametrize("C,q,d", [
-    (BATTERY["U6"], 4, 1), (BATTERY["C3"], 9, 2), (_C9, 3, 1),
-], ids=["U6-4-1", "C3-9-2", "C9-3-1"])
-def test_searches_stop_at_the_floor(C, q, d):
-    """Each graph is connected with one cycle, an odd one, so X is the
-    torus in P^(s-1); there the floor is delta, and the lightest row of
-    the RREF meets it: both searches return delta exactly without building
-    the table S."""
+@pytest.mark.parametrize("C,q,d,delta", [
+    (BATTERY["U6"], 4, 1, torus_distance(4, 6, 1)),
+    (BATTERY["C3"], 9, 2, torus_distance(9, 3, 2)),
+    (_C9, 3, 1, torus_distance(3, 9, 1)),
+    (BATTERY["K4"], 9, 2, 288), (BATTERY["C4"], 9, 3, 25),
+], ids=["U6-4-1", "C3-9-2", "C9-3-1", "K4-9-2", "C4-9-3"])
+def test_searches_stop_at_the_floor(C, q, d, delta):
+    """U6, C3 and C9 are connected with one cycle, an odd one, so X is the
+    torus in P^(s-1), and delta is the torus formula; there the footprint
+    floor is delta.  On K4 and C4 over GF(9) the footprint (90 and 15) is
+    below delta and the box bound is delta.  In each the lightest row of
+    the RREF meets the floor: both searches return delta exactly without
+    building the table S, brute force given a class budget of all its
+    messages."""
     X = enumerate_X(C, q)
     cd = code(X, d)
-    delta = torus_distance(q, X.s, d)
+    assert cd.floor == max(walk_of(X).footprint(d), box_bound(X, d, delta))
     R, pivots = rref(cd.field, cd.generator)
+    messages = q ** (cd.dimension - 1)
     with mock.patch.object(mindist, "_scaled_rows", side_effect=AssertionError("built S")):
-        results = [min_distance_bruteforce(cd), min_distance_isd(cd)]
+        results = [min_distance_bruteforce(cd, messages), min_distance_isd(cd)]
     for r in results:
         assert r.exact and r.value == r.lower == cd.floor == delta
         assert int(np.count_nonzero(r.witness)) == delta
         assert row_space_contains(cd.field, R, pivots, r.witness)
+
+
+def _oracle_box_at(X, d, label):
+    """min over a in Delta_d of prod_j (o_j - (a_j + b_j) mod o_j), by a
+    scalar loop, for the shift b of that label (digit j has radix o_j)."""
+    b, orders = [], X.orders
+    for o in orders:
+        b.append(label % o)
+        label //= o
+    A = walk_of(X).standard(d) @ X.chars % np.array(orders)
+    return int(min(np.prod([o - (a_j + b_j) % o for a_j, b_j, o in zip(a, b, orders)])
+                   for a in A))
+
+
+def _oracle_box(X, d):
+    """The box bound of C_X(d): the max of `_oracle_box_at` over every
+    shift."""
+    return max(_oracle_box_at(X, d, label) for label in range(len(X)))
+
+
+@_RANDOM_CODES
+@given(clutters_over_fields(max_torus=64))
+def test_box_bound_is_at_most_the_exhaustive_weight(case):
+    """The box bound over every shift, scanned in blocks of one shift too,
+    is the scalar one and never exceeds the least weight of C_X(d); the
+    floor of C_X(d) is the larger of it and the footprint whenever that is
+    below the lightest generator row."""
+    X = enumerate_X(*case)
+    walk = walk_of(X)
+    for cd in _small_codes(case):
+        box = box_bound(X, cd.d, len(X) + 1)
+        with mock.patch.object(eval_code, "_CELL_CAP", 1):
+            assert box_bound(X, cd.d, len(X) + 1) == box
+        assert box == _oracle_box(X, cd.d)
+        assert 1 <= box <= oracle_min_weight(cd.field, cd.generator)
+        lightest = int(np.count_nonzero(cd.generator, axis=1).min())
+        if walk.footprint(cd.d) < lightest:
+            assert cd.floor == max(walk.footprint(cd.d), box)
+
+
+def test_box_scan_stops_at_its_target_and_budget():
+    """The scan ends at the first block whose max reaches the target, or
+    once the budget of (shift, monomial) pairs is spent; either partial
+    max is a bound below the full one.  C6/GF(5) d=1: six characters on a
+    grid of 256 shifts, box 144."""
+    X = enumerate_X(BATTERY["C6"], 5)
+    full = box_bound(X, 1, len(X) + 1)
+    assert full == 144
+    first = _oracle_box_at(X, 1, 0)
+    with mock.patch.object(eval_code, "_CELL_CAP", 6):  # one shift per block
+        assert box_bound(X, 1, 1) == first
+        with mock.patch.object(eval_code, "_BOX_BUDGET", 6):
+            assert box_bound(X, 1, len(X) + 1) == first
+    assert first < full
+
