@@ -48,8 +48,8 @@ too (`box_bound`).  `code` records the larger of the two on C_X(d) as the
 floor of both distance searches.
 
 Blocked loops (the footprint count, the box scan, the searches of
-`mindist`) allocate no array of more than _CELL_CAP = 2^18 cells: 2 MiB at
-8 bytes a cell, the size of a per-core L2 cache.
+`mindist`) size their blocks by _CELL_CAP = 2^18 cells: 2 MiB at 8 bytes a
+cell, the size of a per-core L2 cache.
 """
 
 from __future__ import annotations
@@ -147,7 +147,8 @@ def evaluate_rows(X: ToricSet, E: np.ndarray) -> np.ndarray:
     """Evaluate the monomials with exponent rows E at every point of X.
 
     Returns the len(E) x |X| matrix of field encodings.  Valid because all
-    coordinates of X are units, so evaluation happens in exponent space.
+    coordinates of X are units, so evaluation happens in exponent space;
+    an exponent may be negative, as for the rows of `StandardWalk.dual`.
     """
     F = X.field
     R = (np.asarray(E, dtype=np.int64) @ X.logs.T) % (F.q - 1)

@@ -56,8 +56,7 @@ Brute force compares each head word with the whole span of the tail rows
 at once; information-set search compares the sum of w-1 scaled rows with
 the unit multiples of the w-th.  Apart from S, no array either search
 allocates exceeds max(_CELL_CAP, (q-1)n) cells, _CELL_CAP = 2^18 of
-`eval_code`: a span of 2^20 cells cost more in page faults than the larger
-blocks saved.
+`eval_code`.
 """
 
 from __future__ import annotations

@@ -244,19 +244,6 @@ def test_generator_next_to_half_the_length(name, q, d, side):
     assert G.dtype == R.dtype and G.tobytes() == R[: len(pivots)].tobytes()
 
 
-def test_dual_rows_are_orthogonal_to_the_code(k4):
-    """The evaluations of `StandardWalk.dual(d)` are orthogonal to those
-    of Delta_d and have rank |X| - H_X(d): they span the dual."""
-    X = enumerate_X(k4, 5)
-    F, walk = X.field, walk_of(X)
-    for d in range(1, walk.regularity):
-        code_rows = evaluate_rows(X, walk.standard(d))
-        dual_rows = evaluate_rows(X, walk.dual(d))
-        products = F.mul(code_rows[:, None, :], dual_rows[None, :, :])
-        assert not F.sum_axis(products, axis=2).any()
-        assert _linalg.rank(F, dual_rows) == len(dual_rows) == len(X) - walk.hilbert(d)
-
-
 def _oracle_footprint(X, d):
     """min over M in N_0..N_d of the number of N in N_0..N_r that M
     divides, by a scalar loop over the affine exponents of the walk."""
