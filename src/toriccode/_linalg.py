@@ -59,31 +59,5 @@ def rref(field, M):
 
 
 def rank(field, M) -> int:
-    """Rank via plain row echelon: eliminate below the pivot only, and only
-    in columns to the right.  Cheaper than rref when only the count matters."""
-    R = np.array(M, dtype=field.dtype, copy=True)
-    if R.ndim != 2:
-        raise ValueError("need a 2-d matrix")
-    nrows, ncols = R.shape
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        below = np.nonzero(R[r:, c])[0]
-        if below.size == 0:
-            continue
-        pr = r + int(below[0])
-        if pr != r:
-            R[[r, pr]] = R[[pr, r]]
-        piv = int(R[r, c])
-        rest = R[r, c + 1:]
-        if piv != 1:
-            rest = field.mul(rest, int(field.inv(piv)))
-            R[r, c + 1:] = rest
-        rows = r + 1 + np.nonzero(R[r + 1:, c])[0]
-        if rows.size:
-            f = R[rows, c]
-            R[rows, c + 1:] = field.sub(R[rows, c + 1:], field.mul(f[:, None], rest[None, :]))
-        r += 1
-    return r
-
+    """The rank of M over the field: the number of pivots of its rref."""
+    return len(rref(field, M)[1])

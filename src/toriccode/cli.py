@@ -85,7 +85,8 @@ def _build_parser() -> argparse.ArgumentParser:
             type=int,
             default=DEFAULT_CLASS_BUDGET,
             help="maximum number of messages a distance search weighs: brute force "
-            "exits 3 past it, information-set search reports an interval",
+            "exits 3 past it unless the lightest generator row meets the floor, "
+            "information-set search reports an interval",
         )
         p.add_argument("--time-budget", type=float, default=None, help="search seconds budget")
         if with_d:

@@ -297,13 +297,10 @@ class FiniteField:
         return r.astype(self.dtype)
 
     def sum_axis(self, a, axis=0):
-        """Field sum along an axis of an encoding array."""
+        """Field sum along an axis of an encoding array: the digit sums mod
+        p, for every p and k."""
         a = np.asarray(a)
-        if self.p == 2:
-            return np.bitwise_xor.reduce(a, axis=axis)
-        if self.k == 1:
-            return (a.astype(np.int64).sum(axis=axis) % self.p).astype(self.dtype)
-        d = self._digits[a].sum(axis=axis) % self.p
+        d = self._digits[a].sum(axis=axis % a.ndim) % self.p
         return (d @ self._pows).astype(self.dtype)
 
     # -- packed form (see the module docstring) --

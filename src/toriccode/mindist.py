@@ -12,18 +12,31 @@ holds delta; it is a single number when exact.
 `code(X, d)` records on C_X(d) as `LinearCode.floor` a proven lower bound
 on delta: the footprint bound of that walk, or the shifted box bound on the
 Smith grid of X when that is larger (`eval_code.box_bound`), scanned until
-it reaches the lightest generator row.  Both searches start from that row
-and stop, with an exact result, as soon as their lightest codeword reaches
-the floor: when the row already does, before any table is built.  A search
-stopped by its time budget reports the floor as its lower end when nothing
-better is proven.
+it reaches the lightest generator row.
 
-The class budget bounds the messages either search weighs.  Brute force
-refuses a code whose q^(k-1) messages exceed it (BudgetExceededError);
-information-set search does not start the weight that would take its
-total past it, and reports the interval proven so far.
+Both searches are one loop, `_search`, fed by a plan: a generator of
+blocks of words to weigh.  The loop weighs the generator rows first, and
+returns the lightest exactly when it meets the floor, before the plan takes
+a step, so before any table is built and whatever the budgets.  Each block
+carries a proven lower bound on the codewords not yet weighed, and the
+messages the plan will have weighed at the end of its current stage.  Before
+each block the loop raises `lower` to that bound and returns exactly once
+the lightest codeword so far meets it; it returns the interval
+[lower, lightest] when the messages pass the class budget or the time
+budget has run out.  Otherwise it weighs the block and keeps the lightest
+codeword as the witness.  A plan that ends leaves an exact result.
 
-Both searches take as given that a group acting regularly on the
+* The brute-force plan weighs the q^(k-1) messages with first coefficient
+  1, one stage; on its first step it raises BudgetExceededError when they
+  exceed the class budget.  It proves no bound, so a time-out reports the
+  floor as the lower end.
+* The information-set plan weighs the messages of weight w = 1, 2, ...,
+  one stage each, and proves Chen's bound after each weight; ceil(n/k)
+  counts as proven before the first block.  A stage counts the messages
+  up to its weight, so the loop does not start a weight that would take
+  their total past the class budget.
+
+Both plans take as given that a group acting regularly on the
 coordinates maps the code to itself, as X does on every C_X(d): x in X
 moves the point p to x*p and only rescales the evaluation row of each
 monomial.  On a code without such an action they still return the weight
@@ -45,10 +58,10 @@ is its codeword's entry at c*.  Every nonzero codeword has a translate of
 the same weight that is nonzero at c*, and a scalar multiple of that
 translate has first coefficient 1.
 
-Both searches run on the packed words of `FiniteField.pack`: they share
-the table S[u, i] = pack(g^u * row_i) of every unit multiple of every row,
-built once per generator matrix, add with `FiniteField.add_packed`, and
-unpack only the witness.  They weigh words by comparison, not field
+Both plans build words packed (`FiniteField.pack`) from the table
+S[u, i] = pack(g^u * row_i) of every unit multiple of every row, built once
+per generator matrix, add them with `FiniteField.add_packed`, and the loop
+unpacks only the witness.  It weighs words by comparison, not field
 arithmetic: wt(a - b) = #{j : a_j != b_j}.  The span of some rows is closed
 under negation, and so is the set of unit multiples of one row, so
 comparing a with every word b of such a set weighs every a + b as well.
@@ -120,9 +133,111 @@ def _span(F: FiniteField, S: np.ndarray) -> np.ndarray:
     return B
 
 
-def _difference(F: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a - b for packed words, as encodings."""
-    return F.sub(F.unpack(a), F.unpack(b))
+def _search(
+    C: LinearCode, method: str, plan, class_budget: int, time_budget: float | None
+) -> DistanceResult:
+    """The one search loop of both methods (see the module docstring).
+
+    Each block of `plan` is (heads, tails, proven, spent): packed words
+    heads (..., H, n) and tails (..., T, n), whose differences
+    heads[..., i] - tails[..., j] are weighed; `proven`, a lower bound on
+    every codeword the plan has not weighed yet; and `spent`, the messages
+    the plan will have weighed at the end of its current stage.
+    """
+    F, G = C.field, C.generator
+    if G.shape[0] == 0:
+        raise ValueError("zero code has no minimum distance")
+    start = time.monotonic()
+    row_weights = _weights(G, 0, axis=1)
+    best = int(row_weights.min())
+    witness = G[int(np.argmin(row_weights))].copy()
+    lower = max(1, C.floor)
+    if best <= lower:
+        return DistanceResult(best, method, exact=True, witness=witness)
+    for heads, tails, proven, spent in plan:
+        lower = max(lower, proven)
+        if best <= lower:
+            break
+        late = time_budget is not None and time.monotonic() - start > time_budget
+        if spent > class_budget or late:
+            return DistanceResult(best, method, exact=False, witness=witness, lower=lower)
+        weights = _weights(heads[..., :, None, :], tails[..., None, :, :], axis=-1)
+        if weights.min(initial=best) < best:
+            *at, h, t = np.unravel_index(int(np.argmin(weights)), weights.shape)
+            best = int(weights[(*at, h, t)])
+            witness = F.sub(F.unpack(heads[(*at, h)]), F.unpack(tails[(*at, t)]))
+    return DistanceResult(best, method, exact=True, witness=witness)
+
+
+def _bruteforce_plan(C: LinearCode, class_budget: int):
+    """The q^(k-1) messages with first coefficient 1, in blocks of head
+    words against B, the span of the last k2 rows, k2 < k as large as
+    q^k2 * n <= _CELL_CAP allows.  Raises BudgetExceededError on its first
+    step when those messages exceed the class budget."""
+    F, G = C.field, C.generator
+    q, (k, n) = F.q, G.shape
+    messages = q ** (k - 1)
+    if messages > class_budget:
+        raise BudgetExceededError(
+            f"{messages} messages with first coefficient 1 > budget {class_budget}; use isd"
+        )
+    S = _scaled_rows(F, G)
+    k2 = 0
+    while k2 < k - 1 and q ** (k2 + 1) * n <= _CELL_CAP:
+        k2 += 1
+    free = k - k2 - 1  # the head coefficients after the first
+    B = _span(F, S[:, k - k2:])
+    Z = np.zeros((q, k, n), dtype=S.dtype)  # Z[c, i] = pack(c * G[i]), c an encoding
+    Z[F.exp] = S
+    block = max(1, _CELL_CAP // (len(B) * n))
+    radix = q ** np.arange(free, dtype=np.int64)
+    for first in range(0, q ** free, block):
+        ids = np.arange(first, min(first + block, q ** free), dtype=np.int64)
+        digits = (ids[:, None] // radix[None, :]) % q
+        heads = np.broadcast_to(S[0, 0], (ids.size, n))
+        for j in range(free):
+            heads = F.add_packed(heads, Z[digits[:, j], 1 + j])
+        yield heads, B, 1, messages
+
+
+def _isd_plan(C: LinearCode):
+    """The messages of weight w = 1, 2, ..., k on the information set, w
+    rows with coefficients, the first 1: per block, the sums of the first
+    w-1 scaled rows of each support as heads and the unit multiples of its
+    last row as tails.  A weight-w block carries Chen's bound
+    ceil(nw/k) after weight w-1, and the messages of weights 1 to w,
+    C(k, w) (q-1)^(w-1) at weight w.  Each weight opens with an empty block
+    that carries both, so the search can stop on Chen's bound or the class
+    budget before the weight builds a word."""
+    F, G = C.field, C.generator
+    k, n = G.shape
+    S = _scaled_rows(F, G)
+    units = F.q - 1
+    weighed = 0
+    for w in range(1, k + 1):
+        weighed += comb(k, w) * units ** (w - 1)
+        proven = -(-n * w // k)
+        yield S[0, :0], S[0, :0], proven, weighed
+        # unit indices: 0 for the first coefficient, all for the middle
+        # w-2 (enumerated in blocks of patterns), all for the last
+        last = np.arange(units if w > 1 else 1)
+        middles = units ** max(0, w - 2)
+        radix = units ** np.arange(max(0, w - 2), dtype=np.int64)
+        per_support = last.size * n
+        pattern_block = min(middles, max(1, _CELL_CAP // per_support))
+        support_block = max(1, _CELL_CAP // (pattern_block * per_support))
+        combos = combinations(range(k), w)
+        while batch := list(islice(combos, support_block)):
+            sel = np.array(batch, dtype=np.int64)  # (b, w) row indices
+            lasts = S[last[None, :], sel[:, -1, None]]  # (b, L, n)
+            first_rows = S[0, sel[:, 0], None] if w > 1 else np.zeros((1, 1, n), S.dtype)
+            for first in range(0, middles, pattern_block):
+                ids = np.arange(first, min(first + pattern_block, middles), dtype=np.int64)
+                mid = (ids[:, None] // radix[None, :]) % units  # (P, w-2)
+                partial = np.broadcast_to(first_rows, (len(sel), ids.size, n))
+                for t in range(1, w - 1):
+                    partial = F.add_packed(partial, S[mid[None, :, t - 1], sel[:, t, None]])
+                yield partial, lasts, proven, weighed
 
 
 def min_distance_bruteforce(
@@ -134,60 +249,12 @@ def min_distance_bruteforce(
     1, which a group acting regularly on the coordinates and mapping C to
     itself makes enough (see the module docstring).
 
-    The class budget bounds the q^(k-1) messages weighed, one per
-    projective class with a nonzero first coefficient.  The message splits
-    into head and tail coordinates.  The span B of the last k2 rows is
-    built once, k2 < k as large as q^k2 * n <= _CELL_CAP allows.  Each
-    head word a (first coefficient 1) is weighed against all of B at once:
-    as b runs over B so does -b, and wt(a - b) = #{j : a_j != b_j}.  The
-    search starts from the lightest generator row and stops once its
-    lightest codeword reaches C.floor; the time budget is checked before
-    each block of head words, and on expiry the lightest codeword so far
-    is returned with exact=False and lower the floor.
+    Raises BudgetExceededError when the q^(k-1) messages exceed the class
+    budget and the lightest generator row is above C.floor.  On time budget
+    expiry the lightest codeword so far is returned with exact=False and
+    lower the floor.
     """
-    F = C.field
-    q = F.q
-    k, n = C.generator.shape
-    if k == 0:
-        raise ValueError("zero code has no minimum distance")
-    messages = q ** (k - 1)
-    if messages > class_budget:
-        raise BudgetExceededError(
-            f"{messages} messages with first coefficient 1 > budget {class_budget}; use isd"
-        )
-    start = time.monotonic()
-    row_weights = _weights(C.generator, 0, axis=1)
-    best = int(row_weights.min())
-    witness = C.generator[int(np.argmin(row_weights))].copy()
-    if best <= C.floor:
-        return DistanceResult(best, "bruteforce", exact=True, witness=witness)
-    S = _scaled_rows(F, C.generator)
-    k2 = 0
-    while k2 < k - 1 and q ** (k2 + 1) * n <= _CELL_CAP:
-        k2 += 1
-    free = k - k2 - 1  # the head coefficients after the first
-    B = _span(F, S[:, k - k2:])
-    Z = np.zeros((q, k, n), dtype=S.dtype)  # Z[c, i] = pack(c * G[i]), c an encoding
-    Z[F.exp] = S
-    block = max(1, _CELL_CAP // (len(B) * n))
-    radix = q ** np.arange(free, dtype=np.int64)
-    for first in range(0, q ** free, block):
-        if best <= C.floor:
-            return DistanceResult(best, "bruteforce", exact=True, witness=witness)
-        if time_budget is not None and time.monotonic() - start > time_budget:
-            return DistanceResult(
-                best, "bruteforce", exact=False, witness=witness, lower=max(1, C.floor)
-            )
-        ids = np.arange(first, min(first + block, q ** free), dtype=np.int64)
-        digits = (ids[:, None] // radix[None, :]) % q
-        heads = np.broadcast_to(S[0, 0], (ids.size, n))
-        for j in range(free):
-            heads = F.add_packed(heads, Z[digits[:, j], 1 + j])
-        weights = _weights(heads[:, None, :], B[None], axis=2)
-        h, t = divmod(int(np.argmin(weights)), len(B))
-        if weights[h, t] < best:
-            best, witness = int(weights[h, t]), _difference(F, heads[h], B[t])
-    return DistanceResult(value=best, method="bruteforce", exact=True, witness=witness)
+    return _search(C, "bruteforce", _bruteforce_plan(C, class_budget), class_budget, time_budget)
 
 
 def min_distance_isd(
@@ -200,93 +267,13 @@ def min_distance_isd(
     coordinates and mapping C to itself makes valid (see the module
     docstring).
 
-    Enumerates messages of increasing weight w.  A message is w rows with
-    coefficients, the first 1: the first w-1 scaled rows are gathered from
-    S and added, and the last is weighed against every unit at once by
-    comparison with its unit multiples in S.  The lightest codeword seen
-    starts as the lightest generator row.  Stops as soon as it reaches
-    C.floor, checked before each block, or the bound after weight w.
-
     The class budget bounds the messages weighed, C(k, w) (q-1)^(w-1) at
     weight w: a weight that would take their total past it is not started.
     On that, or on time budget exhaustion, the lightest codeword so far is
     returned with exact=False, and `lower` is the larger of the floor and
     the bound after the last completed weight.
     """
-    F = C.field
-    G = C.generator  # in RREF, a systematic form
-    k, n = G.shape
-    if k == 0:
-        raise ValueError("zero code has no minimum distance")
-    start = time.monotonic()
-
-    def bound(w):
-        return -(-n * (w + 1) // k)
-
-    # a systematic row has at most n-k+1 nonzeros: the lightest one bounds
-    # delta before any message is weighed
-    row_weights = _weights(G, 0, axis=1)
-    upper = int(row_weights.min())
-    witness = G[int(np.argmin(row_weights))]
-    if upper <= C.floor:
-        return DistanceResult(value=upper, method="isd", exact=True, witness=witness)
-
-    def stopped(w):
-        return DistanceResult(
-            value=upper,
-            method="isd",
-            exact=False,
-            witness=witness,
-            lower=min(upper, max(bound(w - 1), C.floor)),
-        )
-
-    S = _scaled_rows(F, G)
-    units = F.q - 1
-    weighed = 0
-    for w in range(1, k + 1):
-        weighed += comb(k, w) * units ** (w - 1)
-        if weighed > class_budget:
-            return stopped(w)
-        # unit indices: 0 for the first coefficient, all for the middle
-        # w-2 (enumerated in blocks of patterns), all for the last
-        last = np.arange(units if w > 1 else 1)
-        middles = units ** max(0, w - 2)
-        radix = units ** np.arange(max(0, w - 2), dtype=np.int64)
-        per_support = last.size * n
-        pattern_block = min(middles, max(1, _CELL_CAP // per_support))
-        support_block = max(1, _CELL_CAP // (pattern_block * per_support))
-        combos = combinations(range(k), w)
-        while True:
-            batch = list(islice(combos, support_block))
-            if not batch:
-                break
-            sel = np.array(batch, dtype=np.int64)  # (b, w) row indices
-            lasts = S[last[None, :], sel[:, -1, None]]  # (b, L, n)
-            for first in range(0, middles, pattern_block):
-                if upper <= C.floor:
-                    return DistanceResult(
-                        value=upper, method="isd", exact=True, witness=witness
-                    )
-                if time_budget is not None and time.monotonic() - start > time_budget:
-                    return stopped(w)
-                ids = np.arange(first, min(first + pattern_block, middles), dtype=np.int64)
-                mid = (ids[:, None] // radix[None, :]) % units  # (P, w-2)
-                if w == 1:
-                    partial = np.zeros((sel.shape[0], 1, n), dtype=S.dtype)
-                else:
-                    partial = np.broadcast_to(
-                        S[0, sel[:, 0]][:, None, :], (sel.shape[0], ids.size, n)
-                    )
-                for t in range(1, w - 1):
-                    partial = F.add_packed(partial, S[mid[None, :, t - 1], sel[:, t, None]])
-                weights = _weights(partial[:, :, None, :], lasts[:, None], axis=3)
-                bi, pi, li = np.unravel_index(int(np.argmin(weights)), weights.shape)
-                if weights[bi, pi, li] < upper:
-                    upper = int(weights[bi, pi, li])
-                    witness = _difference(F, partial[bi, pi], lasts[bi, li])
-        if max(bound(w), C.floor) >= upper:
-            break
-    return DistanceResult(value=upper, method="isd", exact=True, witness=witness)
+    return _search(C, "isd", _isd_plan(C), class_budget, time_budget)
 
 
 def torus_distance(q: int, n: int, d: int) -> int:

@@ -35,7 +35,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from toriccode import Clutter, field_from_q, incidence, parse_clutter, torus_distance, uniformity
-from toriccode._linalg import rank, rref
+from toriccode._linalg import rref
 from toriccode.eval_code import evaluate_rows
 
 # ---------------------------------------------------------------------------
@@ -255,6 +255,34 @@ def oracle_rref(field, M):
         pivots.append(c)
         r += 1
     return R, pivots
+
+
+def oracle_rank(field, M) -> int:
+    """Rank by plain row echelon: eliminate below the pivot only, and only
+    in the columns to its right.  Shares no code with `_linalg.rref`."""
+    R = np.array(M, dtype=field.dtype, copy=True)
+    nrows, ncols = R.shape
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        below = np.nonzero(R[r:, c])[0]
+        if below.size == 0:
+            continue
+        pr = r + int(below[0])
+        if pr != r:
+            R[[r, pr]] = R[[pr, r]]
+        piv = int(R[r, c])
+        rest = R[r, c + 1:]
+        if piv != 1:
+            rest = field.mul(rest, int(field.inv(piv)))
+            R[r, c + 1:] = rest
+        rows = r + 1 + np.nonzero(R[r + 1:, c])[0]
+        if rows.size:
+            f = R[rows, c]
+            R[rows, c + 1:] = field.sub(R[rows, c + 1:], field.mul(f[:, None], rest[None, :]))
+        r += 1
+    return r
 
 
 def multiplication_injective(relation_rows, factor: int) -> bool:
@@ -725,7 +753,7 @@ def _residue_rows(X, d):
 
 def oracle_hilbert_rank(X, d) -> int:
     """H_X(d) as the GF(q) rank of the degree-d evaluation rows."""
-    return rank(X.field, evaluate_rows(X, _residue_rows(X, d)))
+    return oracle_rank(X.field, evaluate_rows(X, _residue_rows(X, d)))
 
 
 def oracle_regularity(X) -> int:

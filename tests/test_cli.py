@@ -454,9 +454,11 @@ class TestErrors:
         )
         assert rc == EXIT_BUDGET and "budget" in err
 
-    def test_class_budget(self, run, k4_file):
+    def test_class_budget(self, run, c6_file):
+        # C6/GF(3) d=1: 3^5 messages, and the lightest row, 6, is above the
+        # floor 5
         rc, _, err = run(
-            "mindist", "--clutter", k4_file, "--q", "3", "--d", "2",
+            "mindist", "--clutter", c6_file, "--q", "3", "--d", "1",
             "--method", "bruteforce", "--class-budget", "3",
         )
         assert rc == EXIT_BUDGET
@@ -572,6 +574,18 @@ class TestNoFieldNoPoints:
         make_field.cache_clear()
         assert run(*argv) == plain and plain[0] == EXIT_OK
         assert fields == [(2, 2)] and points == [27]
+
+
+def test_bruteforce_at_the_floor_needs_no_class_budget(run, k4_file):
+    """K4 over GF(9), d = 2, is [512, 19]: its 9^18 messages exceed the
+    default class budget, but the lightest generator row already meets the
+    box floor 288, so brute force returns that exactly."""
+    rc, out, _ = run("mindist", "--clutter", k4_file, "--q", "9", "--d", "2",
+                     "--method", "bruteforce", "--format", "json")
+    assert rc == EXIT_OK
+    body = json.loads(out)
+    assert (body["delta"], body["delta_lower"], body["delta_exact"]) == (288, 288, True)
+    assert body["delta_method"] == "bruteforce"
 
 
 def test_isd_class_budget_bounds_the_search(run, tmp_path):

@@ -290,6 +290,19 @@ class TestKernels:
         ]
         assert list(F.sum_axis(M, axis=1)) == expect
 
+    @pytest.mark.parametrize("q", [3, 8, 9, 25])
+    def test_sum_axis_by_repeated_add(self, q):
+        """One digit-sum path for prime fields and for extensions of odd
+        and even characteristic, along every axis, negative ones too."""
+        F = field_from_q(q)
+        a = np.random.default_rng(q).integers(0, q, size=(4, 3, 5)).astype(F.dtype)
+        for axis in (0, 1, 2, -1):
+            expect = np.take(a, 0, axis=axis)
+            for i in range(1, a.shape[axis]):
+                expect = F.add(expect, np.take(a, i, axis=axis))
+            got = F.sum_axis(a, axis=axis)
+            assert got.dtype == F.dtype and np.array_equal(got, expect), axis
+
 
 def _is_prime_power(q):
     p = next(f for f in range(2, q + 1) if q % f == 0)

@@ -1,12 +1,13 @@
 """`_linalg.rref` against the column-by-column elimination of
-conftest.oracle_rref: the same R and pivots."""
+conftest.oracle_rref: the same R and pivots, and `_linalg.rank` their
+number."""
 
 import numpy as np
 import pytest
 
 from conftest import oracle_rref
 from toriccode import field_from_q
-from toriccode._linalg import rref
+from toriccode._linalg import rank, rref
 
 
 def _matrices(q, rng):
@@ -35,3 +36,4 @@ def test_rref_matches_oracle(q):
         expected_R, expected_pivots = oracle_rref(F, M)
         assert R.dtype == expected_R.dtype
         assert np.array_equal(R, expected_R) and pivots == expected_pivots
+        assert rank(F, M) == len(expected_pivots)

@@ -125,15 +125,18 @@ class TestBruteforce:
         r = min_distance_isd(cd)
         assert r.exact and r.value == oracle_one_form_isd(3, G)
 
-    def test_budget_raises(self, k4):
-        X = enumerate_X(k4, 3)
+    # C6/GF(3) d=1 is [16, 6] with floor 5 below its lightest row, 6, so
+    # brute force reaches its class budget; on K4/GF(3) the lightest row
+    # meets the floor and the result is exact whatever the budget
+    def test_budget_raises(self):
+        X = enumerate_X(BATTERY["C6"], 3)
         with pytest.raises(BudgetExceededError):
-            min_distance_bruteforce(code(X, 2), class_budget=10)
+            min_distance_bruteforce(code(X, 1), class_budget=10)
 
-    def test_budget_counts_messages_weighed(self, k4):
+    def test_budget_counts_messages_weighed(self):
         # q^(k-1) messages with first coefficient 1, not the larger
         # (q^k - 1)/(q - 1) projective classes
-        cd = code(enumerate_X(k4, 3), 1)
+        cd = code(enumerate_X(BATTERY["C6"], 3), 1)
         messages = 3 ** (cd.dimension - 1)
         assert min_distance_bruteforce(cd, class_budget=messages).exact
         with pytest.raises(BudgetExceededError, match=f"^{messages} messages"):
@@ -338,12 +341,14 @@ def _check_searches(cd, cell_cap=None):
     mindist._CELL_CAP, against the exhaustive weight, under the footprint
     floor of cd, which must not exceed it, and under floor 1, where no
     search stops before its end unless delta is 1; each witness must be a
-    codeword of the reported weight."""
+    codeword of the reported weight.  With a class budget of 0 brute force
+    raises exactly when the lightest generator row is above the floor."""
     F = cd.field
     delta = oracle_min_weight(F, cd.generator)
     assert 1 <= cd.floor <= delta
     R, pivots = rref(F, cd.generator)
     cap = mindist._CELL_CAP if cell_cap is None else cell_cap(F.q, cd.length)
+    lightest = int(np.count_nonzero(cd.generator, axis=1).min())
     results = []
     with mock.patch.object(mindist, "_CELL_CAP", cap):
         for floor in (cd.floor, 1):
@@ -351,6 +356,11 @@ def _check_searches(cd, cell_cap=None):
             results.append(min_distance_bruteforce(searched))
             if cell_cap is not None:
                 results.append(min_distance_isd(searched))
+            if lightest > floor:
+                with pytest.raises(BudgetExceededError):
+                    min_distance_bruteforce(searched, 0)
+            else:
+                results.append(min_distance_bruteforce(searched, 0))
     for r in results:
         assert r.exact and r.value == delta
         assert int(np.count_nonzero(r.witness)) == delta
@@ -651,15 +661,13 @@ def test_searches_stop_at_the_floor(C, q, d, delta):
     floor is delta.  On K4 and C4 over GF(9) the footprint (90 and 15) is
     below delta and the box bound is delta.  In each the lightest row of
     the RREF meets the floor: both searches return delta exactly without
-    building the table S, brute force given a class budget of all its
-    messages."""
+    building the table S, even with a class budget of 0."""
     X = enumerate_X(C, q)
     cd = code(X, d)
     assert cd.floor == max(walk_of(X).footprint(d), box_bound(X, d, delta))
     R, pivots = rref(cd.field, cd.generator)
-    messages = q ** (cd.dimension - 1)
     with mock.patch.object(mindist, "_scaled_rows", side_effect=AssertionError("built S")):
-        results = [min_distance_bruteforce(cd, messages), min_distance_isd(cd)]
+        results = [min_distance_bruteforce(cd, 0), min_distance_isd(cd, 0)]
     for r in results:
         assert r.exact and r.value == r.lower == cd.floor == delta
         assert int(np.count_nonzero(r.witness)) == delta
