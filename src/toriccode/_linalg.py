@@ -16,15 +16,16 @@ def rref(field, M):
     one ``any`` over those rows finds the next column that has one.  Rows r
     and below are zero left of the pivot column c, so each pivot updates,
     from column c on, every row with a nonzero entry f in column c: it
-    subtracts f times the pivot row, read from a table of the negated
-    multiples of that row by every field element when there are at least q
-    such rows.
+    adds -f times the pivot row, with -f read from the negated field
+    elements (`minus`, formed once per call).  When there are at least q
+    such rows, the multiples of the pivot row by every negated element are
+    formed once and gathered by f.
     """
     R = np.array(M, dtype=field.dtype, copy=True)
     if R.ndim != 2:
         raise ValueError("need a 2-d matrix")
     nrows, ncols = R.shape
-    elements = np.arange(field.q, dtype=field.dtype)[:, None]
+    minus = field.neg(np.arange(field.q, dtype=field.dtype))
     pivots = []
     r = c = 0
     while r < nrows and c < ncols:
@@ -48,9 +49,9 @@ def rref(field, M):
         if rows.size:
             row = R[r, c:]
             if field.q <= rows.size:
-                update = field.neg(field.mul(elements, row))[f[rows]]
+                update = field.mul(minus[:, None], row)[f[rows]]
             else:
-                update = field.neg(field.mul(f[rows, None], row))
+                update = field.mul(minus[f[rows], None], row)
             R[rows, c:] = field.add(R[rows, c:], update)
         pivots.append(c)
         r += 1

@@ -162,14 +162,20 @@ class LinearCode:
     searches of `mindist` rest on that action."""
 
     generator: np.ndarray  # RREF, dimension x length, field encodings
-    length: int
-    dimension: int
     d: int
     field: FiniteField
     source: str
     # a proven lower bound on the minimum distance; both searches stop once
     # a codeword reaches it
     floor: int = 1
+
+    @property
+    def length(self) -> int:
+        return self.generator.shape[1]
+
+    @property
+    def dimension(self) -> int:
+        return self.generator.shape[0]
 
     def __repr__(self):
         return (
@@ -405,15 +411,7 @@ def code(X: ToricSet, d: int) -> LinearCode:
     lightest = int((G != 0).sum(axis=1).min())
     if floor < lightest:
         floor = max(floor, box_bound(X, d, lightest))
-    return LinearCode(
-        generator=G,
-        length=n,
-        dimension=len(G),
-        d=d,
-        field=F,
-        source=X.source,
-        floor=floor,
-    )
+    return LinearCode(generator=G, d=d, field=F, source=X.source, floor=floor)
 
 
 def hilbert_function(X: ToricSet, d: int) -> int:

@@ -14,6 +14,17 @@ element (`exp[1]`), and back.  The field exposes vectorized kernels (add,
 mul, inv, ...) that act on numpy arrays of encodings; the rest of the
 package does its linear algebra through these.
 
+Each multiplicative kernel is one expression for every q.  `_log0` is
+`log` with log 0 set to the sentinel 2(q-1), and `_exp0` is `exp`
+twice, then 2q-1 zeros.  A product of units has its log sum in [0, 2q-4],
+where `_exp0` repeats `exp`, and a product with a zero factor has it in
+[2q-2, 4q-4], where `_exp0` is 0; so a*b is `_exp0[_log0[a] + _log0[b]]`.
+Negation multiplies by -1, the encoding p-1 (1 in characteristic 2), and
+the inverse of a unit g^i is g^(-i mod q-1).  Addition is XOR in
+characteristic 2 and arithmetic mod p in a prime field.  The one q x q
+table left is the addition table of an odd extension field with
+q <= 256; above that such a field adds in the packed form below.
+
 For many additions in a row there is a packed form (`pack`, `add_packed`,
 `unpack`).  Each base-p digit sits in its own field of b+1 bits,
 b = bit_length(2p-2), of one unsigned word; in characteristic 2 a digit
@@ -39,7 +50,7 @@ import math
 import numpy as np
 
 DEFAULT_MAX_Q = 2 ** 16
-_TABLE_LIMIT = 256  # build full q x q op tables up to this cardinality
+_TABLE_LIMIT = 256  # odd extension fields up to this size keep a q x q addition table
 _DECIMAL_BITS = 14_000  # longest p^k formed, within the 4300 digits Python prints
 
 
@@ -117,7 +128,9 @@ def _first_irreducible(p: int, k: int) -> tuple[int, ...]:
 
 
 class FiniteField:
-    """GF(p^k) with deterministic modulus, primitive element and tables."""
+    """GF(p^k) with deterministic modulus and primitive element, its exp
+    and log tables and their zero-sentinel forms, and, for an odd extension
+    field with q <= 256, the q x q addition table."""
 
     def __init__(self, p: int, k: int):
         q = field_order(p, k)
@@ -137,10 +150,16 @@ class FiniteField:
         if (self.log[1:] < 0).any():
             raise AssertionError("primitive element order mismatch")
 
-        self._add_table = self._mul_table = None
-        if q <= _TABLE_LIMIT:
-            self._build_tables()
+        # log 0 = 2(q-1) lands every sum with a zero term in the zeros of _exp0
+        self._log0 = self.log.copy()
+        self._log0[0] = 2 * (q - 1)
+        self._exp0 = np.concatenate([self.exp, self.exp, np.zeros(2 * q - 1, dtype=self.dtype)])
+
         self._build_packing()
+        self._add_table = None
+        if p != 2 and k > 1 and q <= _TABLE_LIMIT:  # add is arithmetic on the other encodings
+            elements = self.pack(np.arange(q))
+            self._add_table = self.unpack(self.add_packed(elements[:, None], elements))
         # make_field shares one instance per (p, k): no caller may write to it
         for table in vars(self).values():
             if isinstance(table, np.ndarray):
@@ -192,19 +211,6 @@ class FiniteField:
                 return enc
         raise AssertionError("no primitive element found")  # unreachable
 
-    def _build_tables(self):
-        q = self.q
-        a = np.arange(q, dtype=np.int64)
-        aa, bb = np.meshgrid(a, a, indexing="ij")
-        if self.p != 2 and self.k > 1:  # add is arithmetic on the other encodings
-            self._add_table = self._add_formula(aa, bb).astype(self.dtype)
-        self._mul_table = self._mul_formula(aa, bb).astype(self.dtype)
-        self._neg_table = self._neg_formula(a).astype(self.dtype)
-        inv = np.zeros(q, dtype=self.dtype)
-        nz = np.arange(1, q, dtype=np.int64)
-        inv[1:] = self.exp[(self.q - 1 - self.log[nz]) % (self.q - 1)]
-        self._inv_table = inv
-
     def _build_packing(self):
         p, k = self.p, self.k
         width = 1 if p == 2 else (2 * p - 2).bit_length() + 1
@@ -227,32 +233,6 @@ class FiniteField:
         self._digit_mask = word(2 ** width - 1)
         self._p_word = word(p)
 
-    # -- formula kernels (any q) --
-
-    def _add_formula(self, a, b):
-        # odd extension fields only: add handles p == 2 and k == 1 itself
-        d = (self._digits[a] + self._digits[b]) % self.p
-        return d @ self._pows
-
-    def _neg_formula(self, a):
-        if self.p == 2:
-            return np.asarray(a)
-        if self.k == 1:
-            return (self.p - np.asarray(a, dtype=np.int64)) % self.p
-        d = (self.p - self._digits[a]) % self.p
-        return d @ self._pows
-
-    def _mul_formula(self, a, b):
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        if self.k == 1:
-            return (a * b) % self.p
-        zero = (a == 0) | (b == 0)
-        la = self.log[np.where(a == 0, 1, a)]
-        lb = self.log[np.where(b == 0, 1, b)]
-        r = self.exp[(la + lb) % (self.q - 1)]
-        return np.where(zero, 0, r)
-
     # -- public vectorized kernels; inputs are encodings (ints or arrays) --
 
     def add(self, a, b):
@@ -272,29 +252,22 @@ class FiniteField:
             return d
         if self._add_table is not None:
             return self._add_table[a, b]
-        return self._add_formula(a, b).astype(self.dtype)
+        return self.unpack(self.add_packed(self.pack(a), self.pack(b)))
 
     def neg(self, a):
-        if self._mul_table is not None:
-            return self._neg_table[a]
-        return self._neg_formula(a).astype(self.dtype)
+        return self.mul(a, self.p - 1)  # -1 is the encoding p - 1
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
-        if self._mul_table is not None:
-            return self._mul_table[a, b]
-        return self._mul_formula(a, b).astype(self.dtype)
+        return self._exp0[self._log0[a] + self._log0[b]]
 
     def inv(self, a):
         a = np.asarray(a)
         if np.any(a == 0):
             raise ZeroDivisionError("inverse of zero")
-        if self._mul_table is not None:
-            return self._inv_table[a]
-        r = self.exp[(self.q - 1 - self.log[a]) % (self.q - 1)]
-        return r.astype(self.dtype)
+        return self.exp[-self.log[a] % (self.q - 1)]
 
     def sum_axis(self, a, axis=0):
         """Field sum along an axis of an encoding array: the digit sums mod

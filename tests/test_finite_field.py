@@ -131,12 +131,14 @@ class TestSharedFields:
 
     @pytest.mark.parametrize("p,k", [(3, 2), (2, 3), (7, 1), (3, 6), (2, 9)])
     def test_tables_are_read_only(self, p, k):
-        # with op tables (q <= 256) and without, odd and even characteristic
+        # with an addition table (odd extension, q <= 256) and without, odd
+        # and even characteristic
         F = make_field(p, k)
         tables = {name: t for name, t in vars(F).items() if isinstance(t, np.ndarray)}
-        assert {"exp", "log", "_digits", "_pows", "_pack_table"} <= set(tables)
-        if F.q <= 256:
-            assert {"_mul_table", "_neg_table", "_inv_table"} <= set(tables)
+        assert {"exp", "log", "_log0", "_exp0", "_digits", "_pows", "_pack_table"} <= set(tables)
+        assert ("_add_table" in tables) == (F.p != 2 and F.k > 1 and F.q <= 256)
+        square = {name for name, t in tables.items() if t.shape == (F.q, F.q)}
+        assert square == ({"_add_table"} & set(tables))
         for table in tables.values():
             with pytest.raises(ValueError, match="read-only"):
                 table.flat[0] = table.flat[0]
@@ -234,19 +236,31 @@ def test_field_axioms_exhaustive(p, k):
 
 
 class TestKernels:
-    @pytest.mark.parametrize("p,k", [(3, 1), (2, 2), (3, 2), (2, 4), (7, 1)])
+    @pytest.mark.parametrize(
+        "p,k", [(3, 1), (2, 2), (3, 2), (2, 4), (7, 1), (257, 1), (7, 3), (2, 9)]
+    )
     def test_kernels_match_scalar_elements(self, p, k):
-        """add, sub and mul against the scalar integer arithmetic of
-        conftest.oracle_field_ops."""
+        """add, sub, mul, neg and inv against the scalar integer arithmetic
+        of conftest.oracle_field_ops, with zero operands on either side and
+        on both, in fields below and past 256."""
         F = make_field(p, k)
         add, mul, _, _ = oracle_field_ops(F)
         rng = np.random.default_rng(17)
         a = rng.integers(0, F.q, size=200)
         b = rng.integers(0, F.q, size=200)
+        a[:10] = 0
+        b[5:15] = 0
+        units = a[a != 0]
+        total, difference, product = F.add(a, b), F.sub(a, b), F.mul(a, b)
+        negated, inverse = F.neg(a), F.inv(units)
         pairs = list(zip(a.tolist(), b.tolist()))
-        assert F.add(a, b).tolist() == [add(x, y) for x, y in pairs]
-        assert F.add(F.sub(a, b), b).tolist() == a.tolist()
-        assert F.mul(a, b).tolist() == [mul(x, y) for x, y in pairs]
+        assert total.tolist() == [add(x, y) for x, y in pairs]
+        assert F.add(difference, b).tolist() == a.tolist()
+        assert product.tolist() == [mul(x, y) for x, y in pairs]
+        assert [add(x, y) for x, y in zip(a.tolist(), negated.tolist())] == [0] * len(a)
+        assert [mul(x, y) for x, y in zip(units.tolist(), inverse.tolist())] == [1] * len(units)
+        for result in (total, difference, product, negated, inverse):
+            assert result.dtype == F.dtype
 
     @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 16, 27, 251])
     def test_additive_kernels_are_digitwise_mod_p(self, q):
@@ -263,7 +277,8 @@ class TestKernels:
         assert F.add(a, b).dtype == F.sub(a, b).dtype == F.dtype
 
     def test_large_field_formula_paths(self):
-        # GF(257) and GF(343) exceed the table limit, exercising formulas
+        # GF(257) adds mod p and GF(343) adds packed words: neither has a
+        # q x q addition table
         for q in (257, 343):
             F = field_from_q(q)
             rng = np.random.default_rng(3)
@@ -401,7 +416,7 @@ def test_oracles_call_no_field_kernel(q, monkeypatch):
     def raising(*args, **kwargs):
         raise AssertionError("a FiniteField kernel was called")
 
-    assert {"add", "mul", "inv", "sum_axis", "_mul_enc", "_add_formula"} <= set(_KERNELS)
+    assert {"add", "mul", "inv", "sum_axis", "_mul_enc", "_powers"} <= set(_KERNELS)
     for name in _KERNELS:
         monkeypatch.setattr(FiniteField, name, raising)
     with pytest.raises(AssertionError, match="kernel was called"):

@@ -82,9 +82,7 @@ class TestBruteforce:
                 G = R[: len(piv)]
                 if len(piv) == 0:
                     continue
-                cd = LinearCode(
-                    generator=G, length=n, dimension=len(piv), d=1, field=F, source="t"
-                )
+                cd = LinearCode(generator=G, d=1, field=F, source="t")
                 got = min_distance_bruteforce(cd)
                 assert got.value == _bruteforce_weight(q, G)
                 assert got.exact and got.method == "bruteforce"
@@ -117,9 +115,7 @@ class TestBruteforce:
         no group maps to itself."""
         F = field_from_q(3)
         G = np.array([[1, 0, 1, 1], [0, 1, 1, 1]], dtype=F.dtype)
-        cd = LinearCode(
-            generator=G, length=4, dimension=2, d=1, field=F, source="t", floor=2
-        )
+        cd = LinearCode(generator=G, d=1, field=F, source="t", floor=2)
         r = min_distance_bruteforce(cd)
         assert r.exact and r.value == _bruteforce_weight(3, G) == 2
         r = min_distance_isd(cd)
@@ -168,14 +164,7 @@ class TestIsd:
                 if not piv:
                     continue
                 G = R[: len(piv)]
-                cd = LinearCode(
-                    generator=G,
-                    length=n,
-                    dimension=len(piv),
-                    d=1,
-                    field=F,
-                    source="t",
-                )
+                cd = LinearCode(generator=G, d=1, field=F, source="t")
                 assert min_distance_isd(cd).value == oracle_one_form_isd(q, G)
                 assert min_distance_bruteforce(cd).value == _bruteforce_weight(q, G)
 
@@ -446,7 +435,7 @@ def test_every_class_can_be_the_unique_lightest(q, k):
             isd = light if w >= np.count_nonzero(message) else heavy
             if -(-n * (w + 1) // k) >= isd:
                 break
-        cd = LinearCode(generator=R, length=n, dimension=k, d=1, field=F, source="m")
+        cd = LinearCode(generator=R, d=1, field=F, source="m")
         for cap in (mindist._CELL_CAP, _small_blocks(q, n)):
             with mock.patch.object(mindist, "_CELL_CAP", cap):
                 assert min_distance_bruteforce(cd).value == light
@@ -503,7 +492,7 @@ def systematic_codes(draw):
     F = field_from_q(q)
     A = rng.integers(0, q, size=(k, r))
     G = np.concatenate([np.eye(k, dtype=np.int64), A], axis=1).astype(F.dtype)
-    return LinearCode(generator=G, length=k + r, dimension=k, d=1, field=F, source="[I|A]")
+    return LinearCode(generator=G, d=1, field=F, source="[I|A]")
 
 
 @_RANDOM_CODES
