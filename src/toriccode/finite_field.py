@@ -20,10 +20,11 @@ twice, then 2q-1 zeros.  A product of units has its log sum in [0, 2q-4],
 where `_exp0` repeats `exp`, and a product with a zero factor has it in
 [2q-2, 4q-4], where `_exp0` is 0; so a*b is `_exp0[_log0[a] + _log0[b]]`.
 Negation multiplies by -1, the encoding p-1 (1 in characteristic 2), and
-the inverse of a unit g^i is g^(-i mod q-1).  Addition is XOR in
-characteristic 2 and arithmetic mod p in a prime field.  The one q x q
-table left is the addition table of an odd extension field with
-q <= 256; above that such a field adds in the packed form below.
+the inverse of a unit g^i is g^(-i mod q-1).  `_log0` has the smallest
+unsigned dtype that holds 4(q-1), so a log sum is no wider than it must
+be.  Addition is XOR in characteristic 2, arithmetic mod p in a prime
+field, and the packed form below in an odd extension field; no q x q
+table is built.
 
 For many additions in a row there is a packed form (`pack`, `add_packed`,
 `unpack`).  Each base-p digit sits in its own field of b+1 bits,
@@ -50,7 +51,6 @@ import math
 import numpy as np
 
 DEFAULT_MAX_Q = 2 ** 16
-_TABLE_LIMIT = 256  # odd extension fields up to this size keep a q x q addition table
 _DECIMAL_BITS = 14_000  # longest p^k formed, within the 4300 digits Python prints
 
 
@@ -129,8 +129,7 @@ def _first_irreducible(p: int, k: int) -> tuple[int, ...]:
 
 class FiniteField:
     """GF(p^k) with deterministic modulus and primitive element, its exp
-    and log tables and their zero-sentinel forms, and, for an odd extension
-    field with q <= 256, the q x q addition table."""
+    and log tables and their zero-sentinel forms."""
 
     def __init__(self, p: int, k: int):
         q = field_order(p, k)
@@ -151,15 +150,11 @@ class FiniteField:
             raise AssertionError("primitive element order mismatch")
 
         # log 0 = 2(q-1) lands every sum with a zero term in the zeros of _exp0
-        self._log0 = self.log.copy()
+        self._log0 = self.log.astype(np.min_scalar_type(4 * (q - 1)))
         self._log0[0] = 2 * (q - 1)
         self._exp0 = np.concatenate([self.exp, self.exp, np.zeros(2 * q - 1, dtype=self.dtype)])
 
         self._build_packing()
-        self._add_table = None
-        if p != 2 and k > 1 and q <= _TABLE_LIMIT:  # add is arithmetic on the other encodings
-            elements = self.pack(np.arange(q))
-            self._add_table = self.unpack(self.add_packed(elements[:, None], elements))
         # make_field shares one instance per (p, k): no caller may write to it
         for table in vars(self).values():
             if isinstance(table, np.ndarray):
@@ -250,8 +245,6 @@ class FiniteField:
             d = np.subtract(a, t, out=np.empty(wraps.shape, dtype=self.dtype))
             d += wraps * self.dtype(self.p)
             return d
-        if self._add_table is not None:
-            return self._add_table[a, b]
         return self.unpack(self.add_packed(self.pack(a), self.pack(b)))
 
     def neg(self, a):
@@ -299,10 +292,11 @@ class FiniteField:
         x = np.asarray(x, dtype=self.packed_dtype)
         if self.p == 2:
             return x.astype(self.dtype)
-        enc = np.zeros(x.shape, dtype=np.int64)
+        # digit * p^i < q, so every term and the sum fit the encoding dtype
+        enc = np.zeros(x.shape, dtype=self.dtype)
         for shift, weight in zip(self._shifts, self._pows):
-            enc += ((x >> shift) & self._digit_mask).astype(np.int64) * weight
-        return enc.astype(self.dtype)
+            enc += ((x >> shift) & self._digit_mask).astype(self.dtype) * self.dtype(weight)
+        return enc
 
     def __repr__(self):
         return f"GF({self.q})"
