@@ -199,6 +199,17 @@ def _check_degrees(dmin: int, dmax) -> None:
         raise _InputError(f"bad degree range [{dmin}, {end}]")
 
 
+def _check_budgets(args) -> None:
+    """Reject a negative budget before any work; 0 keeps its meaning."""
+    for flag, value in (
+        ("--budget", args.budget),
+        ("--class-budget", args.class_budget),
+        ("--time-budget", args.time_budget),
+    ):
+        if value is not None and value < 0:
+            raise _InputError(f"{flag} must be >= 0, got {value}")
+
+
 def _cmd_params(args) -> int:
     if args.d is not None:
         dmin = dmax = args.d
@@ -344,6 +355,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_budgets(args)
         return _COMMANDS[args.command](args)
     except BudgetExceededError as exc:
         sys.stderr.write(f"budget exhausted: {exc}\n")

@@ -8,6 +8,7 @@ fixes the variable order t1..ts everywhere downstream.
 from __future__ import annotations
 
 import json
+import operator
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -58,9 +59,19 @@ class IncidenceMatrix:
             raise ClutterError("incidence columns must be distinct")
 
 
+def _integer(x) -> int:
+    """x as an int when it is an integer (numpy integers included): a
+    float, a string or a bool raises TypeError instead of being cast."""
+    if isinstance(x, bool):
+        raise TypeError("a bool is not a vertex count or index")
+    return operator.index(x)
+
+
 def parse_clutter(doc) -> Clutter:
     """Build a validated Clutter from a dict {"n":..,"edges":[[..],..]} or
-    from the text shorthand (one edge per line, whitespace-separated indices)."""
+    from the text shorthand (one edge per line, whitespace-separated indices).
+    In the dict, n and every vertex must be integers and edges a list of
+    lists: nothing is truncated or converted."""
     if isinstance(doc, str):
         edges = []
         for line in doc.splitlines():
@@ -78,9 +89,11 @@ def parse_clutter(doc) -> Clutter:
     if not isinstance(doc, dict):
         raise ClutterError("clutter document must be a dict or text")
     try:
-        n = int(doc["n"])
-        raw_edges = list(doc["edges"])
-    except (KeyError, TypeError, ValueError):
+        n = _integer(doc["n"])
+        raw_edges = doc["edges"]
+        if not isinstance(raw_edges, list):
+            raise TypeError
+    except (KeyError, TypeError):
         raise ClutterError('clutter document needs integer "n" and list "edges"')
     if n < 1:
         raise ClutterError(f"n = {n} must be >= 1")
@@ -90,8 +103,10 @@ def parse_clutter(doc) -> Clutter:
     edges: list[tuple[int, ...]] = []
     for e in raw_edges:
         try:
-            raw = [int(i) for i in e]
-        except (TypeError, ValueError):
+            if not isinstance(e, list):
+                raise TypeError
+            raw = [_integer(i) for i in e]
+        except TypeError:
             raise ClutterError(f"bad edge: {e!r}")
         verts = sorted(set(raw))
         if len(verts) != len(raw):

@@ -2,7 +2,12 @@
 
 Both lattice facts of a clutter come from one integer row echelon of its
 difference rows v_i - v_1 (`_insert`), memoized on the frozen, hashable
-Clutter (`lattice_facts`):
+Clutter (`lattice_facts`).  The rows are inserted until the echelon is
+saturated, its rank at the ceiling (n - 1 for a uniform clutter, n
+otherwise) with every pivot 1: it then holds every integer point of its
+rational span, so a further row would leave it as it is, and the work
+follows the rows needed to reach saturation rather than the s - 1 rows.
+From it come:
 
 * the Smith invariant factors d_i of the difference matrix B = V - V[0]
   (`difference_factors`), from one Smith form of that echelon, together
@@ -246,10 +251,21 @@ def lattice_facts(C: Clutter) -> LatticeFacts:
     to its Smith form, and the rank of A, from one echelon of the
     difference rows v_i - v_1: one Smith form of that echelon, then v_1
     inserted into it.  Row operations keep the row lattice, so Q serves B
-    as it serves the echelon."""
+    as it serves the echelon.
+
+    The insertion stops once the echelon is saturated: its rank is the
+    ceiling of the difference rows (n - 1 for a uniform clutter, whose
+    differences lie in the hyperplane sum x = 0, else n) and every pivot
+    is 1.  Such an echelon holds every integer point of its rational span,
+    so each remaining row would reduce to zero by subtraction alone, with
+    no gcd merge and no Hermite step: the basis is the one that inserting
+    every row gives."""
     v1, *rest = C.vectors
+    ceiling = C.n - 1 if uniformity(C)[0] else C.n
     basis: dict[int, list[int]] = {}
     for v in rest:
+        if len(basis) == ceiling and all(b[c] == 1 for c, b in basis.items()):
+            break
         _insert(basis, [a - b for a, b in zip(v, v1)])
     snf = smith_normal_form([basis[c] for c in sorted(basis)])
     rank = len(basis) + _insert(basis, list(v1))

@@ -12,7 +12,11 @@ recompute the rank and the Smith form on every call, from matrices built
 here, by routines that share no code with the package: a Smith form by
 pivot search over the whole remaining matrix (`oracle_snf_pivot_rule`),
 Bareiss and Fraction elimination for the rank.  The package reads both
-facts from one integer echelon per clutter.  It builds X from the Smith
+facts from one integer echelon per clutter, and stops inserting rows once
+that echelon is saturated.  `oracle_lattice_facts` is the one exception:
+it runs the package's echelon and Smith form on every row, so that the
+facts of the saturated echelon, transform included, are checked against
+those of all the rows.  The package builds X from the Smith
 form of its generators; here X is the image of every unit tuple
 (`oracle_enumerate_X`) or the closure over its generators
 (`oracle_span`), and binomial membership is decided by evaluation on X
@@ -37,6 +41,7 @@ from hypothesis import strategies as st
 from toriccode import Clutter, field_from_q, incidence, parse_clutter, torus_distance, uniformity
 from toriccode._linalg import rref
 from toriccode.eval_code import evaluate_rows
+from toriccode.intlattice import LatticeFacts, _insert, smith_normal_form
 
 # ---------------------------------------------------------------------------
 # clutter battery: small graphs with known structure
@@ -299,6 +304,19 @@ def multiplication_injective(relation_rows, factor: int) -> bool:
 def difference_rows(C: Clutter) -> list[list[int]]:
     vecs = C.vectors
     return [[vi - v1 for vi, v1 in zip(vecs[i], vecs[0])] for i in range(1, len(vecs))]
+
+
+def oracle_lattice_facts(C: Clutter) -> LatticeFacts:
+    """`intlattice.lattice_facts` without its stopping rule: every
+    difference row v_i - v_1 is inserted into the echelon, then the Smith
+    form of that echelon, then v_1 inserted into it."""
+    v1, *rest = C.vectors
+    basis: dict[int, list[int]] = {}
+    for v in rest:
+        _insert(basis, [a - b for a, b in zip(v, v1)])
+    snf = smith_normal_form([basis[c] for c in sorted(basis)])
+    rank = len(basis) + _insert(basis, list(v1))
+    return LatticeFacts(tuple(snf.invariant_factors), rank, snf.transform)
 
 
 def oracle_phi_injective(C: Clutter, q: int) -> bool:

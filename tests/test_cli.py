@@ -469,6 +469,33 @@ class TestErrors:
         )
         assert rc == EXIT_INPUT
 
+    def test_truncated_json_values_rejected(self, run, tmp_path):
+        # n = 3.9 and vertices 2.7 and 3.2 were once read as the triangle
+        f = tmp_path / "floats.json"
+        f.write_text('{"n": 3.9, "edges": [[1, 2.7], [2, 3], [1, 3.2]]}')
+        for command in ("ci", "profile"):
+            assert run(command, "--clutter", str(f), "--q", "3") == (
+                EXIT_INPUT, "", 'input error: clutter document needs integer "n" and list "edges"\n'
+            )
+
+    @pytest.mark.parametrize(
+        "command,flags,message",
+        [
+            ("ci", ("--budget", "-1"), "--budget must be >= 0, got -1"),
+            ("profile", ("--budget", "-1"), "--budget must be >= 0, got -1"),
+            ("mindist", ("--d", "1", "--method", "bruteforce", "--class-budget", "-5"),
+             "--class-budget must be >= 0, got -5"),
+            ("mindist", ("--d", "1", "--time-budget", "-1"), "--time-budget must be >= 0, got -1.0"),
+            ("params", ("--d", "1", "--time-budget", "-0.5"),
+             "--time-budget must be >= 0, got -0.5"),
+        ],
+    )
+    def test_negative_budget(self, run, c6_file, command, flags, message):
+        # once exit 3 ("budget exhausted"), or an inexact interval with exit 0
+        assert run(command, "--clutter", c6_file, "--q", "5", *flags) == (
+            EXIT_INPUT, "", f"input error: {message}\n"
+        )
+
     def test_dmin_past_regularity(self, run, k4_file):
         # the default end is the regularity, 2 for K4 over GF(3)
         assert run("params", "--clutter", k4_file, "--q", "3", "--dmin", "3") == (

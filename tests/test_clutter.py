@@ -123,6 +123,34 @@ class TestParse:
         with pytest.raises(ClutterError):
             parse_clutter({"n": 3})
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": 3.9, "edges": [[1, 2.7], [2, 3], [1, 3.2]]},
+            {"n": 3.0, "edges": [[1, 2], [2, 3], [1, 3]]},
+            {"n": 3, "edges": [[1, 2.0], [2, 3], [1, 3]]},
+            {"n": "3", "edges": [[1, 2], [2, 3], [1, 3]]},
+            {"n": 3, "edges": [[1, "2"], [2, 3], [1, 3]]},
+            {"n": True, "edges": [[1], [2]]},
+            {"n": 3, "edges": [[True, 2], [2, 3], [1, 3]]},
+            {"n": 3, "edges": "123"},
+            {"n": 3, "edges": [[1, 2], "23", [1, 3]]},
+            {"n": 3, "edges": [(1, 2), (2, 3), (1, 3)]},
+            {"n": 3, "edges": [[1, 2], 3]},
+            {"n": None, "edges": [[1, 2], [2, 3]]},
+        ],
+    )
+    def test_non_integer_values_rejected(self, doc):
+        # nothing is truncated or converted: a float, a string or a bool
+        # where an integer belongs, or a non-list where a list belongs
+        with pytest.raises(ClutterError):
+            parse_clutter(doc)
+
+    def test_numpy_integers_accepted(self):
+        C = parse_clutter({"n": np.int64(3), "edges": [[np.int32(1), 2], [2, np.uint8(3)]]})
+        assert C == parse_clutter({"n": 3, "edges": [[1, 2], [2, 3]]})
+        assert type(C.n) is int and all(type(i) is int for e in C.edges for i in e)
+
     def test_vectors_property(self):
         C = parse_clutter({"n": 3, "edges": [[1, 2], [2, 3]]})
         assert C.vectors == ((1, 1, 0), (0, 1, 1))

@@ -1,5 +1,7 @@
 """Exact integer linear algebra: rational rank, Smith form, CI classifier."""
 
+import itertools
+import random
 from math import gcd, prod
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import (
     BATTERY,
     FIELD_SIZES,
+    _complete,
     difference_rows,
     clutters_over_fields,
     clutters_with_v1_in_span,
@@ -17,6 +20,7 @@ from conftest import (
     oracle_ci_classify,
     oracle_delta_prime,
     oracle_det_fraction,
+    oracle_lattice_facts,
     oracle_phi_injective,
     oracle_rank_bareiss,
     oracle_rank_fraction,
@@ -28,6 +32,7 @@ from toriccode import (
     ci_classify,
     enumerate_X,
     incidence,
+    intlattice,
     parse_clutter,
     rank_rational,
     smith_normal_form,
@@ -286,6 +291,30 @@ TRIPLES = parse_clutter(
 )
 
 
+def _shuffled_complete(n):
+    edges = _complete(n)
+    random.Random(n).shuffle(edges)
+    return parse_clutter({"n": n, "edges": edges}), 3
+
+
+# the complete 3-uniform clutter on 7 vertices, s = 35
+TRIPLES_OF_7 = parse_clutter(
+    {"n": 7, "edges": [list(e) for e in itertools.combinations(range(1, 8), 3)]}
+)
+# its echelon reaches rank n - 1 = 5 with a pivot 2, which the seventh
+# difference row merges to 1: a rule without the unit-pivot check stops early
+PIVOT_TWO = parse_clutter(
+    {"n": 6, "edges": [[2, 4, 5], [3, 5, 6], [1, 4, 6], [1, 2, 6], [2, 3, 4], [1, 3, 4],
+                       [1, 4, 5], [1, 3, 5], [4, 5, 6]]}
+)
+# its echelon has rank n - 2 = 3 and unit pivots after three difference
+# rows and reaches rank n - 1 at the fifth: a ceiling of n - 2 stops early
+RANK_THREE_FIRST = parse_clutter(
+    {"n": 5, "edges": [[1, 2, 3], [2, 3, 5], [1, 3, 4], [1, 4, 5], [3, 4, 5], [1, 2, 4],
+                       [2, 3, 4], [1, 3, 5], [1, 2, 5], [2, 4, 5]]}
+)
+
+
 class TestLatticeFacts:
     @pytest.mark.parametrize("name", sorted(BATTERY))
     @pytest.mark.parametrize("q", FIELD_SIZES)
@@ -313,6 +342,51 @@ class TestLatticeFacts:
         C, _ = case
         assert difference_factors(C) == tuple(oracle_snf_pivot_rule(difference_rows(C)))
         assert incidence_rank(C) == oracle_rank_fraction(C.vectors)
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(
+        st.one_of(
+            clutters_over_fields(max_torus=4096),
+            uniform_clutters_over_fields(max_torus=4096),
+        )
+    )
+    @example(_shuffled_complete(6))
+    @example(_shuffled_complete(7))
+    @example(_shuffled_complete(8))
+    @example(_shuffled_complete(9))
+    @example(_shuffled_complete(10))
+    @example(_shuffled_complete(11))
+    @example(_shuffled_complete(12))
+    @example((TRIPLES_OF_7, 3))
+    @example((PIVOT_TWO, 3))
+    @example((RANK_THREE_FIRST, 3))
+    # an even cycle: s = n and rank n - 1, so the echelon never saturates
+    @example((BATTERY["C6"], 3))
+    def test_saturated_echelon_matches_every_row(self, case):
+        # the factors, the rank and the transform Q that X is built from
+        C, _ = case
+        assert lattice_facts.__wrapped__(C) == oracle_lattice_facts(C)
+
+    def test_stops_at_saturation(self, monkeypatch):
+        # K10 in lexicographic edge order saturates long before the last
+        # of its s - 1 = 44 difference rows
+        C = parse_clutter({"n": 10, "edges": _complete(10)})
+        bases = []
+        insert = intlattice._insert
+
+        def counted(basis, v):
+            bases.append(id(basis))
+            return insert(basis, v)
+
+        monkeypatch.setattr(intlattice, "_insert", counted)
+        facts = lattice_facts.__wrapped__(C)
+        # the Smith form echelons in a basis of its own; the last insert
+        # into the difference echelon is that of v_1
+        difference_inserts = bases.count(bases[0]) - 1
+        assert difference_inserts < C.s - 1
+        monkeypatch.undo()
+        assert facts == oracle_lattice_facts(C)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(clutters_with_v1_in_span())
