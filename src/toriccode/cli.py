@@ -3,6 +3,12 @@
 Subcommands: params, mindist, ci, groebner, profile.  Exit codes: 0 on
 success, 2 for input errors, 3 for budget exhaustion, 4 for internal
 failures.  All output is deterministic for a fixed invocation.
+
+The submodules are read as modules (`mindist.distance_report(...)`), and
+the package registers them lazily: importing this module runs none of
+them.  `ci` and `profile` run `limits`, `clutter` and `intlattice` only,
+with no numpy; the commands that build X run the GF(q) modules together
+(`_load_field_modules`).
 """
 
 from __future__ import annotations
@@ -12,25 +18,17 @@ import functools
 import json
 import sys
 
-from .clutter import ClutterError, load_clutter
-from .errors import BudgetExceededError
-from .eval_code import regularity
-from .finite_field import field_order, prime_power
-from .intlattice import ci_classify
-from .mindist import DEFAULT_CLASS_BUDGET, METHODS, distance_report
-from .toric_set import (
-    DEFAULT_ENUM_BUDGET,
-    clutter_set,
-    points_csv,
-    profile,
-    projective_torus,
-    size_of_X,
-)
-from .vanishing_ideal import (
-    degree_complexity,
-    interpolate_gb,
-    minus_one_index,
-    verify_gb_structure,
+from . import (
+    _linalg,
+    clutter,
+    errors,
+    eval_code,
+    finite_field,
+    intlattice,
+    limits,
+    mindist,
+    toric_set,
+    vanishing_ideal,
 )
 
 EXIT_OK = 0
@@ -78,12 +76,15 @@ def _build_parser() -> argparse.ArgumentParser:
             "--format", choices=["text", "csv", "json"], default="text", dest="fmt"
         )
         p.add_argument(
-            "--budget", type=int, default=DEFAULT_ENUM_BUDGET, help="maximum number of points of X"
+            "--budget",
+            type=int,
+            default=limits.DEFAULT_ENUM_BUDGET,
+            help="maximum number of points of X",
         )
         p.add_argument(
             "--class-budget",
             type=int,
-            default=DEFAULT_CLASS_BUDGET,
+            default=limits.DEFAULT_CLASS_BUDGET,
             help="maximum number of messages a distance search weighs: brute force "
             "exits 3 past it unless the lightest generator row meets the floor, "
             "information-set search reports an interval",
@@ -102,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if with_method:
             p.add_argument(
                 "--method",
-                choices=METHODS,
+                choices=limits.METHODS,
                 default="auto",
             )
         return p
@@ -124,12 +125,12 @@ def _resolve_q(args) -> int:
     if args.q is not None:
         if args.p is not None or args.k is not None:
             raise _InputError("give either --q or --p/--k, not both")
-        p, k = prime_power(args.q)
+        p, k = limits.prime_power(args.q)
     elif args.p is not None:
         p, k = args.p, args.k if args.k is not None else 1
     else:
         raise _InputError("a field is required: --q Q or --p P [--k K]")
-    return field_order(p, k)
+    return limits.field_order(p, k)
 
 
 def _lattice_inputs(args):
@@ -143,13 +144,22 @@ def _lattice_inputs(args):
         C, size = None, (q - 1) ** (args.torus - 1)
     else:
         try:
-            C = load_clutter(args.clutter)
+            C = clutter.load_clutter(args.clutter)
         except OSError as exc:
             raise _InputError(f"cannot read clutter file: {exc}")
-        size = size_of_X(C, q)
+        size = intlattice.size_of_X(C, q)
     if size > args.budget:
-        raise BudgetExceededError(f"|X| = {size} points > budget {args.budget}")
+        raise errors.BudgetExceededError(f"|X| = {size} points > budget {args.budget}")
     return C, q, size
+
+
+def _load_field_modules() -> None:
+    """Run the modules that build X and evaluate codes on it, in one step:
+    a job that needs one of them pays for all, so no later job of the
+    process pays for compiling another.  Reading an attribute runs a
+    lazily registered module."""
+    for module in (finite_field, toric_set, _linalg, eval_code, vanishing_ideal, mindist):
+        getattr(module, "__name__")
 
 
 def _point_inputs(args):
@@ -158,9 +168,10 @@ def _point_inputs(args):
     only when a code is evaluated."""
     # clutter_set, not enumerate_X: perfbench/tracing.py reads enumerate_X's q as a field
     C, q, _ = _lattice_inputs(args)
+    _load_field_modules()
     if C is None:
-        return None, projective_torus(args.torus, q, budget=args.budget)
-    return C, clutter_set(C, q)
+        return None, toric_set.projective_torus(args.torus, q, budget=args.budget)
+    return C, toric_set.clutter_set(C, q)
 
 
 def _write(body: dict, fmt: str) -> None:
@@ -217,13 +228,13 @@ def _cmd_params(args) -> int:
         dmin, dmax = args.dmin, args.dmax
     _check_degrees(dmin, dmax)
     C, X = _point_inputs(args)
-    reg = regularity(X)
+    reg = eval_code.regularity(X)
     if dmax is None:
         dmax = (X.q - 2) * (X.s - 1) if args.full else reg
         _check_degrees(dmin, dmax)
     rows = []
     for d in range(dmin, dmax + 1):
-        report = distance_report(
+        report = mindist.distance_report(
             C, X, d, args.method, args.class_budget, args.time_budget
         )
         rows.append({key: report[name] for key, name in _ROW_KEYS.items()})
@@ -264,7 +275,7 @@ def _cmd_mindist(args) -> int:
     if args.d < 1:
         raise _InputError("need d >= 1")
     C, X = _point_inputs(args)
-    report = distance_report(
+    report = mindist.distance_report(
         C, X, args.d, args.method, args.class_budget, args.time_budget
     )
     if args.fmt == "text":
@@ -277,7 +288,7 @@ def _cmd_ci(args) -> int:
     C, q, size = _lattice_inputs(args)
     if C is None:
         raise _InputError("ci needs --clutter (the torus is trivially a CI)")
-    rep = ci_classify(C, q)
+    rep = intlattice.ci_classify(C, q)
     torus_size = (q - 1) ** (C.s - 1)
     body = {
         "applicable": rep.applicable,
@@ -295,15 +306,15 @@ def _cmd_ci(args) -> int:
 
 def _cmd_groebner(args) -> int:
     _, X = _point_inputs(args)
-    G = interpolate_gb(X)
-    checks = verify_gb_structure(G)
+    G = vanishing_ideal.interpolate_gb(X)
+    checks = vanishing_ideal.verify_gb_structure(G)
     if args.fmt == "json":
         # every element is t^lead - t^tail: coefficient indices 1 and that of -1
-        minus_one = minus_one_index(X.q)
+        minus_one = vanishing_ideal.minus_one_index(X.q)
         body = {
             "q": X.q,
             "s": G.s,
-            "degree_complexity": degree_complexity(G),
+            "degree_complexity": vanishing_ideal.degree_complexity(G),
             "structure": checks,
             "elements": [
                 {
@@ -322,7 +333,7 @@ def _cmd_groebner(args) -> int:
     else:
         sys.stdout.write("".join(line + "\n" for line in G.term_strings()))
         sys.stdout.write(f"# {len(G)} elements, degree complexity "
-                         f"{degree_complexity(G)}\n")
+                         f"{vanishing_ideal.degree_complexity(G)}\n")
     return EXIT_OK
 
 
@@ -330,9 +341,10 @@ def _cmd_profile(args) -> int:
     C, q, _ = _lattice_inputs(args)
     if C is None:
         raise _InputError("profile needs --clutter")
-    body = profile(C, q)
+    body = intlattice.profile(C, q)
     if args.dump_points:
-        text = points_csv(clutter_set(C, q))
+        _load_field_modules()
+        text = toric_set.points_csv(toric_set.clutter_set(C, q))
         try:
             with open(args.dump_points, "w") as fh:
                 fh.write(text)
@@ -357,10 +369,10 @@ def main(argv=None) -> int:
     try:
         _check_budgets(args)
         return _COMMANDS[args.command](args)
-    except BudgetExceededError as exc:
+    except errors.BudgetExceededError as exc:
         sys.stderr.write(f"budget exhausted: {exc}\n")
         return EXIT_BUDGET
-    except (_InputError, ClutterError, ValueError) as exc:
+    except ValueError as exc:  # _InputError and ClutterError among them
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
     except Exception as exc:  # pragma: no cover - internal failures

@@ -2,7 +2,9 @@
 
 A clutter is given by n and a list of edges, each a set of 1-based vertex
 indices; no edge may contain another.  Edge input order is preserved: it
-fixes the variable order t1..ts everywhere downstream.
+fixes the variable order t1..ts everywhere downstream.  The incidence and
+difference matrices are numpy arrays, and numpy is imported where they are
+built: reading a clutter loads none of it.
 """
 
 from __future__ import annotations
@@ -12,8 +14,10 @@ import operator
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ClutterError(ValueError):
@@ -51,6 +55,8 @@ class IncidenceMatrix:
     A: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         A = self.A
         if A.ndim != 2 or not np.isin(A, (0, 1)).all():
             raise ClutterError("incidence entries must be 0/1")
@@ -156,6 +162,8 @@ def load_clutter(path: str) -> Clutter:
 
 def incidence(C: Clutter) -> IncidenceMatrix:
     """The n x s incidence matrix; column j is the vector of edge j."""
+    import numpy as np
+
     A = np.array(C.vectors, dtype=np.int64).T
     return IncidenceMatrix(A)
 
@@ -166,6 +174,8 @@ def difference_matrix(C: Clutter) -> np.ndarray:
     Its columns generate X in exponent space.  Its Smith invariant factors,
     which give |X| and the complete-intersection test, are
     `intlattice.difference_factors`."""
+    import numpy as np
+
     V = np.array(C.vectors, dtype=np.int64)
     return V - V[0]
 

@@ -20,8 +20,9 @@ From it come:
 The CI verdict reads both: the edge vectors are independent when
 rank A = s, and multiplication by q-1 is injective on Z^n / <v_i - v_1>
 when gcd(q-1, d_i) = 1 for every i.  |X| = prod (q-1)/gcd(q-1, d_i)
-(`toric_set.size_of_X`) reads the same factors, and delta'_d and
-`toric_set.profile` the same rank.
+(`size_of_X`) reads the same factors, and delta'_d and `profile` the same
+rank: `ci` and `profile` need nothing outside this module and `clutter`,
+and no numpy.
 
 `rank_rational` and `smith_normal_form` take any integer matrix through
 the same echelon: the rank is its number of rows, and the Smith form is
@@ -38,11 +39,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 from typing import NamedTuple
 
 from .clutter import Clutter, uniformity
-from .finite_field import field_order, prime_power
+from .limits import field_order, prime_power
 
 
 def _to_int_rows(M) -> list[list[int]]:
@@ -282,6 +283,41 @@ def difference_factors(C: Clutter) -> tuple[int, ...]:
 def incidence_rank(C: Clutter) -> int:
     """The rank over Q of the incidence matrix A, that of the edge vectors."""
     return lattice_facts(C).incidence_rank
+
+
+def size_of_X(C: Clutter, q: int) -> int:
+    """|X| over GF(q) without building X: prod m/gcd(m, d_i), m = q-1, over
+    the Smith invariant factors d_i of the difference matrix.  q must name
+    a field (`field_order`)."""
+    m = field_order(*prime_power(q)) - 1
+    return prod(m // gcd(m, d) for d in difference_factors(C))
+
+
+def profile(C: Clutter, q: int) -> dict:
+    """Size/rank report of X over GF(q), used to judge applicability of
+    the torus bounds.  No point is built: |X| is size_of_X(C, q), and the
+    rank is incidence_rank(C).
+
+    Normality of the edge subring is asserted by the caller, never verified
+    here; the note in the report says so.
+    """
+    size = size_of_X(C, q)
+    r = incidence_rank(C)
+    uniform, _ = uniformity(C)
+    expected = (q - 1) ** (C.n - 1)
+    return {
+        "n": C.n,
+        "s": C.s,
+        "q": q,
+        "points": size,
+        "rank": r,
+        "rank_is_n": r == C.n,
+        "uniform": uniform,
+        "torus_bound_degree": expected,
+        "degree_matches_torus_bound": size == expected,
+        "equals_ambient_torus": size == (q - 1) ** (C.s - 1),
+        "note": "normality of the edge subring is user-asserted, not verified",
+    }
 
 
 def phi_injective(C: Clutter, q: int) -> bool:

@@ -84,12 +84,10 @@ import numpy as np
 from .clutter import Clutter, uniformity
 from .errors import BudgetExceededError
 from .eval_code import _CELL_CAP, LinearCode, code, walk_of
-from .finite_field import FiniteField, field_order, prime_power
+from .finite_field import FiniteField
 from .intlattice import incidence_rank
+from .limits import DEFAULT_CLASS_BUDGET, METHODS, field_order, prime_power
 from .toric_set import ToricSet, equals_torus
-
-DEFAULT_CLASS_BUDGET = 10 ** 7
-METHODS = ("auto", "bruteforce", "isd", "formula")
 
 
 @dataclass

@@ -15,8 +15,8 @@ transform that brings B to its Smith form diag(d_1, ..., d_r)
 the rank (d_j = 0).  Column j of B Q is d_j times a column of a unimodular
 matrix, so b -> (B Q) b mod m is a bijection from the box prod [0, o_j)
 onto X: the points come from that box with one sort and no membership
-test, and |X| = prod o_j (`size_of_X`) needs no point at all.  For the
-torus Q = I and every o_j = m, with no Smith form.
+test, and |X| = prod o_j (`intlattice.size_of_X`) needs no point at all.
+For the torus Q = I and every o_j = m, with no Smith form.
 
 The same coordinates label the characters of X.  Row i of B Q is divisible
 by gcd(m, d_j) in column j, and c_j(t_i) = (B Q)_ij / gcd(m, d_j) mod o_j
@@ -28,8 +28,9 @@ o.  The mixed-radix value of c is a bijection from the characters of X onto
 The factors d_i are `intlattice.difference_factors(C)`, the ones the
 complete-intersection verdict reads.  They, Q and the rank of the incidence
 matrix (`intlattice.incidence_rank`) come from one integer echelon of the
-difference rows per clutter.  `profile` reads |X| and the comparison with
-the torus from that closed form, and the rank from that echelon.
+difference rows per clutter.  `intlattice.profile` reads |X| and the
+comparison with the torus from that closed form, and the rank from that
+echelon.
 
 A `ToricSet` is that presentation and q, and nothing more until asked:
 the Hilbert function, the regularity and the reduced basis of I(X) read
@@ -45,12 +46,11 @@ from math import gcd, prod
 
 import numpy as np
 
-from .clutter import Clutter, difference_matrix, uniformity
+from .clutter import Clutter, difference_matrix
 from .errors import BudgetExceededError
-from .finite_field import FiniteField, field_from_q, field_order, prime_power
-from .intlattice import difference_factors, incidence_rank, lattice_facts
-
-DEFAULT_ENUM_BUDGET = 10 ** 8
+from .finite_field import FiniteField, field_from_q
+from .intlattice import lattice_facts
+from .limits import DEFAULT_ENUM_BUDGET, field_order, prime_power
 
 
 class ToricSet:
@@ -140,14 +140,6 @@ def _within(X: ToricSet, budget: int) -> ToricSet:
     return X
 
 
-def size_of_X(C: Clutter, q: int) -> int:
-    """|X| over GF(q) without building X: prod m/gcd(m, d_i), m = q-1, over
-    the Smith invariant factors d_i of the difference matrix.  q must name
-    a field (`field_order`)."""
-    m = field_order(*prime_power(q)) - 1
-    return prod(m // gcd(m, d) for d in difference_factors(C))
-
-
 def clutter_set(C: Clutter, q: int) -> ToricSet:
     """X over GF(q): all points [ (x^v1 : ... : x^vs) ] for x in the
     affine torus (K*)^n, as its Smith presentation.  No field and no point
@@ -201,33 +193,6 @@ def equals_torus(X: ToricSet) -> bool:
     so equality is a size test.
     """
     return len(X) == (X.q - 1) ** (X.s - 1)
-
-
-def profile(C: Clutter, q: int) -> dict:
-    """Size/rank report of X over GF(q), used to judge applicability of
-    the torus bounds.  No point is built: |X| is size_of_X(C, q), and the
-    rank is incidence_rank(C).
-
-    Normality of the edge subring is asserted by the caller, never verified
-    here; the note in the report says so.
-    """
-    size = size_of_X(C, q)
-    r = incidence_rank(C)
-    uniform, _ = uniformity(C)
-    expected = (q - 1) ** (C.n - 1)
-    return {
-        "n": C.n,
-        "s": C.s,
-        "q": q,
-        "points": size,
-        "rank": r,
-        "rank_is_n": r == C.n,
-        "uniform": uniform,
-        "torus_bound_degree": expected,
-        "degree_matches_torus_bound": size == expected,
-        "equals_ambient_torus": size == (q - 1) ** (C.s - 1),
-        "note": "normality of the edge subring is user-asserted, not verified",
-    }
 
 
 def points_csv(X: ToricSet) -> str:

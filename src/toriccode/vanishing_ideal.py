@@ -35,7 +35,7 @@ import numpy as np
 from .clutter import Clutter, incidence
 from .errors import BudgetExceededError
 from .eval_code import walk_of
-from .finite_field import field_order, prime_power
+from .limits import field_order, prime_power
 from .toric_set import ToricSet
 
 

@@ -344,7 +344,7 @@ class TestClosedFormSize:
     ]
 
     def test_no_points_built(self, run, k4_file, monkeypatch):
-        import toriccode.cli as cli
+        from toriccode import toric_set
 
         def refuse(*args, **kwargs):
             raise AssertionError("no field and no point of X may be built")
@@ -352,8 +352,8 @@ class TestClosedFormSize:
         cases = [(cmd, "--clutter", k4_file, *rest) for cmd, *rest in self.ARGVS]
         cases += [(cmd, "--torus", "3", "--q", "4") for cmd in ("ci", "profile")]
         before = [run(*argv) for argv in cases]
-        monkeypatch.setattr(cli, "clutter_set", refuse)
-        monkeypatch.setattr(cli, "projective_torus", refuse)
+        monkeypatch.setattr(toric_set, "clutter_set", refuse)
+        monkeypatch.setattr(toric_set, "projective_torus", refuse)
         monkeypatch.setattr(FiniteField, "__init__", refuse)
         make_field.cache_clear()
         after = [run(*argv) for argv in cases]
@@ -364,7 +364,7 @@ class TestClosedFormSize:
 
     def test_dump_points_builds_X(self, run, k4_file, tmp_path, monkeypatch):
         # the points file holds primitive-power indices: no field is needed
-        import toriccode.cli as cli
+        from toriccode import toric_set
 
         calls, fields = [], []
         init = FiniteField.__init__
@@ -382,7 +382,7 @@ class TestClosedFormSize:
         plain = run(*argv)
         run(*argv, "--dump-points", str(dump))
         points = dump.read_text()
-        monkeypatch.setattr(cli, "clutter_set", counted)
+        monkeypatch.setattr(toric_set, "clutter_set", counted)
         monkeypatch.setattr(FiniteField, "__init__", counted_field)
         make_field.cache_clear()
         dumped = run(*argv, "--dump-points", str(dump))
@@ -518,14 +518,14 @@ class TestDegreesBeforePoints:
     ]
 
     def test_exit_2_first(self, run, k4_file, monkeypatch):
-        import toriccode.cli as cli
+        from toriccode import toric_set
 
         def refuse(*args, **kwargs):
             raise AssertionError("no size, field or point may be computed")
 
-        monkeypatch.setattr(cli, "size_of_X", refuse)
-        monkeypatch.setattr(cli, "clutter_set", refuse)
-        monkeypatch.setattr(cli, "projective_torus", refuse)
+        monkeypatch.setattr(intlattice, "size_of_X", refuse)
+        monkeypatch.setattr(toric_set, "clutter_set", refuse)
+        monkeypatch.setattr(toric_set, "projective_torus", refuse)
         monkeypatch.setattr(FiniteField, "__init__", refuse)
         make_field.cache_clear()
         for (command, *rest), message in self.CASES:
@@ -861,6 +861,74 @@ def test_no_numpy_ma_import(tmp_path):
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_lattice_commands_load_no_numpy(tmp_path):
+    """Importing the CLI loads no numpy, and neither do ci and profile
+    (without --dump-points) on a clutter file, in every format.  A mindist
+    run next in the same interpreter exits 0 and prints what it prints in
+    a fresh process."""
+    f = tmp_path / "k4.json"
+    f.write_text(K4_DOC)
+    common = f"--clutter {f} --q 9"
+    lattice = [f"{command} {common} --format {fmt}"
+               for command in ("ci", "profile") for fmt in ("text", "csv", "json")]
+    mindist = f"mindist --clutter {f} --q 3 --d 1".split()
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from toriccode.cli import main\n"
+        "loaded = ['numpy' in sys.modules]\n"
+        "for argv in sys.argv[1:-1]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv.split()) == 0, argv\n"
+        "    loaded.append('numpy' in sys.modules)\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    rc = main(sys.argv[-1].split())\n"
+        "print(json.dumps({'loaded': loaded, 'rc': rc, 'out': out.getvalue()}))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, *lattice, " ".join(mindist)], env=_child_env(),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    fresh = subprocess.run(
+        [sys.executable, "-m", "toriccode", *mindist], env=_child_env(),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert fresh.returncode == EXIT_OK, fresh.stderr
+    assert json.loads(done.stdout) == {
+        "loaded": [False] * (1 + len(lattice)), "rc": EXIT_OK, "out": fresh.stdout
+    }
+
+
+def test_field_modules_run_together(tmp_path):
+    """ci runs only the lattice modules; the first command that builds X
+    runs every GF(q) module, mindist among them although groebner calls
+    none of it, so no later job of the process pays for running one.  A
+    lazily registered module that has not run is not of type ModuleType."""
+    f = tmp_path / "k4.json"
+    f.write_text(K4_DOC)
+    script = (
+        "import contextlib, io, sys, types\n"
+        "from toriccode.cli import main\n"
+        "for argv in sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv.split()) == 0, argv\n"
+        "    print(' '.join(sorted(k for k, m in sys.modules.items()\n"
+        "                          if k.startswith('toriccode.')\n"
+        "                          and type(m) is types.ModuleType)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, f"ci --clutter {f} --q 9", "groebner --torus 3 --q 4"],
+        env=_child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    after_ci, after_groebner = (line.split() for line in done.stdout.splitlines())
+    lattice = ["toriccode.cli", "toriccode.clutter", "toriccode.intlattice", "toriccode.limits"]
+    assert after_ci == lattice
+    field = ["_linalg", "eval_code", "finite_field", "mindist", "toric_set", "vanishing_ideal"]
+    assert set(lattice) | {f"toriccode.{name}" for name in field} <= set(after_groebner)
 
 
 def _limit_address_space():

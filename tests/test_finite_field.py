@@ -23,7 +23,8 @@ from toriccode import (
     size_of_X,
     torus_distance,
 )
-from toriccode.finite_field import _is_irreducible, _poly_mod, field_order, prime_power
+from toriccode.finite_field import _is_irreducible, _poly_mod
+from toriccode.limits import field_order, prime_power
 
 
 def _oracle_first_irreducible(p, k):

@@ -35,7 +35,7 @@ from toriccode import (
     verify_gb_structure,
 )
 from toriccode.eval_code import evaluate_rows, walk_of
-from toriccode.finite_field import prime_power
+from toriccode.limits import prime_power
 from toriccode.vanishing_ideal import ReducedGB, minus_one_index
 
 
