@@ -20,10 +20,7 @@ __version__ = "0.1.0"
 
 # the public names, by the submodule that defines each
 _EXPORTS = {
-    "clutter": (
-        "Clutter", "ClutterError", "IncidenceMatrix", "incidence", "load_clutter",
-        "parse_clutter", "uniformity",
-    ),
+    "clutter": ("Clutter", "ClutterError", "load_clutter", "parse_clutter", "uniformity"),
     "errors": ("BudgetExceededError",),
     "eval_code": ("LinearCode", "code", "h_vector", "hilbert_function", "regularity"),
     "finite_field": ("FiniteField", "field_from_q", "make_field"),
@@ -37,8 +34,7 @@ _EXPORTS = {
     ),
     "toric_set": ("ToricSet", "enumerate_X", "equals_torus", "projective_torus"),
     "vanishing_ideal": (
-        "ReducedGB", "binomial_in_IX", "degree_complexity", "hilbert_IA", "interpolate_gb",
-        "verify_gb_structure",
+        "ReducedGB", "degree_complexity", "interpolate_gb", "verify_gb_structure",
     ),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -134,23 +134,21 @@ def _resolve_q(args) -> int:
 
 
 def _lattice_inputs(args):
-    """(C, q, |X|), C being None for --torus, with |X| from its closed form:
-    no field and no point is built.  Raises BudgetExceededError when |X|
-    exceeds --budget."""
+    """(C, q, |X|), C being None for --torus, with |X| from the orders of
+    its cyclic factors: no field and no point is built.  Raises
+    BudgetExceededError when |X| exceeds --budget."""
     q = _resolve_q(args)
     if args.torus is not None:
         if args.torus < 2:
             raise _InputError("--torus needs S >= 2")
-        C, size = None, (q - 1) ** (args.torus - 1)
+        C, orders = None, {q - 1: args.torus - 1}
     else:
         try:
             C = clutter.load_clutter(args.clutter)
         except OSError as exc:
             raise _InputError(f"cannot read clutter file: {exc}")
-        size = intlattice.size_of_X(C, q)
-    if size > args.budget:
-        raise errors.BudgetExceededError(f"|X| = {size} points > budget {args.budget}")
-    return C, q, size
+        orders = intlattice.orders_of_X(C, q)
+    return C, q, limits.size_within(orders, args.budget)
 
 
 def _load_field_modules() -> None:

@@ -1,10 +1,9 @@
-"""Clutters (Sperner hypergraphs) on vertices y1..yn and their incidence data.
+"""Clutters (Sperner hypergraphs) on vertices y1..yn: parsing, validation
+and uniformity.
 
 A clutter is given by n and a list of edges, each a set of 1-based vertex
 indices; no edge may contain another.  Edge input order is preserved: it
-fixes the variable order t1..ts everywhere downstream.  The incidence and
-difference matrices are numpy arrays, and numpy is imported where they are
-built: reading a clutter loads none of it.
+fixes the variable order t1..ts everywhere downstream.
 """
 
 from __future__ import annotations
@@ -14,10 +13,6 @@ import operator
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class ClutterError(ValueError):
@@ -46,23 +41,6 @@ class Clutter:
 
     def __str__(self):
         return f"Clutter(n={self.n}, edges={[list(e) for e in self.edges]})"
-
-
-@dataclass(frozen=True)
-class IncidenceMatrix:
-    """n x s matrix whose columns are the characteristic vectors."""
-
-    A: np.ndarray
-
-    def __post_init__(self):
-        import numpy as np
-
-        A = self.A
-        if A.ndim != 2 or not np.isin(A, (0, 1)).all():
-            raise ClutterError("incidence entries must be 0/1")
-        # a set of column tuples: np.unique(axis=) imports numpy.ma
-        if len({tuple(col) for col in A.T.tolist()}) != A.shape[1]:
-            raise ClutterError("incidence columns must be distinct")
 
 
 def _integer(x) -> int:
@@ -158,26 +136,6 @@ def load_clutter(path: str) -> Clutter:
             raise ClutterError(f"bad JSON in {path}: {exc}")
         return parse_clutter(doc)
     return parse_clutter(text)
-
-
-def incidence(C: Clutter) -> IncidenceMatrix:
-    """The n x s incidence matrix; column j is the vector of edge j."""
-    import numpy as np
-
-    A = np.array(C.vectors, dtype=np.int64).T
-    return IncidenceMatrix(A)
-
-
-def difference_matrix(C: Clutter) -> np.ndarray:
-    """The s x n matrix B = V - V[0] of differences v_i - v_1; row 0 is zero.
-
-    Its columns generate X in exponent space.  Its Smith invariant factors,
-    which give |X| and the complete-intersection test, are
-    `intlattice.difference_factors`."""
-    import numpy as np
-
-    V = np.array(C.vectors, dtype=np.int64)
-    return V - V[0]
 
 
 def uniformity(C: Clutter):

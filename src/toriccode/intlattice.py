@@ -37,6 +37,7 @@ overflow to signal.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, prod
@@ -285,12 +286,17 @@ def incidence_rank(C: Clutter) -> int:
     return lattice_facts(C).incidence_rank
 
 
-def size_of_X(C: Clutter, q: int) -> int:
-    """|X| over GF(q) without building X: prod m/gcd(m, d_i), m = q-1, over
-    the Smith invariant factors d_i of the difference matrix.  q must name
-    a field (`field_order`)."""
+def orders_of_X(C: Clutter, q: int) -> Counter:
+    """The orders m/gcd(m, d_i) > 1, m = q-1, of the cyclic factors of X
+    over GF(q), with their multiplicities, d_i the Smith invariant factors
+    of the difference matrix.  q must name a field (`field_order`)."""
     m = field_order(*prime_power(q)) - 1
-    return prod(m // gcd(m, d) for d in difference_factors(C))
+    return Counter(o for d in difference_factors(C) if (o := m // gcd(m, d)) > 1)
+
+
+def size_of_X(C: Clutter, q: int) -> int:
+    """|X| over GF(q) without building X: the product of its orders."""
+    return prod(o ** c for o, c in orders_of_X(C, q).items())
 
 
 def profile(C: Clutter, q: int) -> dict:

@@ -6,16 +6,19 @@ check on a field size, whether or not a field is built: `ci` and `profile`
 make it and build none.  The budgets bound the points of X
 (`DEFAULT_ENUM_BUDGET`) and the messages a distance search weighs
 (`DEFAULT_CLASS_BUDGET`); `METHODS` are the routes of `mindist.min_distance`.
-The module imports nothing of numpy, so the argument parser and the lattice
-commands read it without loading numpy.
+`size_within` checks |X| against a budget from the orders of its cyclic
+factors.  The module imports nothing of numpy, so the argument parser and
+the lattice commands read it without loading numpy.
 """
 
 from __future__ import annotations
 
 import math
 
+from .errors import BudgetExceededError
+
 DEFAULT_MAX_Q = 2 ** 16
-_DECIMAL_BITS = 14_000  # longest p^k formed, within the 4300 digits Python prints
+_DECIMAL_BITS = 14_000  # longest power formed and printed, within the 4300 digits Python prints
 DEFAULT_ENUM_BUDGET = 10 ** 8
 DEFAULT_CLASS_BUDGET = 10 ** 7
 METHODS = ("auto", "bruteforce", "isd", "formula")
@@ -43,21 +46,38 @@ def field_order(p: int, k: int) -> int:
     The work is bounded for any p and k: primality is tested only on
     p <= DEFAULT_MAX_Q, by trial division up to 256 (a larger p fails the
     cap, prime or not), and p^k is formed only up to _DECIMAL_BITS bits (a
-    longer one is far past the cap and is named "p^k")."""
+    longer one is far past the cap and is named "p^k", by power_text)."""
     if not isinstance(p, int) or not isinstance(k, int):
         raise ValueError("p and k must be integers")
     if p < 2 or (p <= DEFAULT_MAX_Q and not _is_prime(p)):
         raise ValueError(f"p = {p} is not prime")
     if k < 1:
         raise ValueError(f"k = {k} must be >= 1")
-    if k * p.bit_length() > _DECIMAL_BITS:
-        raise ValueError(f"q = {p}^{k} exceeds the cardinality cap {DEFAULT_MAX_Q}")
-    q = p ** k
-    if q < 3:
+    if k * p.bit_length() > _DECIMAL_BITS or p ** k > DEFAULT_MAX_Q:
+        raise ValueError(f"q = {power_text({p: k})} exceeds the cardinality cap {DEFAULT_MAX_Q}")
+    if p ** k < 3:
         raise ValueError("GF(2) is not supported; need q >= 3")
-    if q > DEFAULT_MAX_Q:
-        raise ValueError(f"q = {q} exceeds the cardinality cap {DEFAULT_MAX_Q}")
-    return q
+    return p ** k
+
+
+def power_text(powers: dict[int, int]) -> str:
+    """The product of b^e over the items of powers, in decimal; or as
+    "b^e*...", with no power formed, when it may pass _DECIMAL_BITS bits."""
+    if sum(e * b.bit_length() for b, e in powers.items()) > _DECIMAL_BITS:
+        return "*".join(f"{b}^{e}" for b, e in sorted(powers.items()))
+    return str(math.prod(b ** e for b, e in powers.items()))
+
+
+def size_within(orders: dict[int, int], budget: int) -> int:
+    """|X| = prod o^c over the items of orders, each order o >= 2, or
+    BudgetExceededError when it passes the budget.  |X| >= 2^(sum c), so it
+    does once sum c reaches the budget's bit length: no power past that is
+    formed, and a long |X| is named as power_text names it."""
+    if sum(orders.values()) < budget.bit_length():
+        size = math.prod(o ** c for o, c in orders.items())
+        if size <= budget:
+            return size
+    raise BudgetExceededError(f"|X| = {power_text(orders)} points > budget {budget}")
 
 
 def prime_power(q: int) -> tuple[int, int]:

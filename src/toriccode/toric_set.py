@@ -46,11 +46,10 @@ from math import gcd, prod
 
 import numpy as np
 
-from .clutter import Clutter, difference_matrix
-from .errors import BudgetExceededError
+from .clutter import Clutter
 from .finite_field import FiniteField, field_from_q
-from .intlattice import lattice_facts
-from .limits import DEFAULT_ENUM_BUDGET, field_order, prime_power
+from .intlattice import lattice_facts, orders_of_X
+from .limits import DEFAULT_ENUM_BUDGET, field_order, prime_power, size_within
 
 
 class ToricSet:
@@ -133,13 +132,6 @@ def _lex_order(S: np.ndarray, m: int) -> np.ndarray:
     return np.lexsort(keys[::-1])
 
 
-def _within(X: ToricSet, budget: int) -> ToricSet:
-    """X, or BudgetExceededError when |X| passes the budget."""
-    if len(X) > budget:
-        raise BudgetExceededError(f"X would reach {len(X)} points > budget {budget}")
-    return X
-
-
 def clutter_set(C: Clutter, q: int) -> ToricSet:
     """X over GF(q): all points [ (x^v1 : ... : x^vs) ] for x in the
     affine torus (K*)^n, as its Smith presentation.  No field and no point
@@ -150,7 +142,8 @@ def clutter_set(C: Clutter, q: int) -> ToricSet:
     characters of (K*)^n.
     """
     field_order(*prime_power(q))
-    B = difference_matrix(C)  # s x n; row 0 is zero, giving the canonical 0 column
+    V = np.array(C.vectors, dtype=np.int64)
+    B = V - V[0]  # s x n; row 0 is zero, giving the canonical 0 column
     m = q - 1
     facts = lattice_facts(C)
     d = facts.difference_factors
@@ -168,7 +161,8 @@ def enumerate_X(C: Clutter, q: int, budget: int = DEFAULT_ENUM_BUDGET) -> ToricS
     budget.  Its points are built from the box of the Smith presentation,
     with O(s |X|) work and never a walk over the (q-1)^n tuples, when
     first read."""
-    return _within(clutter_set(C, q), budget)
+    size_within(orders_of_X(C, q), budget)
+    return clutter_set(C, q)
 
 
 def projective_torus(s: int, q: int, budget: int = DEFAULT_ENUM_BUDGET) -> ToricSet:
@@ -178,12 +172,13 @@ def projective_torus(s: int, q: int, budget: int = DEFAULT_ENUM_BUDGET) -> Toric
     Its presentation is that of enumerate_X for the generator matrix
     [0; I_(s-1)], which is already in Smith form: Q = I, every order is
     q-1, and the character coordinates are that matrix.  The budget bounds
-    |T| = (q-1)^(s-1) in the same way.
+    |T| = (q-1)^(s-1) in the same way, before anything of size s is built.
     """
     if s < 2:
         raise ValueError("need s >= 2")
+    size_within({field_order(*prime_power(q)) - 1: s - 1}, budget)
     chars = np.eye(s, s - 1, k=-1, dtype=np.int64)  # [0; I_(s-1)]
-    return _within(ToricSet(q, (q - 1,) * (s - 1), chars, f"T(s={s})"), budget)
+    return ToricSet(q, (q - 1,) * (s - 1), chars, f"T(s={s})")
 
 
 def equals_torus(X: ToricSet) -> bool:

@@ -21,8 +21,6 @@ element is t^lead - t^tail, so its coefficients are 1 and -1 in any field,
 and the structure checks, the degree complexity and the written basis
 read those arrays: none builds GF(q) or a point of X.
 `ReducedGB.elements` gives the basis as `HomogPoly` objects on request.
-`binomial_in_IX` needs no points either: two monomials of one degree agree
-on X exactly when A maps their exponents to the same class mod q-1.
 """
 
 from __future__ import annotations
@@ -32,10 +30,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .clutter import Clutter, incidence
-from .errors import BudgetExceededError
 from .eval_code import walk_of
-from .limits import field_order, prime_power
+from .limits import prime_power
 from .toric_set import ToricSet
 
 
@@ -142,53 +138,3 @@ def verify_gb_structure(G: ReducedGB) -> dict:
         ),
         "missing_pure_powers": missing,
     }
-
-
-def binomial_in_IX(a_plus, a_minus, C: Clutter, q: int, X: ToricSet | None = None) -> bool:
-    """Membership of t^(a+) - t^(a-) in I(X) by the lattice criterion alone:
-    homogeneity and A a+ = A a- (mod q-1).  Both monomials are then the
-    same character of X.  A given X must match the clutter and the field;
-    no point of it is read."""
-    a_plus = [int(x) for x in a_plus]
-    a_minus = [int(x) for x in a_minus]
-    s = C.s
-    if len(a_plus) != s or len(a_minus) != s:
-        raise ValueError(f"exponent vectors must have length s = {s}")
-    if any(x < 0 for x in a_plus + a_minus):
-        raise ValueError("exponents must be non-negative")
-    if any(p and m for p, m in zip(a_plus, a_minus)):
-        raise ValueError("a+ and a- must have disjoint supports")
-    field_order(*prime_power(q))
-    if X is not None and (X.s != s or X.q != q):
-        raise ValueError("provided X does not match the clutter/field")
-    if sum(a_plus) != sum(a_minus):
-        return False
-    A = incidence(C).A
-    diff = A @ (np.array(a_plus, dtype=np.int64) - np.array(a_minus, dtype=np.int64))
-    return bool(np.all(diff % (q - 1) == 0))
-
-
-def hilbert_IA(C: Clutter, d: int, budget: int = 5 * 10 ** 6) -> int:
-    """Hilbert function of the toric quotient S/I_A in degree d: the number
-    of distinct sums of d characteristic vectors (with repetition).
-
-    The sums of degree j are those of degree j-1 plus each edge vector.
-    The budget bounds that work, the |A_(j-1)| * s candidate sums of each
-    degree j summed over j <= d: BudgetExceededError is raised before a
-    degree would pass it."""
-    if d < 0:
-        raise ValueError("need d >= 0")
-    V = np.array(C.vectors, dtype=np.int64)
-    sums = np.zeros((1, V.shape[1]), dtype=np.int64)
-    work = 0
-    for j in range(1, d + 1):
-        work += len(sums) * C.s
-        if work > budget:
-            raise BudgetExceededError(
-                f"degree {j} of the sums to degree {d} brings their candidates "
-                f"to {work} > budget {budget}"
-            )
-        sums = (sums[:, None, :] + V[None, :, :]).reshape(-1, V.shape[1])
-        sums = sums[np.lexsort(sums.T)]
-        sums = sums[np.concatenate(([True], (sums[1:] != sums[:-1]).any(axis=1)))]
-    return len(sums)

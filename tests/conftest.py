@@ -19,12 +19,17 @@ facts of the saturated echelon, transform included, are checked against
 those of all the rows.  The package builds X from the Smith
 form of its generators; here X is the image of every unit tuple
 (`oracle_enumerate_X`) or the closure over its generators
-(`oracle_span`), and binomial membership is decided by evaluation on X
-(`oracle_binomial_in_IX`), and a basis vanishes on X when each element
-does (`oracle_vanishing_defect`).  The structure checks of a reduced basis
+(`oracle_span`), and a basis vanishes on X when each element does
+(`oracle_vanishing_defect`).  The structure checks of a reduced basis
 run element by element over its `HomogPoly` form
 (`oracle_verify_gb_structure`), where the package reads its two exponent
 arrays.
+The package computes neither H_(S/I_A) nor binomial membership in I(X);
+the paper's statements about them are checked here.  H_(S/I_A)(d) counts
+the distinct sums of d edge vectors (`oracle_hilbert_IA`).  Membership
+is decided by evaluation on X (`oracle_binomial_in_IX`) and, as the
+package's character labels would decide it, by the character test on
+the Smith presentation of X (`same_character`).
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from toriccode import Clutter, field_from_q, incidence, parse_clutter, torus_distance, uniformity
+from toriccode import Clutter, field_from_q, parse_clutter, torus_distance, uniformity
 from toriccode._linalg import rref
 from toriccode.eval_code import evaluate_rows
 from toriccode.intlattice import LatticeFacts, _insert, smith_normal_form
@@ -301,9 +306,15 @@ def multiplication_injective(relation_rows, factor: int) -> bool:
     return all(gcd(factor, d) == 1 for d in oracle_snf_pivot_rule(rows))
 
 
+def difference_matrix(C: Clutter) -> np.ndarray:
+    """The s x n matrix B = V - V[0], row 0 zero: its columns generate X in
+    exponent space."""
+    V = np.array(C.vectors, dtype=np.int64)
+    return V - V[0]
+
+
 def difference_rows(C: Clutter) -> list[list[int]]:
-    vecs = C.vectors
-    return [[vi - v1 for vi, v1 in zip(vecs[i], vecs[0])] for i in range(1, len(vecs))]
+    return difference_matrix(C)[1:].tolist()
 
 
 def oracle_lattice_facts(C: Clutter) -> LatticeFacts:
@@ -331,7 +342,7 @@ def oracle_ci_classify(C: Clutter, q: int) -> tuple:
     uniform, _ = uniformity(C)
     if not uniform:
         return False, None, None, None
-    if oracle_rank_bareiss(incidence(C).A.T.tolist()) != C.s:
+    if oracle_rank_bareiss(C.vectors) != C.s:
         return True, False, False, None
     injective = oracle_phi_injective(C, q)
     return True, injective, True, injective
@@ -341,7 +352,7 @@ def oracle_delta_prime(C: Clutter, q: int, d: int):
     """delta'_d of a clutter: the torus formula in P^(n-1) when C is
     uniform and rank A = n, from a fresh rank; None otherwise."""
     uniform, _ = uniformity(C)
-    if uniform and oracle_rank_fraction(incidence(C).A) == C.n:
+    if uniform and oracle_rank_fraction(C.vectors) == C.n:
         return torus_distance(q, C.n, d)
     return None
 
@@ -556,6 +567,14 @@ def oracle_span(gens: np.ndarray, m: int) -> np.ndarray:
         steps = np.arange(r, dtype=np.int64)[:, None] * b % m  # r x s
         S = ((steps[:, None, :] + S[None, :, :]) % m).reshape(-1, s)
     return S[np.lexsort(S.T[::-1])]
+
+
+def same_character(a_plus, a_minus, X) -> bool:
+    """Membership of t^(a+) - t^(a-) in I(X) as the package's labels decide
+    it, with no point: equal degree and (a+ - a-) @ X.chars = 0 mod
+    X.orders, on X's Smith presentation."""
+    diff = np.array(a_plus, dtype=np.int64) - np.array(a_minus, dtype=np.int64)
+    return sum(a_plus) == sum(a_minus) and not (diff @ X.chars % np.array(X.orders)).any()
 
 
 def oracle_binomial_in_IX(a_plus, a_minus, X) -> bool:

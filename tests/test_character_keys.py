@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from conftest import (
     FIELD_SIZES,
     clutters_over_fields,
+    difference_matrix,
     exponent_matrix,
     outside_leads,
     oracle_code_generator,
@@ -37,7 +38,6 @@ from toriccode import (
     projective_torus,
     regularity,
 )
-from toriccode.clutter import difference_matrix
 from toriccode.eval_code import StandardWalk, shift_table, standard_walk
 
 

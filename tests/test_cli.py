@@ -524,6 +524,7 @@ class TestDegreesBeforePoints:
             raise AssertionError("no size, field or point may be computed")
 
         monkeypatch.setattr(intlattice, "size_of_X", refuse)
+        monkeypatch.setattr(intlattice, "orders_of_X", refuse)
         monkeypatch.setattr(toric_set, "clutter_set", refuse)
         monkeypatch.setattr(toric_set, "projective_torus", refuse)
         monkeypatch.setattr(FiniteField, "__init__", refuse)
@@ -692,6 +693,22 @@ def test_huge_field_rejected_at_once(run, k4_file, field, message):
         got = run(command, "--clutter", k4_file, *field, *degree)
         assert got == (EXIT_INPUT, "", f"input error: {message}\n"), command
         assert time.monotonic() - start < 1, command
+
+
+@pytest.mark.parametrize("argv,size", [
+    (("params", "--torus", "100000", "--q", "5"), "4^99999"),
+    (("mindist", "--torus", "100000000", "--q", "3", "--d", "1"), "2^99999999"),
+    (("ci", "--torus", "1000", "--q", "65536"), "65535^999"),
+])
+def test_huge_torus_exits_3(run, argv, size):
+    """A torus far past the budget exits 3 at once: no power past the
+    budget is formed, and |X| past the 4300 digits Python prints is
+    named m^e."""
+    start = time.monotonic()
+    got = run(*argv)
+    assert time.monotonic() - start < 0.5
+    message = f"budget exhausted: |X| = {size} points > budget 100000000\n"
+    assert got == (EXIT_BUDGET, "", message)
 
 
 class TestParserOnce:
@@ -925,7 +942,8 @@ def test_field_modules_run_together(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     after_ci, after_groebner = (line.split() for line in done.stdout.splitlines())
-    lattice = ["toriccode.cli", "toriccode.clutter", "toriccode.intlattice", "toriccode.limits"]
+    lattice = ["toriccode.cli", "toriccode.clutter", "toriccode.errors", "toriccode.intlattice",
+               "toriccode.limits"]
     assert after_ci == lattice
     field = ["_linalg", "eval_code", "finite_field", "mindist", "toric_set", "vanishing_ideal"]
     assert set(lattice) | {f"toriccode.{name}" for name in field} <= set(after_groebner)

@@ -1,4 +1,4 @@
-"""Clutter parsing, validation and incidence matrices."""
+"""Clutter parsing, validation and uniformity."""
 
 import json
 import warnings
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toriccode import ClutterError, incidence, load_clutter, parse_clutter, uniformity
+from toriccode import ClutterError, load_clutter, parse_clutter, uniformity
 
 
 class TestParse:
@@ -174,37 +174,7 @@ class TestLoad:
             load_clutter(str(f))
 
 
-class TestIncidence:
-    def test_triangle_matrix(self, triangle):
-        A = incidence(triangle).A
-        assert A.shape == (3, 3)
-        expect = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
-        # column j is the characteristic vector of edge j
-        assert np.array_equal(A, expect[:, [0, 1, 2]][[0, 1, 2]]) or np.array_equal(
-            A.T.tolist(), [list(v) for v in triangle.vectors]
-        )
-        assert all(tuple(A[:, j]) == triangle.vectors[j] for j in range(3))
-
-    def test_distinct_columns_enforced(self):
-        from toriccode import IncidenceMatrix
-
-        with pytest.raises(ValueError):
-            IncidenceMatrix(np.array([[1, 1], [1, 1]]))
-        with pytest.raises(ValueError):
-            IncidenceMatrix(np.array([[0, 2], [1, 1]]))
-
-    def test_distant_duplicate_columns(self):
-        # K10 has s = 45 distinct columns; repeating column 0 as the last
-        # one leaves the other 43 columns between the two copies
-        from toriccode import IncidenceMatrix
-
-        edges = [[a, b] for a in range(1, 11) for b in range(a + 1, 11)]
-        A = incidence(parse_clutter({"n": 10, "edges": edges})).A.copy()
-        assert A.shape == (10, 45)
-        A[:, 44] = A[:, 0]
-        with pytest.raises(ClutterError, match="distinct"):
-            IncidenceMatrix(A)
-
+class TestUniformity:
     def test_uniformity(self, battery):
         uni, size = uniformity(battery["K4"])
         assert uni and size == 2

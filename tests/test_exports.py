@@ -12,8 +12,9 @@ def test_every_export_resolves():
 
 
 REMOVED = {
+    "toriccode.clutter": ["incidence", "IncidenceMatrix", "difference_matrix"],
     "toriccode.finite_field": ["FieldElement"],
-    "toriccode.vanishing_ideal": ["vanishing_defect"],
+    "toriccode.vanishing_ideal": ["vanishing_defect", "binomial_in_IX", "hilbert_IA"],
 }
 REMOVED_MEMBERS = {
     ("toriccode.finite_field", "FiniteField"): [
@@ -27,9 +28,10 @@ REMOVED_MEMBERS = {
 
 
 def test_removed_names_are_gone():
-    """The scalar field API, vanishing_defect and the HomogPoly helpers
-    are neither exported nor defined; a ToricSet has no gens and a
-    ReducedGB no standard_counts."""
+    """The scalar field API, vanishing_defect, the HomogPoly helpers, the
+    incidence and difference matrices, binomial_in_IX and hilbert_IA are
+    neither exported nor defined; a ToricSet has no gens and a ReducedGB
+    no standard_counts."""
     for module, names in REMOVED.items():
         for name in names:
             assert name not in toriccode.__all__ and not hasattr(toriccode, name)

@@ -12,7 +12,6 @@ from conftest import (
 )
 from toriccode import (
     FiniteField,
-    binomial_in_IX,
     ci_classify,
     code,
     enumerate_X,
@@ -431,7 +430,6 @@ _TAKES_Q = {
     "profile": lambda q: profile(BATTERY["C3"], q),
     "phi_injective": lambda q: phi_injective(BATTERY["C3"], q),
     "ci_classify": lambda q: ci_classify(BATTERY["C3"], q),
-    "binomial_in_IX": lambda q: binomial_in_IX([1, 0, 0], [0, 0, 1], BATTERY["C3"], q),
     "torus_distance": lambda q: torus_distance(q, 3, 1),
 }
 

@@ -21,6 +21,7 @@ from conftest import (
     BATTERY,
     FIELD_SIZES,
     clutters_over_fields,
+    difference_matrix,
     oracle_det_fraction,
     oracle_enumerate_X,
     oracle_points_csv,
@@ -28,7 +29,6 @@ from conftest import (
     torus_gens,
 )
 from toriccode import BudgetExceededError, enumerate_X, field_from_q, projective_torus, size_of_X
-from toriccode.clutter import difference_matrix
 from toriccode.intlattice import lattice_facts
 from toriccode.toric_set import points_csv
 

@@ -1,6 +1,7 @@
 """Point set enumeration: canonical form, sizes, torus comparison."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from conftest import (
     NON_BIPARTITE,
     _complete,
     clutters_over_fields,
+    difference_matrix,
     oracle_enumerate_X,
     oracle_toric_points,
     torus_gens,
@@ -27,7 +29,6 @@ from toriccode import (
     size_of_X,
     smith_normal_form,
 )
-from toriccode.clutter import difference_matrix
 from toriccode.toric_set import ToricSet, points_csv
 
 
@@ -105,6 +106,13 @@ class TestEnumerate:
     def test_budget(self, triangle):
         with pytest.raises(BudgetExceededError):
             enumerate_X(triangle, 9, budget=7)
+
+    def test_torus_budget_before_build(self):
+        # nothing of size s is built, and |T| = 2^(10^8 - 1) is never formed
+        start = time.monotonic()
+        with pytest.raises(BudgetExceededError, match=r"^\|X\| = 2\^99999999 points > budget 100"):
+            projective_torus(10 ** 8, 3, budget=100)
+        assert time.monotonic() - start < 0.5
 
     def test_logs_read_only(self, triangle):
         X = enumerate_X(triangle, 3)

@@ -1,6 +1,5 @@
-"""Groebner interpolation of I(X) and the binomial membership test."""
-
-import time
+"""Groebner interpolation of I(X), and the paper's statements on binomial
+membership and on H_(S/I_A) against the oracles."""
 
 import numpy as np
 import pytest
@@ -17,15 +16,13 @@ from conftest import (
     oracle_standard_count,
     oracle_vanishing_defect,
     oracle_verify_gb_structure,
+    same_character,
     term_string,
 )
 from toriccode import (
-    BudgetExceededError,
-    binomial_in_IX,
     degree_complexity,
     enumerate_X,
     field_from_q,
-    hilbert_IA,
     hilbert_function,
     interpolate_gb,
     make_field,
@@ -269,31 +266,32 @@ class TestCompleteGraphs:
 
 
 class TestBinomialMembership:
+    """The character test on the Smith presentation of X
+    (conftest.same_character) decides membership as evaluation on X does
+    (conftest.oracle_binomial_in_IX)."""
+
+    @staticmethod
+    def _member(a, b, X):
+        member = same_character(a, b, X)
+        assert member == oracle_binomial_in_IX(a, b, X), (a, b)
+        return member
+
     def test_k4_examples(self, k4):
-        q = 3
+        X = enumerate_X(k4, 3)
         # t1*t6 - t3*t4: A(a+ - a-) = 0 and degrees match: in I(X)
-        assert binomial_in_IX([1, 0, 0, 0, 0, 1], [0, 0, 1, 1, 0, 0], k4, q)
+        assert self._member([1, 0, 0, 0, 0, 1], [0, 0, 1, 1, 0, 0], X)
         # t1 - t2: different edge monomials, not in the ideal
-        assert not binomial_in_IX([1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], k4, q)
+        assert not self._member([1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], X)
 
     def test_inhomogeneous_rejected_as_member(self, k4):
-        assert not binomial_in_IX([2, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], k4, 3)
+        X = enumerate_X(k4, 3)
+        assert not self._member([2, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], X)
 
     def test_pure_power_difference_members(self, triangle):
-        q = 4
+        X = enumerate_X(triangle, 4)
         # t_i^(q-1) - t_j^(q-1) always vanishes
-        assert binomial_in_IX([3, 0, 0], [0, 0, 3], triangle, q)
-        assert binomial_in_IX([0, 3, 0], [0, 0, 3], triangle, q)
-
-    def test_overlapping_supports_rejected(self, triangle):
-        with pytest.raises(ValueError):
-            binomial_in_IX([1, 1, 0], [0, 1, 1], triangle, 3)
-
-    def test_bad_lengths(self, triangle):
-        with pytest.raises(ValueError):
-            binomial_in_IX([1, 0], [0, 1], triangle, 3)
-        with pytest.raises(ValueError):
-            binomial_in_IX([1, 0, 0], [0, -1, 0], triangle, 3)
+        assert self._member([3, 0, 0], [0, 0, 3], X)
+        assert self._member([0, 3, 0], [0, 0, 3], X)
 
     def test_agrees_with_evaluation_on_random_binomials(self, battery):
         rng = np.random.default_rng(4)
@@ -307,16 +305,15 @@ class TestBinomialMembership:
                 a[both] = 0
                 if not a.any() and not b.any():
                     continue
-                a, b = [int(x) for x in a], [int(x) for x in b]
-                assert binomial_in_IX(a, b, C, q) == oracle_binomial_in_IX(a, b, X), (q, a, b)
+                self._member([int(x) for x in a], [int(x) for x in b], X)
 
     @settings(max_examples=60, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
     @given(clutters_over_fields(max_torus=256), st.data())
     def test_lattice_criterion_matches_evaluation(self, case, data):
-        """The lattice criterion answers as evaluation on X does: on a
-        random binomial, on t^a minus a standard monomial of its degree, and
-        on t^a minus the one that agrees with t^a on X, each divided by the
+        """The character test answers as evaluation on X does: on a random
+        binomial, on t^a minus a standard monomial of its degree, and on
+        t^a minus the one that agrees with t^a on X, each divided by the
         gcd of its two terms."""
         C, q = case
         X = enumerate_X(C, q)
@@ -332,40 +329,28 @@ class TestBinomialMembership:
         common = [min(x, y) for x, y in zip(a, b)]
         a = [x - c for x, c in zip(a, common)]
         b = [y - c for y, c in zip(b, common)]
-        assert binomial_in_IX(a, b, C, q, X=X) == oracle_binomial_in_IX(a, b, X)
+        member = self._member(a, b, X)
+        assert member or kind != "same values"
 
 
 class TestHilbertIA:
+    """H_X(d) = H_(S/I_A)(d) for d <= q-2, against conftest.oracle_hilbert_IA."""
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_matches_oracle_k4(self, k4, d):
-        assert hilbert_IA(k4, d) == oracle_hilbert_IA(k4, d)
+        assert hilbert_function(enumerate_X(k4, 5), d) == oracle_hilbert_IA(k4, d)
 
     def test_matches_oracle_battery(self, battery):
         for name in ("C4", "P3", "star4", "U4"):
+            X = enumerate_X(battery[name], 5)
             for d in (1, 2, 3):
-                assert hilbert_IA(battery[name], d) == oracle_hilbert_IA(battery[name], d)
+                assert hilbert_function(X, d) == oracle_hilbert_IA(battery[name], d), (name, d)
 
     def test_equals_hilbert_function_in_low_degrees(self, k4):
-        # H_X(d) = H_{I(A)}(d) for 1 <= d <= q - 2
-        F = field_from_q(5)
-        X = enumerate_X(k4, F.q)
-        for d in (1, 2, 3):
-            assert hilbert_function(X, d) == hilbert_IA(k4, d)
-
-    def test_budget(self, k4):
-        with pytest.raises(Exception):
-            hilbert_IA(k4, 40, budget=10)
-
-    def test_budget_bounds_the_walk(self):
-        # the path with two edges has d + 1 multisets in degree d, but the
-        # walk weighs |Delta_(j-1)| * 2 = 2j candidates in each degree j
-        # <= d: their sum d(d + 1) passes the default 5 * 10^6 near
-        # d = 2236, long before the walk to d = 20000 would end
-        P = parse_clutter({"n": 3, "edges": [[1, 2], [2, 3]]})
-        start = time.perf_counter()
-        with pytest.raises(BudgetExceededError):
-            hilbert_IA(P, 20000)
-        assert time.perf_counter() - start < 30
-        assert hilbert_IA(P, 100, budget=100 * 101) == 101
-        with pytest.raises(BudgetExceededError):
-            hilbert_IA(P, 100, budget=100 * 101 - 1)
+        # I_A lies in I(X), and t1^(q-1) - t2^(q-1) lies in I(X) but not in
+        # I_A (v1 != v2): the equality holds up to d = q-2 and no further
+        for q in (3, 4, 5):
+            X = enumerate_X(k4, q)
+            for d in range(1, q - 1):
+                assert hilbert_function(X, d) == oracle_hilbert_IA(k4, d), (q, d)
+            assert hilbert_function(X, q - 1) < oracle_hilbert_IA(k4, q - 1), q
