@@ -53,34 +53,40 @@ class _InputError(ValueError):
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argparse tree, built on the first call of main and reused."""
+    """The argparse tree, built on the first call of main and reused.  Each
+    subcommand takes only the options its command reads, each under one
+    name: ci and profile ask about a clutter and take no --torus."""
     top = argparse.ArgumentParser(
         prog="toriccode",
         description="Parameterized codes from clutters over finite fields",
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, with_d=False, with_range=False, with_method=False):
-        src = p.add_mutually_exclusive_group(required=True)
-        src.add_argument("--clutter", metavar="FILE", help="clutter file (JSON or text)")
-        src.add_argument(
-            "--torus",
-            type=int,
-            metavar="S",
-            help="use the full projective torus in P^(S-1) instead of a clutter",
-        )
-        p.add_argument("--q", type=int, help="field size as a prime power")
-        p.add_argument("--p", type=int, help="field characteristic")
-        p.add_argument("--k", type=int, help="extension degree")
-        p.add_argument(
-            "--format", choices=["text", "csv", "json"], default="text", dest="fmt"
-        )
+    def command(name, summary, torus=True, formats=("text", "csv", "json")):
+        p = sub.add_parser(name, help=summary)
+        if torus:
+            src = p.add_mutually_exclusive_group(required=True)
+            src.add_argument("--clutter", metavar="FILE", help="clutter file (JSON or text)")
+            src.add_argument(
+                "--torus",
+                type=int,
+                metavar="S",
+                help="use the full projective torus in P^(S-1) instead of a clutter",
+            )
+        else:
+            p.add_argument("--clutter", metavar="FILE", required=True,
+                           help="clutter file (JSON or text)")
+        p.add_argument("--q", type=int, required=True, help="field size as a prime power")
+        p.add_argument("--format", choices=formats, default="text", dest="fmt")
         p.add_argument(
             "--budget",
             type=int,
             default=limits.DEFAULT_ENUM_BUDGET,
             help="maximum number of points of X",
         )
+        return p
+
+    def search(p):
         p.add_argument(
             "--class-budget",
             type=int,
@@ -90,65 +96,39 @@ def _build_parser() -> argparse.ArgumentParser:
             "information-set search reports an interval",
         )
         p.add_argument("--time-budget", type=float, default=None, help="search seconds budget")
-        if with_d:
-            p.add_argument("--d", type=int, help="form degree")
-        if with_range:
-            p.add_argument("--dmin", type=int, default=1)
-            p.add_argument("--dmax", type=int, default=None)
-            p.add_argument(
-                "--full",
-                action="store_true",
-                help="extend the default range to (q-2)(s-1) instead of the regularity",
-            )
-        if with_method:
-            p.add_argument(
-                "--method",
-                choices=limits.METHODS,
-                default="auto",
-            )
-        return p
+        p.add_argument("--method", choices=limits.METHODS, default="auto")
 
-    common(sub.add_parser("params", help="code parameter table over a degree range"),
-           with_d=True, with_range=True, with_method=True)
-    common(sub.add_parser("mindist", help="minimum distance report for one degree"),
-           with_d=True, with_method=True)
-    common(sub.add_parser("ci", help="complete-intersection classification"))
-    common(sub.add_parser("groebner", help="reduced Groebner basis of I(X)"))
-    pr = common(sub.add_parser("profile", help="size/rank profile of X"))
-    pr.add_argument("--dump-points", metavar="FILE", help="write X as CSV of power indices")
+    params = command("params", "code parameter table over a degree range")
+    search(params)
+    params.add_argument("--dmin", type=int, default=1)
+    params.add_argument("--dmax", type=int, default=None)
+    params.add_argument(
+        "--full",
+        action="store_true",
+        help="extend the default range to (q-2)(s-1) instead of the regularity",
+    )
+    mindist = command("mindist", "minimum distance report for one degree")
+    search(mindist)
+    mindist.add_argument("--d", type=int, required=True, help="form degree")
+    command("ci", "complete-intersection classification", torus=False)
+    command("groebner", "reduced Groebner basis of I(X)", formats=("text", "json"))
+    profile = command("profile", "size/rank profile of X", torus=False)
+    profile.add_argument("--dump-points", metavar="FILE", help="write X as CSV of power indices")
     return top
 
 
-def _resolve_q(args) -> int:
-    """q of the field the arguments name, checked as every field is
-    checked; no field is built."""
-    if args.q is not None:
-        if args.p is not None or args.k is not None:
-            raise _InputError("give either --q or --p/--k, not both")
-        p, k = limits.prime_power(args.q)
-    elif args.p is not None:
-        p, k = args.p, args.k if args.k is not None else 1
-    else:
-        raise _InputError("a field is required: --q Q or --p P [--k K]")
-    return limits.field_order(p, k)
-
-
 def _lattice_inputs(args):
-    """(C, q, |X|), C being None for --torus, with |X| from the orders of
-    its cyclic factors: no field and no point is built.  Raises
-    BudgetExceededError when |X| exceeds --budget."""
-    q = _resolve_q(args)
-    if args.torus is not None:
-        if args.torus < 2:
-            raise _InputError("--torus needs S >= 2")
-        C, orders = None, {q - 1: args.torus - 1}
-    else:
-        try:
-            C = clutter.load_clutter(args.clutter)
-        except OSError as exc:
-            raise _InputError(f"cannot read clutter file: {exc}")
-        orders = intlattice.orders_of_X(C, q)
-    return C, q, limits.size_within(orders, args.budget)
+    """(C, q, orders) of --clutter: orders those of the cyclic factors of X,
+    from which |X| is checked against --budget; no field and no point is
+    built.  Raises BudgetExceededError when |X| exceeds the budget."""
+    q = limits.field_order(*limits.prime_power(args.q))
+    try:
+        C = clutter.load_clutter(args.clutter)
+    except OSError as exc:
+        raise _InputError(f"cannot read clutter file: {exc}")
+    orders = intlattice.orders_of_X(C, q)
+    limits.size_within(orders, args.budget)
+    return C, q, orders
 
 
 def _load_field_modules() -> None:
@@ -161,15 +141,20 @@ def _load_field_modules() -> None:
 
 
 def _point_inputs(args):
-    """(C, X): _lattice_inputs, then X as its Smith presentation, within
-    the budget _lattice_inputs has checked.  X builds GF(q) and its points
-    only when a code is evaluated."""
-    # clutter_set, not enumerate_X: perfbench/tracing.py reads enumerate_X's q as a field
-    C, q, _ = _lattice_inputs(args)
+    """(C, X), C None for --torus: X as its Smith presentation, |X|
+    checked against --budget before the modules that build X run.  X
+    builds GF(q) and its points only when a code is evaluated."""
+    if args.torus is None:
+        # clutter_set, not enumerate_X: perfbench/tracing.py reads enumerate_X's q as a field
+        C, q, _ = _lattice_inputs(args)
+        _load_field_modules()
+        return C, toric_set.clutter_set(C, q)
+    q = limits.field_order(*limits.prime_power(args.q))
+    if args.torus < 2:
+        raise _InputError("--torus needs S >= 2")
+    limits.size_within({q - 1: args.torus - 1}, args.budget)
     _load_field_modules()
-    if C is None:
-        return None, toric_set.projective_torus(args.torus, q, budget=args.budget)
-    return C, toric_set.clutter_set(C, q)
+    return None, toric_set.projective_torus(args.torus, q, budget=args.budget)
 
 
 def _write(body: dict, fmt: str) -> None:
@@ -209,21 +194,16 @@ def _check_degrees(dmin: int, dmax) -> None:
 
 
 def _check_budgets(args) -> None:
-    """Reject a negative budget before any work; 0 keeps its meaning."""
-    for flag, value in (
-        ("--budget", args.budget),
-        ("--class-budget", args.class_budget),
-        ("--time-budget", args.time_budget),
-    ):
+    """Reject a negative budget of the subcommand before any work; 0 keeps
+    its meaning."""
+    for flag in ("--budget", "--class-budget", "--time-budget"):
+        value = getattr(args, flag[2:].replace("-", "_"), None)
         if value is not None and value < 0:
             raise _InputError(f"{flag} must be >= 0, got {value}")
 
 
 def _cmd_params(args) -> int:
-    if args.d is not None:
-        dmin = dmax = args.d
-    else:
-        dmin, dmax = args.dmin, args.dmax
+    dmin, dmax = args.dmin, args.dmax
     _check_degrees(dmin, dmax)
     C, X = _point_inputs(args)
     reg = eval_code.regularity(X)
@@ -268,8 +248,6 @@ def _cmd_params(args) -> int:
 
 
 def _cmd_mindist(args) -> int:
-    if args.d is None:
-        raise _InputError("mindist needs --d")
     if args.d < 1:
         raise _InputError("need d >= 1")
     C, X = _point_inputs(args)
@@ -283,20 +261,17 @@ def _cmd_mindist(args) -> int:
 
 
 def _cmd_ci(args) -> int:
-    C, q, size = _lattice_inputs(args)
-    if C is None:
-        raise _InputError("ci needs --clutter (the torus is trivially a CI)")
+    C, q, orders = _lattice_inputs(args)
     rep = intlattice.ci_classify(C, q)
-    torus_size = (q - 1) ** (C.s - 1)
     body = {
         "applicable": rep.applicable,
         "is_ci": rep.is_ci,
         "vectors_independent": rep.vectors_independent,
         "phi_injective": rep.phi_injective,
         "reason": rep.reason,
-        "advisory_equals_torus": size == torus_size,
-        "advisory_size_X": size,
-        "advisory_torus_size": torus_size,
+        "advisory_equals_torus": limits.is_power(orders, q - 1, C.s - 1),
+        "advisory_size_X": limits.power_value(orders),
+        "advisory_torus_size": limits.power_value({q - 1: C.s - 1}),
     }
     _write(body, args.fmt)
     return EXIT_OK
@@ -337,8 +312,6 @@ def _cmd_groebner(args) -> int:
 
 def _cmd_profile(args) -> int:
     C, q, _ = _lattice_inputs(args)
-    if C is None:
-        raise _InputError("profile needs --clutter")
     body = intlattice.profile(C, q)
     if args.dump_points:
         _load_field_modules()

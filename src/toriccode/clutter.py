@@ -116,10 +116,10 @@ def parse_clutter(doc) -> Clutter:
                         f"edge {edges[i]} is contained in {edges[j]} (not a clutter)"
                     )
 
-    covered = set().union(*sets)
-    isolated = sorted(set(range(1, n + 1)) - covered)
+    isolated = sorted(set(range(1, n + 1)).difference(*sets))
     if isolated:
-        warnings.warn(f"isolated vertices (in no edge): {isolated}", stacklevel=2)
+        more = f" and {len(isolated) - 8} more" if len(isolated) > 8 else ""
+        warnings.warn(f"isolated vertices (in no edge): {isolated[:8]}{more}", stacklevel=2)
 
     return Clutter(n=n, edges=tuple(edges))
 

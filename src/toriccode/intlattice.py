@@ -44,7 +44,7 @@ from math import gcd, prod
 from typing import NamedTuple
 
 from .clutter import Clutter, uniformity
-from .limits import field_order, prime_power
+from .limits import field_order, is_power, power_value, prime_power
 
 
 def _to_int_rows(M) -> list[list[int]]:
@@ -302,26 +302,26 @@ def size_of_X(C: Clutter, q: int) -> int:
 def profile(C: Clutter, q: int) -> dict:
     """Size/rank report of X over GF(q), used to judge applicability of
     the torus bounds.  No point is built: |X| is size_of_X(C, q), and the
-    rank is incidence_rank(C).
+    rank is incidence_rank(C).  |X| is compared with the tori in P^(n-1)
+    and P^(s-1) by `is_power`, and their sizes are given by `power_value`.
 
     Normality of the edge subring is asserted by the caller, never verified
     here; the note in the report says so.
     """
-    size = size_of_X(C, q)
+    orders = orders_of_X(C, q)
     r = incidence_rank(C)
     uniform, _ = uniformity(C)
-    expected = (q - 1) ** (C.n - 1)
     return {
         "n": C.n,
         "s": C.s,
         "q": q,
-        "points": size,
+        "points": size_of_X(C, q),
         "rank": r,
         "rank_is_n": r == C.n,
         "uniform": uniform,
-        "torus_bound_degree": expected,
-        "degree_matches_torus_bound": size == expected,
-        "equals_ambient_torus": size == (q - 1) ** (C.s - 1),
+        "torus_bound_degree": power_value({q - 1: C.n - 1}),
+        "degree_matches_torus_bound": is_power(orders, q - 1, C.n - 1),
+        "equals_ambient_torus": is_power(orders, q - 1, C.s - 1),
         "note": "normality of the edge subring is user-asserted, not verified",
     }
 

@@ -7,13 +7,15 @@ make it and build none.  The budgets bound the points of X
 (`DEFAULT_ENUM_BUDGET`) and the messages a distance search weighs
 (`DEFAULT_CLASS_BUDGET`); `METHODS` are the routes of `mindist.min_distance`.
 `size_within` checks |X| against a budget from the orders of its cyclic
-factors.  The module imports nothing of numpy, so the argument parser and
-the lattice commands read it without loading numpy.
+factors, and `is_power` compares |X| with a torus size on them.  The module
+imports nothing of numpy, so the argument parser and the lattice commands
+read it without loading numpy.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 from .errors import BudgetExceededError
 
@@ -46,7 +48,7 @@ def field_order(p: int, k: int) -> int:
     The work is bounded for any p and k: primality is tested only on
     p <= DEFAULT_MAX_Q, by trial division up to 256 (a larger p fails the
     cap, prime or not), and p^k is formed only up to _DECIMAL_BITS bits (a
-    longer one is far past the cap and is named "p^k", by power_text)."""
+    longer one is far past the cap and is named "p^k", by power_value)."""
     if not isinstance(p, int) or not isinstance(k, int):
         raise ValueError("p and k must be integers")
     if p < 2 or (p <= DEFAULT_MAX_Q and not _is_prime(p)):
@@ -54,30 +56,52 @@ def field_order(p: int, k: int) -> int:
     if k < 1:
         raise ValueError(f"k = {k} must be >= 1")
     if k * p.bit_length() > _DECIMAL_BITS or p ** k > DEFAULT_MAX_Q:
-        raise ValueError(f"q = {power_text({p: k})} exceeds the cardinality cap {DEFAULT_MAX_Q}")
+        raise ValueError(f"q = {power_value({p: k})} exceeds the cardinality cap {DEFAULT_MAX_Q}")
     if p ** k < 3:
         raise ValueError("GF(2) is not supported; need q >= 3")
     return p ** k
 
 
-def power_text(powers: dict[int, int]) -> str:
-    """The product of b^e over the items of powers, in decimal; or as
-    "b^e*...", with no power formed, when it may pass _DECIMAL_BITS bits."""
+def power_value(powers: dict[int, int]) -> int | str:
+    """The product of b^e over the items of powers; or the text "b^e*...",
+    with no power formed, when it may pass _DECIMAL_BITS bits, which
+    Python would not print in decimal."""
     if sum(e * b.bit_length() for b, e in powers.items()) > _DECIMAL_BITS:
         return "*".join(f"{b}^{e}" for b, e in sorted(powers.items()))
-    return str(math.prod(b ** e for b, e in powers.items()))
+    return math.prod(b ** e for b, e in powers.items())
+
+
+def _prime_exponents(powers: dict[int, int]) -> Counter:
+    """The product of b^e over the items of powers, each b <= DEFAULT_MAX_Q,
+    as prime -> exponent, by trial division up to sqrt(b) <= 256."""
+    exponents = Counter()
+    for b, e in powers.items():
+        for f in range(2, math.isqrt(b) + 1):
+            while b % f == 0:
+                b //= f
+                exponents[f] += e
+        if b > 1:
+            exponents[b] += e
+    return +exponents
+
+
+def is_power(orders: dict[int, int], m: int, e: int) -> bool:
+    """Whether prod o^c over the items of orders equals m^e, each o <= m
+    (the orders of the cyclic factors of X divide m = q-1): compared by
+    prime exponents, so no power is formed, however long."""
+    return _prime_exponents(orders) == _prime_exponents({m: e})
 
 
 def size_within(orders: dict[int, int], budget: int) -> int:
     """|X| = prod o^c over the items of orders, each order o >= 2, or
     BudgetExceededError when it passes the budget.  |X| >= 2^(sum c), so it
     does once sum c reaches the budget's bit length: no power past that is
-    formed, and a long |X| is named as power_text names it."""
+    formed, and a long |X| is named as power_value names it."""
     if sum(orders.values()) < budget.bit_length():
         size = math.prod(o ** c for o, c in orders.items())
         if size <= budget:
             return size
-    raise BudgetExceededError(f"|X| = {power_text(orders)} points > budget {budget}")
+    raise BudgetExceededError(f"|X| = {power_value(orders)} points > budget {budget}")
 
 
 def prime_power(q: int) -> tuple[int, int]:

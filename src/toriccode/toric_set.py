@@ -41,6 +41,7 @@ only the evaluation of the code C_X(d) and `points_csv` use them.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
 from math import gcd, prod
 
@@ -49,7 +50,7 @@ import numpy as np
 from .clutter import Clutter
 from .finite_field import FiniteField, field_from_q
 from .intlattice import lattice_facts, orders_of_X
-from .limits import DEFAULT_ENUM_BUDGET, field_order, prime_power, size_within
+from .limits import DEFAULT_ENUM_BUDGET, field_order, is_power, prime_power, size_within
 
 
 class ToricSet:
@@ -185,9 +186,9 @@ def equals_torus(X: ToricSet) -> bool:
     """Whether X is all of the projective torus in its ambient space.
 
     Every X lies in T (its coordinates are units and its first log is 0),
-    so equality is a size test.
+    so equality is a size test, made on the orders of X (`is_power`).
     """
-    return len(X) == (X.q - 1) ** (X.s - 1)
+    return is_power(Counter(X.orders), X.q - 1, X.s - 1)
 
 
 def points_csv(X: ToricSet) -> str:

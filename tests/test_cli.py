@@ -1,6 +1,7 @@
 """End-to-end CLI behavior through main(argv)."""
 
 import argparse
+import itertools
 import json
 import os
 import subprocess
@@ -19,7 +20,7 @@ import pytest
 from conftest import BATTERY, BATTERY_DOCS
 from toriccode import FiniteField, enumerate_X, intlattice, make_field, regularity, size_of_X
 from toriccode.toric_set import clutter_set
-from toriccode.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, _build_parser, main
+from toriccode.cli import _COMMANDS, EXIT_BUDGET, EXIT_INPUT, EXIT_OK, _build_parser, main
 
 K4_DOC = '{"n": 4, "edges": [[1,2],[1,3],[1,4],[2,3],[2,4],[3,4]]}'
 
@@ -46,6 +47,20 @@ def run(capsys):
         return rc, out.out, out.err
 
     return _run
+
+
+@pytest.fixture
+def refused(capsys):
+    """The stderr of an argv that the parser refuses: exit 2 through
+    argparse, with nothing on stdout."""
+    def _refused(*argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out = capsys.readouterr()
+        assert (exc.value.code, out.out) == (EXIT_INPUT, ""), argv
+        return out.err
+
+    return _refused
 
 
 class TestParams:
@@ -107,10 +122,15 @@ class TestParams:
         b = run("params", "--clutter", k4_file, "--q", "4", "--format", "csv")
         assert a == b
 
-    def test_p_k_spelling(self, run, k4_file):
-        rc1, out1, _ = run("params", "--clutter", k4_file, "--p", "2", "--k", "2", "--format", "csv", "--dmin", "1", "--dmax", "1")
-        rc2, out2, _ = run("params", "--clutter", k4_file, "--q", "4", "--format", "csv", "--dmin", "1", "--dmax", "1")
-        assert rc1 == rc2 == EXIT_OK and out1 == out2
+    def test_p_k_spelling(self, run, refused, k4_file):
+        # --q is the one spelling of the field
+        argv = ("params", "--clutter", k4_file, "--format", "csv", "--dmin", "1", "--dmax", "1")
+        assert "required: --q" in refused(*argv, "--p", "2", "--k", "2")
+        err = refused(*argv, "--q", "4", "--p", "2", "--k", "2")
+        assert "unrecognized arguments: --p 2 --k 2" in err
+        assert "--d" in refused("params", "--clutter", k4_file, "--q", "4", "--d", "1")
+        rc, out, _ = run(*argv, "--q", "4")
+        assert rc == EXIT_OK and out.splitlines()[1].startswith("1,27,")
 
     def test_text_shorthand_file(self, run, tmp_path):
         f = tmp_path / "p4.txt"
@@ -127,7 +147,7 @@ class TestParams:
         edges = [[a, b] for a in range(1, 6) for b in range(a + 1, 6)]
         f.write_text(json.dumps({"n": 5, "edges": edges}))
         rc, out, _ = run(
-            "params", "--clutter", str(f), "--q", "7", "--d", "1",
+            "params", "--clutter", str(f), "--q", "7", "--dmin", "1", "--dmax", "1",
             "--method", "formula", "--format", "json",
         )
         assert rc == EXIT_OK
@@ -168,9 +188,9 @@ class TestMindist:
         assert body["delta_prime"] == 4
         assert body["regularity"] == 2
 
-    def test_requires_d(self, run, k4_file):
-        rc, _, err = run("mindist", "--clutter", k4_file, "--q", "3")
-        assert rc == EXIT_INPUT and "needs --d" in err
+    def test_requires_d(self, refused, k4_file):
+        err = refused("mindist", "--clutter", k4_file, "--q", "3")
+        assert "the following arguments are required: --d" in err
 
     def test_time_budget_stops_bruteforce(self, run, c6_file):
         rc, out, _ = run(
@@ -186,25 +206,23 @@ class TestMindist:
         # C6/GF(4) d=1 is [81, 6]; stopped before weight 1, the floor 36 is
         # proven (above ceil(81/6) = 14), and the lightest row of the
         # systematic form (weight 50) is the best codeword known
-        argv = ["--clutter", c6_file, "--q", "4", "--d", "1",
-                "--method", "isd", "--time-budget", "0"]
-        rc, out, _ = run("mindist", *argv, "--format", "json")
+        argv = ["--clutter", c6_file, "--q", "4", "--method", "isd", "--time-budget", "0"]
+        rc, out, _ = run("mindist", *argv, "--d", "1", "--format", "json")
         body = json.loads(out)
         assert rc == EXIT_OK and body["delta_exact"] is False
         assert (body["delta_lower"], body["delta"]) == (36, 50)
-        rc, out, _ = run("mindist", *argv)
+        rc, out, _ = run("mindist", *argv, "--d", "1")
         assert rc == EXIT_OK and "delta: [36, 50]" in out.splitlines()
-        rc, out, _ = run("params", *argv)
+        rc, out, _ = run("params", *argv, "--dmin", "1", "--dmax", "1")
         assert rc == EXIT_OK and out.splitlines()[1].split()[3:5] == ["[36,", "50]"]
-        rc, out, _ = run("params", *argv, "--format", "csv")
+        rc, out, _ = run("params", *argv, "--dmin", "1", "--dmax", "1", "--format", "csv")
         assert out.splitlines()[1] == "1,81,6,50,36,isd,,76"
         # K4/GF(5) d=3: the box bound meets the lightest row, so even a zero
         # budget gives the exact distance
-        argv = ["--clutter", k4_file, "--q", "5", "--d", "3",
-                "--method", "isd", "--time-budget", "0"]
-        rc, out, _ = run("mindist", *argv)
+        argv = ["--clutter", k4_file, "--q", "5", "--method", "isd", "--time-budget", "0"]
+        rc, out, _ = run("mindist", *argv, "--d", "3")
         assert rc == EXIT_OK and "delta: 4" in out.splitlines()
-        rc, out, _ = run("params", *argv, "--format", "csv")
+        rc, out, _ = run("params", *argv, "--dmin", "3", "--dmax", "3", "--format", "csv")
         assert out.splitlines()[1] == "3,64,44,4,4,isd,16,21"
 
     def test_torus_report(self, run):
@@ -337,8 +355,8 @@ class TestClosedFormSize:
         ("ci", "--q", "4"),
         ("profile", "--q", "3", "--format", "json"),
         ("profile", "--q", "9"),
-        ("ci", "--p", "5", "--format", "json"),
-        ("profile", "--p", "2", "--k", "3"),
+        ("ci", "--q", "5", "--format", "json"),
+        ("profile", "--q", "8"),
         ("ci", "--q", "3", "--budget", "7"),
         ("profile", "--q", "5", "--budget", "7", "--format", "json"),
     ]
@@ -350,7 +368,6 @@ class TestClosedFormSize:
             raise AssertionError("no field and no point of X may be built")
 
         cases = [(cmd, "--clutter", k4_file, *rest) for cmd, *rest in self.ARGVS]
-        cases += [(cmd, "--torus", "3", "--q", "4") for cmd in ("ci", "profile")]
         before = [run(*argv) for argv in cases]
         monkeypatch.setattr(toric_set, "clutter_set", refuse)
         monkeypatch.setattr(toric_set, "projective_torus", refuse)
@@ -358,7 +375,7 @@ class TestClosedFormSize:
         make_field.cache_clear()
         after = [run(*argv) for argv in cases]
         assert after == before
-        codes = [EXIT_OK] * 6 + [EXIT_BUDGET] * 2 + [EXIT_INPUT] * 2
+        codes = [EXIT_OK] * 6 + [EXIT_BUDGET] * 2
         assert [rc for rc, _, _ in after] == codes
         assert json.loads(after[2][1])["points"] == 8
 
@@ -391,16 +408,13 @@ class TestClosedFormSize:
         assert len(points.strip().splitlines()) == 1 + 27
 
     @pytest.mark.parametrize("command", ["ci", "profile"])
-    def test_budget_caps_size(self, run, k4_file, command):
-        # |X| = 8 for K4 over GF(3), |T| = 9 in P^2 over GF(4)
+    def test_budget_caps_size(self, run, refused, k4_file, command):
+        # |X| = 8 for K4 over GF(3); ci and profile take no torus
         rc, _, err = run(command, "--clutter", k4_file, "--q", "3", "--budget", "7")
         assert rc == EXIT_BUDGET and "budget 7" in err
         rc, _, _ = run(command, "--clutter", k4_file, "--q", "3", "--budget", "8")
         assert rc == EXIT_OK
-        rc, _, err = run(command, "--torus", "3", "--q", "4", "--budget", "8")
-        assert rc == EXIT_BUDGET and "budget 8" in err
-        rc, _, _ = run(command, "--torus", "3", "--q", "4", "--budget", "9")
-        assert rc == EXIT_INPUT
+        assert "--clutter" in refused(command, "--torus", "3", "--q", "4", "--budget", "9")
 
     def test_k10_gf9_profile(self, run, tmp_path):
         # 8^9 points, far too many to build: only the Smith form is read
@@ -416,14 +430,88 @@ class TestClosedFormSize:
         assert body["points"] == 134217728 and body["degree_matches_torus_bound"] is True
 
 
-class TestErrors:
-    def test_missing_field(self, run, k4_file):
-        rc, _, err = run("params", "--clutter", k4_file)
-        assert rc == EXIT_INPUT and "field" in err
+class TestTorusSizesPastPrinting:
+    """ci and profile compare |X| with a torus on the orders of X, and give
+    a torus size past limits._DECIMAL_BITS bits as "(q-1)^e": no such power
+    is formed, and the report prints where Python's limit of 4300 digits
+    once made it exit 2."""
 
-    def test_q_and_p_conflict(self, run, k4_file):
-        rc, _, err = run("params", "--clutter", k4_file, "--q", "3", "--p", "3")
-        assert rc == EXIT_INPUT
+    def test_ci_on_many_edges(self, run, tmp_path):
+        # 9100 8-subsets of 17 vertices over GF(4): the torus in P^9099
+        # has 3^9099 points, |X| = 3^15
+        edges = list(itertools.islice(itertools.combinations(range(1, 18), 8), 9100))
+        f = tmp_path / "many_edges.json"
+        f.write_text(json.dumps({"n": 17, "edges": edges}))
+        rc, out, err = run("ci", "--clutter", str(f), "--q", "4")
+        assert (rc, err) == (EXIT_OK, "")
+        assert out.splitlines()[-3:] == [
+            "advisory_equals_torus: False",
+            "advisory_size_X: 14348907",
+            "advisory_torus_size: 3^9099",
+        ]
+        rc, out, _ = run("ci", "--clutter", str(f), "--q", "4", "--format", "json")
+        assert rc == EXIT_OK and json.loads(out)["advisory_torus_size"] == "3^9099"
+
+    def test_profile_on_many_vertices(self, run, tmp_path):
+        # two edges on 900 vertices over GF(65536): (q-1)^(n-1) has 4331
+        # digits, and X is the torus in P^1
+        f = tmp_path / "many_vertices.json"
+        f.write_text(json.dumps({"n": 900, "edges": [[1], [2]]}))
+        with pytest.warns(UserWarning, match=r"\[3, 4, 5, 6, 7, 8, 9, 10\] and 890 more$"):
+            rc, out, err = run("profile", "--clutter", str(f), "--q", "65536", "--format", "json")
+        assert (rc, err) == (EXIT_OK, "")
+        body = json.loads(out)
+        assert body["points"] == 65535 and body["torus_bound_degree"] == "65535^899"
+        assert body["degree_matches_torus_bound"] is False
+        assert body["equals_ambient_torus"] is True
+
+    def test_small_sizes_stay_integers(self, run, k4_file):
+        rc, out, _ = run("profile", "--clutter", k4_file, "--q", "3", "--format", "json")
+        body = json.loads(out)
+        assert (body["torus_bound_degree"], body["degree_matches_torus_bound"]) == (8, True)
+
+
+# the options of each subcommand, by argparse dest: 34 in all
+OPTIONS = {
+    "params": {"clutter", "torus", "q", "fmt", "budget", "class_budget", "time_budget",
+               "method", "dmin", "dmax", "full"},
+    "mindist": {"clutter", "torus", "q", "fmt", "budget", "class_budget", "time_budget",
+                "method", "d"},
+    "ci": {"clutter", "q", "fmt", "budget"},
+    "groebner": {"clutter", "torus", "q", "fmt", "budget"},
+    "profile": {"clutter", "q", "fmt", "budget", "dump_points"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_every_option_is_read(capsys, k4_file, command):
+    """Each subcommand takes the options of OPTIONS, and its command reads
+    every one of them on a valid argv, not counting the check on negative
+    budgets in main: none is a second spelling that nothing reads."""
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    argv = [command, "--clutter", k4_file, "--q", "3"] + (["--d", "1"] * (command == "mindist"))
+    args = _build_parser().parse_args(argv, namespace=Recording())
+    options = set(vars(args)) - {"command"}
+    assert options == OPTIONS[command]
+    reads.clear()
+    assert _COMMANDS[command](args) == EXIT_OK and capsys.readouterr().out
+    assert options <= reads, options - reads
+    assert sum(map(len, OPTIONS.values())) == 34
+
+
+class TestErrors:
+    def test_missing_field(self, refused, k4_file):
+        assert "required: --q" in refused("params", "--clutter", k4_file)
+
+    def test_q_and_p_conflict(self, refused, k4_file):
+        # --p is no second spelling of the field
+        assert "--p 3" in refused("params", "--clutter", k4_file, "--q", "3", "--p", "3")
 
     def test_q2(self, run, k4_file):
         rc, _, err = run("params", "--clutter", k4_file, "--q", "2")
@@ -445,12 +533,12 @@ class TestErrors:
 
     def test_torus_budget(self, run):
         # |T| = 8^11 points: the budget stops the build before allocating it
-        rc, _, err = run("profile", "--torus", "12", "--q", "9", "--budget", "1000")
+        rc, _, err = run("groebner", "--torus", "12", "--q", "9", "--budget", "1000")
         assert rc == EXIT_BUDGET and "budget" in err
 
     def test_large_torus_budget(self, run):
         rc, _, err = run(
-            "params", "--torus", "30", "--q", "9", "--d", "1", "--budget", "1000"
+            "params", "--torus", "30", "--q", "9", "--dmax", "1", "--budget", "1000"
         )
         assert rc == EXIT_BUDGET and "budget" in err
 
@@ -486,7 +574,7 @@ class TestErrors:
             ("mindist", ("--d", "1", "--method", "bruteforce", "--class-budget", "-5"),
              "--class-budget must be >= 0, got -5"),
             ("mindist", ("--d", "1", "--time-budget", "-1"), "--time-budget must be >= 0, got -1.0"),
-            ("params", ("--d", "1", "--time-budget", "-0.5"),
+            ("params", ("--dmax", "1", "--time-budget", "-0.5"),
              "--time-budget must be >= 0, got -0.5"),
         ],
     )
@@ -509,11 +597,10 @@ class TestDegreesBeforePoints:
     otherwise exit 3."""
 
     CASES = [
-        (("mindist",), "mindist needs --d"),
         (("mindist", "--d", "0"), "need d >= 1"),
         (("params", "--dmin", "0"), "bad degree range [0, ...]"),
         (("params", "--dmin", "0", "--dmax", "2"), "bad degree range [0, 2]"),
-        (("params", "--d", "0"), "bad degree range [0, 0]"),
+        (("params", "--dmin", "0", "--dmax", "0"), "bad degree range [0, 0]"),
         (("params", "--dmin", "3", "--dmax", "2"), "bad degree range [3, 2]"),
     ]
 
@@ -536,7 +623,7 @@ class TestDegreesBeforePoints:
 
 
 class TestNoFieldNoPoints:
-    """groebner (text, csv, json) and params --method formula read only the
+    """groebner (text, json) and params --method formula read only the
     Smith presentation of X: with FiniteField.__init__ and the point build
     (ToricSet.logs) patched to raise, their output is unchanged on the
     battery.  mindist still builds the field and the points, once each."""
@@ -552,7 +639,7 @@ class TestNoFieldNoPoints:
                 if size_of_X(BATTERY[name], int(q)) > 5000:
                     continue
                 source = ("--clutter", str(f), "--q", q)
-                cases += [("groebner", *source, "--format", fmt) for fmt in ("text", "csv", "json")]
+                cases += [("groebner", *source, "--format", fmt) for fmt in ("text", "json")]
                 cases += [("params", *source, "--method", "formula", "--format", fmt)
                           for fmt in ("text", "json")]
         cases += [("groebner", "--torus", "3", "--q", "4"),
@@ -655,38 +742,45 @@ FIELD_ERRORS = [
     (("--q", "6"), "q = 6 is not a prime power"),
     (("--q", "12"), "q = 12 is not a prime power"),
     (("--q", "131072"), "q = 131072 exceeds the cardinality cap 65536"),
-    (("--p", "4"), "p = 4 is not prime"),
-    (("--p", "3", "--k", "0"), "k = 0 must be >= 1"),
-    (("--q", "9", "--p", "3"), "give either --q or --p/--k, not both"),
-    ((), "a field is required: --q Q or --p P [--k K]"),
+    # --q Q is the one spelling of the field: the parser refuses the rest
+    (("--p", "4"), None),
+    (("--p", "3", "--k", "0"), None),
+    (("--q", "9", "--p", "3"), None),
+    ((), None),
 ]
 
 
 @pytest.mark.parametrize(
     "field,message", FIELD_ERRORS, ids=[" ".join(f) or "none" for f, _ in FIELD_ERRORS]
 )
-def test_bad_field_same_for_every_command(run, k4_file, field, message):
+def test_bad_field_same_for_every_command(run, refused, k4_file, field, message):
     """ci and profile, which build no field, reject a bad field size with
-    the exit code and message of the commands that build one."""
+    the exit code and message of the commands that build one; a field not
+    given as --q Q is refused by the parser of every command."""
     for command in ("params", "mindist", "groebner", "ci", "profile"):
         degree = ("--d", "1") if command == "mindist" else ()
-        for source in (("--clutter", k4_file), ("--torus", "3"), ("--torus", "1")):
-            got = run(command, *source, *field, *degree)
-            assert got == (EXIT_INPUT, "", f"input error: {message}\n"), (command, source)
+        sources = [("--clutter", k4_file)]
+        if command not in ("ci", "profile"):
+            sources += [("--torus", "3"), ("--torus", "1")]
+        for source in sources:
+            argv = (command, *source, *field, *degree)
+            if message is None:
+                refused(*argv)
+            else:
+                assert run(*argv) == (EXIT_INPUT, "", f"input error: {message}\n"), argv
 
 
+# field_order and make_field are checked on a huge p^k and a 61-bit prime p
+# in tests/test_finite_field.py
 HUGE_FIELDS = [
-    (("--p", "3", "--k", "1000000000"), "q = 3^1000000000 exceeds the cardinality cap 65536"),
     (("--q", "2305843009213693951"), "q = 2305843009213693951 exceeds the cardinality cap 65536"),
-    (("--p", "2305843009213693951"), "q = 2305843009213693951 exceeds the cardinality cap 65536"),
 ]
 
 
 @pytest.mark.parametrize("field,message", HUGE_FIELDS, ids=[" ".join(f) for f, _ in HUGE_FIELDS])
 def test_huge_field_rejected_at_once(run, k4_file, field, message):
     """The size checks form no power past the cap and divide by no trial
-    factor past 256, so a huge p^k, or a prime q or p of 61 bits, exits 2
-    within a second."""
+    factor past 256, so a prime q of 61 bits exits 2 within a second."""
     for command in ("params", "mindist", "groebner", "ci", "profile"):
         degree = ("--d", "1") if command == "mindist" else ()
         start = time.monotonic()
@@ -698,7 +792,7 @@ def test_huge_field_rejected_at_once(run, k4_file, field, message):
 @pytest.mark.parametrize("argv,size", [
     (("params", "--torus", "100000", "--q", "5"), "4^99999"),
     (("mindist", "--torus", "100000000", "--q", "3", "--d", "1"), "2^99999999"),
-    (("ci", "--torus", "1000", "--q", "65536"), "65535^999"),
+    (("groebner", "--torus", "1000", "--q", "65536"), "65535^999"),
 ])
 def test_huge_torus_exits_3(run, argv, size):
     """A torus far past the budget exits 3 at once: no power past the

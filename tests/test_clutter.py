@@ -117,6 +117,17 @@ class TestParse:
         with pytest.warns(UserWarning):
             parse_clutter({"n": 4, "edges": [[1, 2], [2, 3]]})
 
+    def test_isolated_vertex_warning_is_short(self):
+        # n = 20000 with two edges once listed all 19998 isolated vertices
+        with pytest.warns(UserWarning) as caught:
+            parse_clutter({"n": 20000, "edges": [[1], [2]]})
+        (warning,) = caught
+        assert str(warning.message) == (
+            "isolated vertices (in no edge): [3, 4, 5, 6, 7, 8, 9, 10] and 19990 more"
+        )
+        with pytest.warns(UserWarning, match=r"edge\): \[4\]$"):
+            parse_clutter({"n": 4, "edges": [[1, 2], [2, 3]]})
+
     def test_missing_keys(self):
         with pytest.raises(ClutterError):
             parse_clutter({"edges": [[1, 2], [2, 3]]})

@@ -1,5 +1,7 @@
 """Field construction and arithmetic kernels."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,19 @@ class TestSharedFields:
     def test_long_power_named_not_formed(self):
         with pytest.raises(ValueError, match=r"^q = 3\^1000000000 exceeds the cardinality cap"):
             field_order(3, 10 ** 9)
+
+    @pytest.mark.parametrize("p,k,q", [(3, 10 ** 9, "3^1000000000"),
+                                       (2 ** 61 - 1, 1, "2305843009213693951")])
+    def test_huge_field_rejected_at_once(self, p, k, q):
+        """The checks form no power past the cap and divide by no trial
+        factor past 256, so a huge p^k, or a prime p of 61 bits, is refused
+        within a second, with or without building the field."""
+        for check in (field_order, make_field):
+            start = time.monotonic()
+            with pytest.raises(ValueError) as refused:
+                check(p, k)
+            assert time.monotonic() - start < 1, check
+            assert str(refused.value) == f"q = {q} exceeds the cardinality cap 65536"
 
     @pytest.mark.parametrize("q", [1, 6, 12, 0, -9, 9.0])
     def test_not_a_prime_power(self, q):

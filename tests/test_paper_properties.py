@@ -1,24 +1,30 @@
 """The paper's statements on X as properties over random clutters and
 fields, with the slow routes of conftest as oracles.
 
-* H_X(d) = H_(S/I_A)(d) for d <= q-2 (acceptance criterion 7);
+* for a uniform clutter, I(X) is a complete intersection exactly when X
+  is the projective torus, |X| = (q-1)^(s-1) (acceptance criterion 5);
+* H_X(d) = H_(S/I_A)(d) for d <= q-2 (criterion 7);
+* reg S/I(X) <= (q-2)(s-1) (criterion 8, its regularity bound);
 * no binomial t_i^b - t^c with b < q-1 lies in I(X) (criterion 9).
 
-The acceptance battery checks both on fixed clutters; here hypothesis
-draws them from `clutters_over_fields`.
+The acceptance battery checks them on fixed clutters; here hypothesis
+draws them from `clutters_over_fields` and `uniform_clutters_over_fields`.
 """
 
 import itertools
 
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     clutters_over_fields,
     oracle_binomial_in_IX,
     oracle_hilbert_IA,
+    oracle_toric_points,
     same_character,
+    uniform_clutters_over_fields,
 )
-from toriccode import enumerate_X, hilbert_function
+from toriccode import ci_classify, enumerate_X, field_from_q, hilbert_function, regularity
 
 _CLUTTERS = settings(
     max_examples=60,
@@ -26,6 +32,27 @@ _CLUTTERS = settings(
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+
+@_CLUTTERS
+@given(uniform_clutters_over_fields(max_torus=4096).filter(
+    lambda case: (case[1] - 1) ** case[0].n <= 10 ** 4
+))
+def test_ci_verdict_is_the_geometric_test(case):
+    """The verdict of the lattice test equals the comparison of |X|, from
+    the points that a walk over the (q-1)^n unit tuples reaches, with the
+    size of the torus."""
+    C, q = case
+    size = len(oracle_toric_points(C, field_from_q(q)))
+    assert ci_classify(C, q).is_ci == (size == (q - 1) ** (C.s - 1)), (C, q, size)
+
+
+@_CLUTTERS
+@given(st.one_of(clutters_over_fields(max_torus=4096),
+                 uniform_clutters_over_fields(max_torus=4096)))
+def test_regularity_is_at_most_that_of_the_torus(case):
+    C, q = case
+    assert regularity(enumerate_X(C, q)) <= (q - 2) * (C.s - 1), (C, q)
 
 
 @_CLUTTERS

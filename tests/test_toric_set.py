@@ -2,6 +2,8 @@
 
 import itertools
 import time
+from collections import Counter
+from math import prod
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from toriccode import (
     size_of_X,
     smith_normal_form,
 )
+from toriccode.limits import is_power, power_value
 from toriccode.toric_set import ToricSet, points_csv
 
 
@@ -197,6 +200,24 @@ class TestTorus:
     def test_even_cycle_does_not(self):
         X = enumerate_X(BATTERY["C4"], 3)
         assert not equals_torus(X)
+
+    @pytest.mark.parametrize("m", [2, 4, 6, 8, 12, 48, 65535])
+    def test_is_power_is_the_size_test(self, m):
+        """is_power decides prod o^c = m^e exactly, on orders dividing m,
+        also with more factors than e: 2 * 2 = 4 over m = 4."""
+        divisors = [o for o in range(2, m + 1) if m % o == 0][:6]
+        for k in range(5):
+            for combo in itertools.combinations_with_replacement(divisors, k):
+                for e in range(5):
+                    assert is_power(Counter(combo), m, e) == (prod(combo) == m ** e), (combo, e)
+
+    def test_long_powers_are_named(self):
+        assert power_value({3: 5, 2: 1}) == 486 and power_value({}) == 1
+        assert power_value({2: 7000}) == 2 ** 7000  # 14000 bits at most, printable
+        assert power_value({2: 7001}) == "2^7001"
+        assert power_value({65535: 899, 3: 1}) == "3^1*65535^899"
+        # T in P^20000 over GF(3): 2^20000 points, no power of that length formed
+        assert is_power({2: 20000}, 2, 20000) and not is_power({2: 19999}, 2, 20000)
 
     def test_torus_contains_every_X(self, battery):
         F = make_field(3, 1)
